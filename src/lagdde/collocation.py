@@ -23,7 +23,14 @@ import numpy as np
 
 from . import basis as _basis
 from .basis import BasisKind, PolynomialBasis
-from .linalg import AugmentedSystem, SingularSystemError, condition_estimate, gauss_solve
+from .linalg import (
+    AugmentedSystem,
+    SingularSystemError,
+    block_diagonal,
+    condition_estimate,
+    lu_factor,
+    lu_solve,
+)
 
 HISTORY_EDGE_TOL = 1e-12
 
@@ -265,18 +272,20 @@ def solve_linear(problem: DDEProblem, n_max: int,
     """Solve a linear problem by collocation at truncation ``n_max``."""
     if problem.has_nonlinearity:
         raise ValueError("problem has a nonlinear delay term; use solve_nonlinear")
-    return _solve_assembled(problem, n_max, kind)
+    return _FactoredOperator(problem, n_max, kind).solve(problem.g)
 
 
-def _assemble_monomial_system(problem: DDEProblem, n_max: int) -> AugmentedSystem:
-    """The same augmented system expressed in monomial coefficients.
+def _monomial_operator(problem: DDEProblem, n_max: int) -> np.ndarray:
+    """Collocation operator W of the monomial-frame system W @ c = G.
 
     With basis_row(t) = X(t) @ M the unknowns transform as c = M @ a, so
-    this system and the one from assemble_system have identical solutions
-    in function space. Eliminating in the monomial frame avoids the extra
-    conditioning the factored delay product X T M and the basis rows put on
-    the assembled entries; the basis coefficients are recovered afterwards
-    through the triangular change of basis.
+    W @ block_diagonal([M] * l) is the operator of apply_initial_conditions
+    (assemble_system(...)): both systems have identical solutions in function
+    space. Eliminating in the monomial frame avoids the extra conditioning
+    the factored delay product X T M and the basis rows put on the assembled
+    entries; the basis coefficients are recovered afterwards through the
+    triangular change of basis. W depends only on the problem's
+    coefficients, delays and history interval, never on its forcing.
     """
     grid = collocation_points(n_max, problem.b)
     l = problem.n_equations
@@ -284,27 +293,44 @@ def _assemble_monomial_system(problem: DDEProblem, n_max: int) -> AugmentedSyste
     B = _basis.monomial_diff_matrix(n_max)
     shifts = {}
     W = np.zeros((l * width, l * width))
-    G = np.zeros(l * width)
     for eq in range(l):
         for i, t in enumerate(grid.points[:-1]):
             X = _basis.monomial_row(n_max, t)
             r = eq * width + i
             W[r, eq * width:(eq + 1) * width] = X @ B + problem.gamma[eq] * X
-            G[r] = float(problem.g[eq](t))
             for term in problem.delays[eq]:
                 t_delayed = t - term.tau
-                if problem.history is not None and problem.history.covers(t_delayed):
-                    G[r] += term.beta * problem.history.value(term.target, t_delayed)
-                else:
+                if problem.history is None or not problem.history.covers(t_delayed):
                     if term.tau not in shifts:
                         shifts[term.tau] = _basis.delay_shift_matrix(n_max, term.tau)
                     block = slice(term.target * width, (term.target + 1) * width)
                     W[r, block] -= term.beta * (X @ shifts[term.tau])
         # condition row u_eq(0) = phi_eq; X(0) = [1, 0, ..., 0]
-        r = (eq + 1) * width - 1
-        W[r, eq * width] = 1.0
-        G[r] = problem.phi[eq]
-    return AugmentedSystem(W, G)
+        W[(eq + 1) * width - 1, eq * width] = 1.0
+    return W
+
+
+def _monomial_rhs(problem: DDEProblem, n_max: int,
+                  g: Sequence[Callable[[float], float]]) -> np.ndarray:
+    """Right-hand side G of the monomial-frame system for forcing ``g``.
+
+    Each collocation row carries g_eq(t) plus the delayed terms the history
+    serves; each equation's last row carries phi_eq.
+    """
+    grid = collocation_points(n_max, problem.b)
+    l = problem.n_equations
+    width = n_max + 1
+    G = np.zeros(l * width)
+    for eq in range(l):
+        for i, t in enumerate(grid.points[:-1]):
+            r = eq * width + i
+            G[r] = float(g[eq](t))
+            for term in problem.delays[eq]:
+                t_delayed = t - term.tau
+                if problem.history is not None and problem.history.covers(t_delayed):
+                    G[r] += term.beta * problem.history.value(term.target, t_delayed)
+        G[(eq + 1) * width - 1] = problem.phi[eq]
+    return G
 
 
 def _solve_upper_triangular(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -316,24 +342,41 @@ def _solve_upper_triangular(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_assembled(problem, n_max, kind=BasisKind.LAGUERRE):
-    pbasis = PolynomialBasis(kind, n_max)
-    mono = _assemble_monomial_system(problem, n_max)
-    c = gauss_solve(mono)
-    width = n_max + 1
-    M = _basis.change_of_basis_matrix(pbasis)
-    coeffs = np.vstack([
-        _solve_upper_triangular(M, c[eq * width:(eq + 1) * width])
-        for eq in range(problem.n_equations)
-    ])
-    # diagnostics report the conditioning of the basis-frame system the
-    # method is defined by, not of the internal monomial frame
-    system = apply_initial_conditions(
-        assemble_system(problem, n_max, kind), problem, pbasis)
-    return SpectralSolution(
-        coefficients=coeffs, basis=pbasis, b=problem.b,
-        condition=condition_estimate(system.W),
-    )
+class _FactoredOperator:
+    """The monomial-frame operator of one problem and truncation, factored once.
+
+    ``solve`` takes a forcing and substitutes through the stored factors, so
+    successive substitution pays for one elimination, not one per iteration.
+    ``condition`` is the infinity-norm condition of the basis-frame operator
+    W @ block_diagonal([M] * l), the system the method is defined by; it is
+    inf when that matrix is numerically singular, which never aborts a solve
+    the monomial frame completed.
+    """
+
+    def __init__(self, problem: DDEProblem, n_max: int, kind: BasisKind):
+        self.problem = problem
+        self.n_max = n_max
+        self.pbasis = PolynomialBasis(kind, n_max)
+        W = _monomial_operator(problem, n_max)
+        self.factors = lu_factor(W)
+        self.M = _basis.change_of_basis_matrix(self.pbasis)
+        try:
+            self.condition = condition_estimate(
+                W @ block_diagonal([self.M] * problem.n_equations))
+        except SingularSystemError:
+            self.condition = math.inf
+
+    def solve(self, g: Sequence[Callable[[float], float]]) -> SpectralSolution:
+        c = lu_solve(self.factors, _monomial_rhs(self.problem, self.n_max, g))
+        width = self.n_max + 1
+        coeffs = np.vstack([
+            _solve_upper_triangular(self.M, c[eq * width:(eq + 1) * width])
+            for eq in range(self.problem.n_equations)
+        ])
+        return SpectralSolution(
+            coefficients=coeffs, basis=self.pbasis, b=self.problem.b,
+            condition=self.condition,
+        )
 
 
 class NonConvergenceError(Exception):
@@ -401,14 +444,12 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
         frozen_forcing(eq, term) if term is not None else problem.g[eq]
         for eq, term in enumerate(problem.nonlinear)
     )
-    linearized = DDEProblem(
-        gamma=problem.gamma, delays=problem.delays, g=g_frozen,
-        phi=problem.phi, b=problem.b, history=problem.history,
-    )
+    # the linearised operator never changes: only the frozen forcing does
+    operator = _FactoredOperator(problem, n_max, kind)
 
     last_delta = math.inf
     for iteration in range(1, max_iter + 1):
-        solution = _solve_assembled(linearized, n_max, kind)
+        solution = operator.solve(g_frozen)
         if previous is not None:
             # relative to coefficient scale: the raw coefficients grow with N
             # and carry roundoff far above any absolute tolerance

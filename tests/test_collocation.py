@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from lagdde import basis as basis_mod
+from lagdde import collocation as collocation_mod
+from lagdde import linalg as linalg_mod
+from lagdde.accuracy import convergence_study
 from lagdde.basis import BasisKind, PolynomialBasis
 from lagdde.collocation import (
     DDEProblem,
@@ -14,6 +17,7 @@ from lagdde.collocation import (
     NonConvergenceError,
     NonlinearDelayTerm,
     SpectralSolution,
+    _monomial_operator,
     apply_initial_conditions,
     assemble_row_block,
     assemble_system,
@@ -24,6 +28,7 @@ from lagdde.collocation import (
     solve_linear,
     solve_nonlinear,
 )
+from lagdde.linalg import SingularSystemError, block_diagonal
 
 
 def _solution(coeffs, b=1.0):
@@ -355,6 +360,103 @@ def test_evaluate_derivative_matches_finite_difference():
     for t in (0.5, 1.2, 2.8):
         fd = (evaluate(solution, t + h)[0] - evaluate(solution, t - h)[0]) / (2 * h)
         assert evaluate_derivative(solution, t)[0] == pytest.approx(fd, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# one factorisation per solve; the diagnostic in the basis frame
+
+def test_monomial_operator_times_change_of_basis_is_basis_frame_operator():
+    # coupled system: the history serves each delay at the early points and
+    # the series at the later ones; equation 3 also has an undelayed term
+    problem = DDEProblem(
+        gamma=[0.5, -0.3, 1.2],
+        delays=[[DelayTerm(1, 0.7, 0.5)],
+                [DelayTerm(2, -0.4, 1.5), DelayTerm(0, 0.2, 0.25)],
+                [DelayTerm(0, 0.3, 0.8), DelayTerm(2, -0.6, 0.0)]],
+        g=[math.sin, math.cos, lambda t: 1.0], phi=[1.0, 0.0, 0.5], b=2.0,
+        history=History(functions=(math.cos, math.sin, lambda t: 0.5), end=0.0))
+    for n in (4, 8, 12):
+        pbasis = PolynomialBasis(BasisKind.LAGUERRE, n)
+        M = basis_mod.change_of_basis_matrix(pbasis)
+        mono = _monomial_operator(problem, n)
+        reference = apply_initial_conditions(
+            assemble_system(problem, n), problem, pbasis).W
+        np.testing.assert_allclose(mono @ block_diagonal([M] * 3), reference,
+                                   rtol=0.0, atol=1e-10 * np.abs(reference).max())
+
+
+def _degree_four_problem():
+    """u' = -u/2 + u(t - 0.2)/2 + g on [0, 1] with a degree-4 exact solution."""
+    poly = np.polynomial.Polynomial([0.3, -0.7, 0.5, 0.9, -0.4])
+    dpoly = poly.deriv()
+    problem = DDEProblem(
+        gamma=[0.5], delays=[[DelayTerm(0, 0.5, 0.2)]],
+        g=[lambda t: dpoly(t) + 0.5 * poly(t) - 0.5 * poly(t - 0.2)],
+        phi=[poly(0.0)], b=1.0, history=History(functions=(poly,), end=0.0))
+    return problem, poly
+
+
+def test_singular_diagnostic_reports_inf_and_keeps_the_solution():
+    # at N = 11 the basis-frame matrix is numerically singular while the
+    # monomial frame solves the problem to roundoff
+    problem, poly = _degree_four_problem()
+    solution = solve_linear(problem, 11)
+    assert solution.condition == math.inf
+    worst = max(abs(evaluate(solution, t)[0] - poly(t))
+                for t in np.linspace(0.0, 1.0, 41))
+    assert worst < 1e-12
+
+    (row,) = convergence_study(problem, [11],
+                               reference=lambda t: np.array([poly(t)]))
+    assert row.error is None
+    assert row.condition == math.inf
+    assert row.linf[0] < 1e-12
+
+
+def test_singular_monomial_operator_still_raises():
+    # the collocation rows at t = 0 and 1 read [2/3, 1/3, 2/3] and
+    # [2/3, 1, 2]; with the initial-condition row [1, 0, 0] the operator
+    # itself is singular, so there is no solution to keep
+    problem = single_equation(0.0, -2.0 / 3.0, 1.0, lambda t: 1.0, 0.0, 2.0)
+    with pytest.raises(SingularSystemError):
+        solve_linear(problem, 2)
+
+
+def _count_factorisations(monkeypatch):
+    """Count lu_factor calls by the solver (operator) and by the diagnostic."""
+    calls = []
+
+    def counting(label, fn):
+        def wrapper(W):
+            calls.append(label)
+            return fn(W)
+        return wrapper
+
+    monkeypatch.setattr(linalg_mod, "lu_factor",
+                        counting("diagnostic", linalg_mod.lu_factor))
+    monkeypatch.setattr(collocation_mod, "lu_factor",
+                        counting("operator", collocation_mod.lu_factor))
+    return calls
+
+
+def test_solve_nonlinear_factors_once_however_many_iterations(monkeypatch):
+    calls = _count_factorisations(monkeypatch)
+    for n in (6, 10):
+        calls.clear()
+        solution = solve_nonlinear(_nonlinear_problem(lambda u: math.exp(-u)), n)
+        assert solution.iterations > 3
+        assert calls == ["operator", "diagnostic"]
+    calls.clear()
+    with pytest.raises(NonConvergenceError):
+        solve_nonlinear(_nonlinear_problem(lambda u: math.exp(-u)), 10, max_iter=3)
+    assert calls == ["operator", "diagnostic"]
+
+
+def test_solve_linear_factors_once(monkeypatch):
+    calls = _count_factorisations(monkeypatch)
+    problem = single_equation(0.5, 0.8, 1.0, lambda t: math.cos(t), 0.7, 2.0)
+    solve_linear(problem, 8)
+    assert calls == ["operator", "diagnostic"]
 
 
 # ---------------------------------------------------------------------------
