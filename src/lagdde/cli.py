@@ -79,8 +79,10 @@ def _make_oracle(cfg: ProblemConfig, problem, step_override=None):
     step = step_override if step_override is not None else cfg.rk4_step
     if step is None:
         raise OracleError("rk4 oracle requested but no rk4_step configured")
-    trajectory = reference.rk4_method_of_steps(problem, step=step)
-    return trajectory
+    try:
+        return reference.rk4_method_of_steps(problem, step=step)
+    except ValueError as err:  # e.g. history_end off the delay grid
+        raise OracleError(str(err)) from err
 
 
 def _solve_at(problem, cfg, n_max):
@@ -89,9 +91,23 @@ def _solve_at(problem, cfg, n_max):
     return solve_linear(problem, n_max)
 
 
-def run_solve(cfg: ProblemConfig, n_max: int, out_dir: Path,
+def run_solve(cfg: ProblemConfig, n_list, out_dir: Path,
               config_path="<config>") -> RunReport:
+    """Solve at each truncation of ``n_list`` (or at one given as an int).
+    One truncation writes into ``out_dir``, several each into
+    ``out_dir/N<n>``. The problem and its oracle are built once."""
     problem = build_problem(cfg)
+    oracle = _make_oracle(cfg, problem)
+    if isinstance(n_list, int):
+        n_list = [n_list]
+    run = RunReport()
+    for n in n_list:
+        _solve_one(run, cfg, problem, oracle, n, out_dir if len(n_list) == 1
+                   else out_dir / f"N{n}", config_path)
+    return run
+
+
+def _solve_one(run, cfg, problem, oracle, n_max, out_dir, config_path):
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     solution = _solve_at(problem, cfg, n_max)
@@ -108,7 +124,6 @@ def run_solve(cfg: ProblemConfig, n_max: int, out_dir: Path,
                [[eq + 1, n, solution.coefficients[eq, n]]
                 for eq in range(l) for n in range(n_max + 1)])
 
-    oracle = _make_oracle(cfg, problem)
     record = {
         "N": n_max, "cpu_time": round(cpu_time, 3),
         "condition": solution.condition, "iterations": solution.iterations,
@@ -124,8 +139,8 @@ def run_solve(cfg: ProblemConfig, n_max: int, out_dir: Path,
           f"condition={solution.condition:.3e}")
     manifest = _write_manifest(out_dir, "solve", config_path,
                                {"N": n_max}, [sol_path, coeff_path])
-    return RunReport(records=[record],
-                     outputs=[sol_path, coeff_path, manifest])
+    run.records.append(record)
+    run.outputs += [sol_path, coeff_path, manifest]
 
 
 def run_compare(cfg: ProblemConfig, n_list, out_dir: Path,
@@ -264,10 +279,8 @@ def main(argv=None) -> int:
                 cfg.oracle = "rk4"
         out_dir = Path(args.out)
         if args.command == "solve":
-            n_list = _parse_n_list(args, cfg)
-            for n in n_list:
-                run_solve(cfg, n, out_dir if len(n_list) == 1
-                          else out_dir / f"N{n}", config_path=args.config)
+            run_solve(cfg, _parse_n_list(args, cfg), out_dir,
+                      config_path=args.config)
         elif args.command == "compare":
             n_list = _parse_n_list(args, cfg)
             run_compare(cfg, n_list, out_dir, oracle_step=args.oracle_step,

@@ -89,15 +89,21 @@ class _Tokenizer:
 
 
 class Expression:
-    """A compiled expression over a single named variable."""
+    """A compiled expression over a single named variable.
+
+    The parsed tree is turned once into the source of one Python lambda
+    whose operations, operands and evaluation order are the tree's, so a
+    call costs one function call instead of a walk over the tree.
+    """
 
     def __init__(self, source: str, variable: str = "t"):
         self.source = source.strip()
         self.variable = variable
-        self._ast = _parse_expression(self.source, variable)
+        code = "lambda x: " + _emit(_parse_expression(self.source, variable))[0]
+        self._fn = eval(code, _COMPILE_NAMESPACE)
 
     def __call__(self, value: float) -> float:
-        return _eval_ast(self._ast, value)
+        return self._fn(value)
 
     def __eq__(self, other):
         return (isinstance(other, Expression)
@@ -106,6 +112,9 @@ class Expression:
 
     def __hash__(self):
         return hash((self.source, self.variable))
+
+    def __reduce__(self):
+        return Expression, (self.source, self.variable)
 
     def __repr__(self):
         return f"Expression({self.source!r})"
@@ -183,29 +192,42 @@ def _parse_expression(text, variable):
     return tree
 
 
-def _eval_ast(node, x):
+# Names the compiled source may use; the source is generated from the
+# parsed tree, never copied from the configuration text.
+_COMPILE_NAMESPACE = {"__builtins__": {}, "float": float, **_FUNCTIONS}
+# operator, its Python precedence level, and the levels its left and right
+# operands need to go without parentheses; unary minus is 3, atoms 5
+_BINARY = {"add": ("+", 1, 1, 2), "sub": ("-", 1, 1, 2),
+           "mul": ("*", 2, 2, 3), "div": ("/", 2, 2, 3),
+           "pow": ("**", 4, 5, 3)}  # the base is an atom, the exponent unary
+
+
+def _emit(node):
+    """Python source for a parsed tree, and its precedence level.
+
+    Parentheses go exactly where Python would otherwise group differently,
+    so the source parses back to the same tree (left-associative + - * /,
+    right-associative ** with a unary exponent) without one pair per node.
+    """
     op = node[0]
     if op == "const":
-        return node[1]
+        # repr round-trips a float exactly; inf has no literal
+        return (repr(node[1]) if math.isfinite(node[1]) else "float('inf')"), 5
     if op == "var":
-        return float(x)
-    if op == "neg":
-        return -_eval_ast(node[1], x)
+        return "float(x)", 5  # numpy scalars in, Python floats out
     if op == "call":
-        return _FUNCTIONS[node[1]](_eval_ast(node[2], x))
-    a = _eval_ast(node[1], x)
-    b = _eval_ast(node[2], x)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a**b
-    raise AssertionError(f"unknown AST node {op}")
+        return f"{node[1]}({_emit(node[2])[0]})", 5
+    if op == "neg":
+        text, level = _emit(node[1])
+        return "-" + (text if level >= 3 else f"({text})"), 3
+    symbol, level, left_min, right_min = _BINARY[op]
+    left, left_level = _emit(node[1])
+    right, right_level = _emit(node[2])
+    if left_level < left_min:
+        left = f"({left})"
+    if right_level < right_min:
+        right = f"({right})"
+    return f"{left} {symbol} {right}", level
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ and brute-force checkers for the row-vector matrix identities."""
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -40,14 +42,9 @@ class Trajectory:
                 f"query t={t} outside computed range [{self.t[0]}, {self.t[-1]}]"
             )
         k = idx - 1
-        h = self.t[k + 1] - self.t[k]
-        s = (t - self.t[k]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s**2 * (3 - 2 * s)
-        h11 = s**2 * (s - 1)
-        return (h00 * self.u[k] + h * h10 * self.right_du.get(k, self.du[k])
-                + h01 * self.u[k + 1] + h * h11 * self.du[k + 1])
+        return _hermite(t, self.t[k], self.t[k + 1],
+                        self.u[k], self.right_du.get(k, self.du[k]),
+                        self.u[k + 1], self.du[k + 1])
 
     def component(self, eq: int) -> Callable[[float], float]:
         return lambda t: float(self(t)[eq])
@@ -61,6 +58,19 @@ class Trajectory:
             for k in range(len(self.t)):
                 cells = [f"{self.t[k]:.17g}"] + [f"{v:.17g}" for v in self.u[k]]
                 fh.write(",".join(cells) + "\n")
+
+
+def _hermite(t, t0, t1, u0, du0, u1, du1):
+    """Cubic Hermite interpolant on [t0, t1] at t from the values and slopes
+    at both ends. It takes one component as floats or all components as
+    arrays, and does the same operations in the same order either way."""
+    h = t1 - t0
+    s = (t - t0) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s**2 * (3 - 2 * s)
+    h11 = s**2 * (s - 1)
+    return h00 * u0 + h * h10 * du0 + h01 * u1 + h * h11 * du1
 
 
 def _float_gcd(values: Sequence[float]) -> float:
@@ -79,15 +89,40 @@ def _problem_delays(problem: DDEProblem) -> list[float]:
     return taus
 
 
+def _aligned_step(taus: list[float], history: Optional[History], b: float,
+                  step: float) -> float:
+    """The RK4 step: ``step`` rounded down so every breaking point is on the
+    grid (see ``rk4_method_of_steps``)."""
+    if not taus:
+        return b / math.ceil(b / step)
+    base = _float_gcd(taus)
+    h = base / math.ceil(base / step)
+    end = history.end if history is not None else 0.0
+    if end != 0 and any(0 < end + tau < b for tau in taus):
+        joint = _float_gcd(taus + [end])
+        h_end = joint / math.ceil(joint / step)
+        if h_end < h and h_end < step / 10:
+            raise ValueError(
+                f"history.end = {end!r} is not commensurate with the delays "
+                f"{taus}: a grid through every breaking point end + k*tau "
+                f"needs step {h_end:.3g}, below step/10 = {step / 10:.3g}; "
+                f"put history.end on a multiple of {base:.6g}")
+        h = h_end
+    return h
+
+
 def rk4_method_of_steps(problem: DDEProblem, history: Optional[History] = None,
                         step: float = 1e-3) -> Trajectory:
     """Integrate the problem on [0, b] with classical RK4, stepping so that
-    every delay breaking point k*tau lands on the grid.
+    every delay breaking point lands on the grid.
 
     The step is rounded down to d / ceil(d / step) where d is the (rational)
-    GCD of the delays, so delayed lookups always hit history or previously
-    computed sub-intervals. Off-grid delayed queries use the trajectory's
-    cubic Hermite interpolant.
+    GCD of the delays and, if it is nonzero and its jumps fall inside
+    (0, b), of history.end, so delayed lookups always hit history or
+    previously computed sub-intervals, and every breaking point
+    history.end + k*tau is a grid point. A history.end that would shrink
+    the step below step / 10 raises ValueError. Off-grid delayed queries
+    use the trajectory's cubic Hermite interpolant.
 
     At a grid point t with t - tau == history.end, delayed arguments leave
     the history for the trajectory; where the two disagree at history.end,
@@ -95,29 +130,28 @@ def rk4_method_of_steps(problem: DDEProblem, history: Optional[History] = None,
     derivative, which reads u(history.end) from the trajectory, and keeps it
     as the trajectory's right_du there; every other step reuses the
     derivative stored at its left end.
+
+    Stepping runs on Python floats, and a delayed query is a bisection on
+    the grid plus the Hermite formula of ``Trajectory.__call__`` for one
+    component, so it returns what the finished trajectory would.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if history is None:
         history = problem.history
     taus = _problem_delays(problem)
-    if taus:
-        base = _float_gcd(taus)
-        h = base / math.ceil(base / step)
-    else:
-        h = problem.b / math.ceil(problem.b / step)
+    h = _aligned_step(taus, history, problem.b, step)
 
     l = problem.n_equations
     n_full = int(math.floor(problem.b / h + 1e-9))
     grid = [k * h for k in range(n_full + 1)]
     if grid[-1] < problem.b - 1e-12:
         grid.append(problem.b)
-    grid = np.asarray(grid)
 
-    t_arr = np.empty(len(grid))
-    u_arr = np.empty((len(grid), l))
-    du_arr = np.empty((len(grid), l))
-    front = 0  # number of stored points
+    # u and u' at the stored points, row-major by point, then equation; a
+    # point is stored once both are known
+    u_buf = array("d")
+    du_buf = array("d")
     right_du = {}
     # grid indices k with grid[k] - tau == history.end for some delay tau
     edges = set()
@@ -133,16 +167,26 @@ def rk4_method_of_steps(problem: DDEProblem, history: Optional[History] = None,
             tq = history.end  # past the edge u continues from the trajectory
         elif history is not None and history.covers(tq):
             return history.value(eq, tq)
-        if front == 0 or tq > t_arr[front - 1] + 1e-12:
+        front = len(du_buf) // l
+        if front == 0 or tq > grid[front - 1] + 1e-12:
             raise ValueError(
                 f"delayed value at t={tq} not available; history does not "
                 "cover it and the trajectory has not reached it"
             )
-        view = Trajectory(t_arr[:front], u_arr[:front], du_arr[:front], right_du)
-        return float(view(min(tq, t_arr[front - 1]))[eq])
+        tq = min(tq, grid[front - 1])
+        i = bisect_left(grid, tq)
+        if grid[i] == tq:
+            return u_buf[i * l + eq]
+        if tq < grid[0]:
+            raise ValueError(f"query t={tq} outside computed range "
+                             f"[{grid[0]}, {grid[front - 1]}]")
+        k = i - 1
+        slope = right_du[k][eq] if k in right_du else du_buf[k * l + eq]
+        return _hermite(tq, grid[k], grid[i], u_buf[k * l + eq], slope,
+                        u_buf[i * l + eq], du_buf[i * l + eq])
 
     def rhs(t, u, right_limit=False):
-        out = np.empty(l)
+        out = []
         for eq in range(l):
             value = -problem.gamma[eq] * u[eq] + problem.g[eq](t)
             for term in problem.delays[eq]:
@@ -154,29 +198,33 @@ def rk4_method_of_steps(problem: DDEProblem, history: Optional[History] = None,
             nl = problem.nonlinear[eq]
             if nl is not None:
                 value += nl.f(delayed(nl.target, t - nl.tau, right_limit))
-            out[eq] = value
+            out.append(value)
         return out
 
-    u = np.asarray(problem.phi, dtype=float)
-    t_arr[0] = 0.0
-    u_arr[0] = u
-    du_arr[0] = rhs(0.0, u)
-    front = 1
+    u = list(problem.phi)
+    du = rhs(0.0, u)
+    u_buf.extend(u)
+    du_buf.extend(du)
     for k in range(1, len(grid)):
         t0, t1 = grid[k - 1], grid[k]
         hk = t1 - t0
-        k1 = du_arr[k - 1]
+        half = hk / 2
+        k1 = du
         if k - 1 in edges:
             k1 = right_du[k - 1] = rhs(t0, u, right_limit=True)
-        k2 = rhs(t0 + hk / 2, u + hk / 2 * k1)
-        k3 = rhs(t0 + hk / 2, u + hk / 2 * k2)
-        k4 = rhs(t1, u + hk * k3)
-        u = u + hk / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t_arr[k] = t1
-        u_arr[k] = u
-        du_arr[k] = rhs(t1, u)
-        front = k + 1
-    return Trajectory(t_arr, u_arr, du_arr, right_du)
+        k2 = rhs(t0 + half, [a + half * d for a, d in zip(u, k1)])
+        k3 = rhs(t0 + half, [a + half * d for a, d in zip(u, k2)])
+        k4 = rhs(t1, [a + hk * d for a, d in zip(u, k3)])
+        sixth = hk / 6
+        u = [a + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+             for a, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
+        du = rhs(t1, u)
+        u_buf.extend(u)
+        du_buf.extend(du)
+    return Trajectory(np.asarray(grid, dtype=float),
+                      np.frombuffer(u_buf).reshape(len(grid), l),
+                      np.frombuffer(du_buf).reshape(len(grid), l),
+                      {k: np.asarray(v, dtype=float) for k, v in right_du.items()})
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagdde import cli
+from lagdde import cli, reference
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -204,3 +204,33 @@ def test_oracle_step_override_enables_rk4(tmp_path):
     header, body = _read_csv(out / "comparison.csv")
     np.testing.assert_allclose(body[:, header.index("oracle_u_1")], 1.0,
                                atol=1e-12)
+
+
+def test_solve_with_n_list_integrates_the_oracle_once(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, ZERO_DELAY_ODE.replace("N = 10", "N_list = 3 4"))
+    calls = []
+    integrate = reference.rk4_method_of_steps
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(reference, "rk4_method_of_steps", counting)
+    out = tmp_path / "both"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    for n in (3, 4):
+        single = tmp_path / f"single{n}"
+        assert cli.main(["solve", "--config", cfg, "--N", str(n),
+                         "--out", str(single)]) == 0
+        for name in ("solution.csv", "coefficients.csv"):
+            assert (out / f"N{n}" / name).read_bytes() == (single / name).read_bytes()
+    assert len(calls) == 3
+
+
+def test_history_end_off_the_delay_grid_is_an_oracle_error(tmp_path, capsys):
+    text = ZERO_DELAY_ODE.replace("delay = 1 0.5 0", "delay = 1 0.5 0.5\nhistory = 1")
+    cfg = _write(tmp_path, "history_end = 0.123456789\n" + text)
+    code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert "not commensurate with the delays" in capsys.readouterr().err

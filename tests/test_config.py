@@ -1,13 +1,18 @@
 """Tests for the configuration format and its expression grammar."""
 
 import math
+import pickle
+import random
 
+import numpy as np
 import pytest
 
 from lagdde.collocation import DelayTerm
 from lagdde.config import (
+    _FUNCTIONS,
     ConfigError,
     Expression,
+    _parse_expression,
     build_problem,
     parse_config,
     parse_config_text,
@@ -85,6 +90,102 @@ def test_expression_syntax_errors_carry_location():
 def test_expression_rejects_wrong_variable():
     with pytest.raises(ConfigError):
         Expression("u + 1", variable="t")
+
+
+def _eval_ast(node, x):
+    """The tree-walking evaluator expressions used before they were
+    compiled, kept as the reference for the compiled lambdas."""
+    op = node[0]
+    if op == "const":
+        return node[1]
+    if op == "var":
+        return float(x)
+    if op == "neg":
+        return -_eval_ast(node[1], x)
+    if op == "call":
+        return _FUNCTIONS[node[1]](_eval_ast(node[2], x))
+    a = _eval_ast(node[1], x)
+    b = _eval_ast(node[2], x)
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "div":
+        return a / b
+    if op == "pow":
+        return a**b
+    raise AssertionError(f"unknown AST node {op}")
+
+
+def _outcome(fn, x):
+    """Type and exact repr of a value, or the type of the exception."""
+    try:
+        value = fn(x)
+    except Exception as err:  # compared by type only
+        return type(err)
+    return type(value), repr(value)
+
+
+def _assert_matches_tree_walk(source, x, variable="t"):
+    tree = _parse_expression(source.strip(), variable)
+    compiled = _outcome(Expression(source, variable=variable), x)
+    assert compiled == _outcome(lambda v: _eval_ast(tree, v), x), (source, x)
+    return compiled
+
+
+@pytest.mark.parametrize("source,x,expected", [
+    ("2^3^2", 0.0, (float, "512.0")),            # right-associative
+    ("-2^2", 0.0, (float, "-4.0")),              # power binds before minus
+    ("2^-t", 1.0, (float, "0.5")),               # unary exponent
+    ("1/(t-1)", 1.0, ZeroDivisionError),
+    ("exp(t*800)", 1.0, OverflowError),
+    ("10^t", 400.0, OverflowError),
+    ("(-8)^(1/3)", 0.0, (complex, repr((-8.0) ** (1.0 / 3.0)))),
+    ("t - (t - t) - -t", 2.0, (float, "4.0")),
+    ("1e999 * t", 1.0, (float, "inf")),
+    ("0 * -t", 1.0, (float, "-0.0")),
+])
+def test_compiled_expression_matches_tree_walk(source, x, expected):
+    assert _assert_matches_tree_walk(source, x) == expected
+
+
+def test_compiled_expression_numpy_input_and_u_variable():
+    assert _assert_matches_tree_walk("t^2 + sin(t)", np.float64(0.3))[0] is float
+    assert _assert_matches_tree_walk("exp(-u)/2", np.float64(1.7), "u")[0] is float
+    assert _assert_matches_tree_walk("0.5*exp(-u)", -0.25, "u")[0] is float
+
+
+def test_compiled_expression_matches_tree_walk_on_random_sources():
+    rng = random.Random(3)
+
+    def source(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return rng.choice(["t", "2", "0.5", "3.7e-1", "pi", "e", "0"])
+        pick = rng.random()
+        if pick < 0.1:
+            return "-" + source(depth - 1)
+        if pick < 0.2:
+            return f"{rng.choice(['exp', 'sin', 'cos'])}({source(depth - 1)})"
+        if pick < 0.3:
+            return f"({source(depth - 1)})"
+        return source(depth - 1) + rng.choice("+-*/^") + source(depth - 1)
+
+    for _ in range(400):
+        text = source(5)
+        for x in (0.0, 1.0, -1.3, np.float64(0.7)):
+            _assert_matches_tree_walk(text, x)
+
+
+def test_expression_pickles_by_source():
+    expression = Expression("exp(-u)/2", variable="u")
+    clone = pickle.loads(pickle.dumps(expression))
+    assert clone == expression and clone(0.3) == expression(0.3)
+
+
+def test_long_expression_compiles():
+    assert Expression("+".join(["t"] * 500))(1.0) == 500.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Tests for the RK4 method-of-steps oracle and brute-force identity checks."""
 
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lagdde import basis as basis_mod
+from lagdde.config import build_problem, parse_config, parse_config_text
 from lagdde.collocation import (
+    HISTORY_EDGE_TOL,
     DDEProblem,
     DelayTerm,
     History,
@@ -30,6 +34,9 @@ def _coupled_problem(b):
                 [DelayTerm(0, 1.0, 2.0), DelayTerm(1, 1.0, 0.5)]],
         g=[lambda t: 0.0, lambda t: 0.0],
         phi=[1.0, 1.0], b=b, history=history)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _piecewise_u1(t):
@@ -60,12 +67,12 @@ def test_zero_right_hand_side_stays_constant():
         assert trajectory(t)[0] == pytest.approx(0.7, abs=1e-13)
 
 
-def _overlapping_history_problem():
-    # u(0) = 0 while sin serves delayed arguments <= 0.5, and u(0.5) differs
-    # from sin(0.5): the forcing exp(-u(t - 0.5)) and so u' jump at t = 1
-    history = History(functions=(math.sin,), end=0.5)
+def _overlapping_history_problem(end=0.5, b=5.0):
+    # u(0) = 0 while sin serves delayed arguments <= end, and u(end) differs
+    # from sin(end): the forcing exp(-u(t - 0.5)) and so u' jump at end + 0.5
+    history = History(functions=(math.sin,), end=end)
     return DDEProblem(
-        gamma=[0.4], delays=[[]], g=[lambda t: 0.0], phi=[0.0], b=5.0,
+        gamma=[0.4], delays=[[]], g=[lambda t: 0.0], phi=[0.0], b=b,
         history=history,
         nonlinear=[NonlinearDelayTerm(f=lambda u: math.exp(-u), target=0, tau=0.5)])
 
@@ -163,6 +170,199 @@ def test_interpolation_accuracy_between_grid_points():
     trajectory = rk4_method_of_steps(problem, step=0.05)
     for t in (0.013, 0.777, 1.919):
         assert trajectory(t)[0] == pytest.approx(math.exp(-gamma * t), abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the integrator as it stepped on numpy rows
+
+def _float_gcd_reference(values):
+    fracs = [Fraction(v).limit_denominator(10**9) for v in values]
+    gcd = fracs[0]
+    for f in fracs[1:]:
+        gcd = Fraction(math.gcd(gcd.numerator, f.numerator),
+                       (gcd.denominator * f.denominator)
+                       // math.gcd(gcd.denominator, f.denominator))
+    return float(gcd)
+
+
+def _hermite_reference(t_grid, u, du, right_du, t):
+    """The trajectory query as it was: searchsorted, then Hermite weights."""
+    idx = int(np.searchsorted(t_grid, t))
+    if idx < len(t_grid) and t_grid[idx] == t:
+        return u[idx].copy()
+    if t < t_grid[0] or t > t_grid[-1]:
+        raise ValueError(f"query t={t} outside computed range")
+    k = idx - 1
+    h = t_grid[k + 1] - t_grid[k]
+    s = (t - t_grid[k]) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s**2 * (3 - 2 * s)
+    h11 = s**2 * (s - 1)
+    return (h00 * u[k] + h * h10 * right_du.get(k, du[k])
+            + h01 * u[k + 1] + h * h11 * du[k + 1])
+
+
+def _rk4_reference(problem, step):
+    """The RK4 method of steps frozen as it was before it stepped on Python
+    floats: numpy rows for states and stages, and a fresh trajectory view
+    plus searchsorted for every delayed query. The step divides the GCD of
+    the delays only. Returns (t, u, du, right_du)."""
+    history = problem.history
+    taus = [term.tau for terms in problem.delays for term in terms if term.tau > 0]
+    taus += [term.tau for term in problem.nonlinear if term is not None]
+    if taus:
+        base = _float_gcd_reference(taus)
+        h = base / math.ceil(base / step)
+    else:
+        h = problem.b / math.ceil(problem.b / step)
+    l = problem.n_equations
+    n_full = int(math.floor(problem.b / h + 1e-9))
+    grid = [k * h for k in range(n_full + 1)]
+    if grid[-1] < problem.b - 1e-12:
+        grid.append(problem.b)
+    grid = np.asarray(grid)
+    t_arr = np.empty(len(grid))
+    u_arr = np.empty((len(grid), l))
+    du_arr = np.empty((len(grid), l))
+    front = 0
+    right_du = {}
+    edges = set()
+    if history is not None:
+        for tau in taus:
+            k = round((history.end + tau) / h)
+            if (0 < k < len(grid) - 1
+                    and abs(grid[k] - tau - history.end) <= HISTORY_EDGE_TOL):
+                edges.add(k)
+
+    def delayed(eq, tq, right_limit=False):
+        if right_limit and abs(tq - history.end) <= HISTORY_EDGE_TOL:
+            tq = history.end
+        elif history is not None and history.covers(tq):
+            return history.value(eq, tq)
+        if front == 0 or tq > t_arr[front - 1] + 1e-12:
+            raise ValueError(f"delayed value at t={tq} not available")
+        return float(_hermite_reference(
+            t_arr[:front], u_arr[:front], du_arr[:front], right_du,
+            min(tq, t_arr[front - 1]))[eq])
+
+    def rhs(t, u, right_limit=False):
+        out = np.empty(l)
+        for eq in range(l):
+            value = -problem.gamma[eq] * u[eq] + problem.g[eq](t)
+            for term in problem.delays[eq]:
+                if term.tau == 0:
+                    value += term.beta * u[term.target]
+                else:
+                    value += term.beta * delayed(term.target, t - term.tau,
+                                                 right_limit)
+            nl = problem.nonlinear[eq]
+            if nl is not None:
+                value += nl.f(delayed(nl.target, t - nl.tau, right_limit))
+            out[eq] = value
+        return out
+
+    u = np.asarray(problem.phi, dtype=float)
+    t_arr[0] = 0.0
+    u_arr[0] = u
+    du_arr[0] = rhs(0.0, u)
+    front = 1
+    for k in range(1, len(grid)):
+        t0, t1 = grid[k - 1], grid[k]
+        hk = t1 - t0
+        k1 = du_arr[k - 1]
+        if k - 1 in edges:
+            k1 = right_du[k - 1] = rhs(t0, u, right_limit=True)
+        k2 = rhs(t0 + hk / 2, u + hk / 2 * k1)
+        k3 = rhs(t0 + hk / 2, u + hk / 2 * k2)
+        k4 = rhs(t1, u + hk * k3)
+        u = u + hk / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t_arr[k] = t1
+        u_arr[k] = u
+        du_arr[k] = rhs(t1, u)
+        front = k + 1
+    return t_arr, u_arr, du_arr, right_du
+
+
+def _manufactured_config(rng, equations, b):
+    """Config text with solutions A exp(-c t) + B sin(w t), coupled through
+    delays 0.5, 0.25 and 1, in expression forcing and history."""
+    lines = [f"equations = {equations}", f"b = {b!r}"]
+    params = np.round(rng.uniform([0.5, 0.2, 0.2, 0.5], [1.5, 1.0, 0.8, 1.5],
+                                  size=(equations, 4)), 6).tolist()
+
+    def expr(k, arg="t"):
+        a, c, bb, w = params[k]
+        return f"{a!r}*exp(-{c!r}*{arg}) + {bb!r}*sin({w!r}*{arg})"
+
+    for k in range(equations):
+        target, tau = (k + 1) % equations, (0.5, 0.25, 1.0)[k]
+        gamma, beta = np.round(rng.uniform([0.2, -0.6], [1.2, 0.6]), 6).tolist()
+        a, c, bb, w = params[k]
+        lines += [f"[equation {k + 1}]", f"gamma = {gamma!r}", f"phi = {a!r}",
+                  f"forcing = -{a * c!r}*exp(-{c!r}*t) + {bb * w!r}*cos({w!r}*t)"
+                  f" + {gamma!r}*({expr(k)}) - ({beta!r})*({expr(target, f'(t - {tau!r})')})",
+                  f"history = {expr(k)}", f"delay = {target + 1} {beta!r} {tau!r}"]
+    return "\n".join(lines) + "\n"
+
+
+def _bit_identity_cases():
+    def config(name):
+        return build_problem(parse_config(str(CONFIG_DIR / name)))
+
+    rng = np.random.default_rng(7)
+    cases = [pytest.param(_coupled_problem(5.0), id="acceptance3_coupled"),
+             pytest.param(config("example1.cfg"), id="example1"),
+             pytest.param(config("example2.cfg"), id="example2"),
+             pytest.param(_overlapping_history_problem(), id="history_jump")]
+    for equations, b in ((1, 2.0), (2, 1.5), (3, 1.25), (3, 2.0)):
+        problem = build_problem(parse_config_text(
+            _manufactured_config(rng, equations, b)))
+        cases.append(pytest.param(problem, id=f"generated_{equations}eq_b{b}"))
+    return cases
+
+
+@pytest.mark.parametrize("problem", _bit_identity_cases())
+def test_rk4_bit_identical_to_frozen_reference(problem):
+    t, u, du, right_du = _rk4_reference(problem, 2e-3)
+    trajectory = rk4_method_of_steps(problem, step=2e-3)
+    assert np.array_equal(trajectory.t, t)
+    assert np.array_equal(trajectory.u, u)
+    assert np.array_equal(trajectory.du, du)
+    assert trajectory.right_du.keys() == right_du.keys()
+    for k in right_du:
+        assert np.array_equal(trajectory.right_du[k], right_du[k])
+    # the public query is the frozen one, on and off the grid
+    for q in np.linspace(0.0, problem.b, 97):
+        assert np.array_equal(trajectory(q),
+                              _hermite_reference(t, u, du, right_du, q))
+
+
+def test_step_halving_with_history_end_off_the_delay_grid():
+    # end = 0.5004 is no multiple of tau = 0.5; the step then divides the
+    # GCD of both (4e-4), so the jump at end + tau = 1.0004 is a grid point
+    # and RK4 stays fourth order (first order put it inside a step: 1.5e-5)
+    problem = _overlapping_history_problem(end=0.5004)
+    coarse = rk4_method_of_steps(problem, step=4e-4)
+    fine = rk4_method_of_steps(problem, step=2e-4)
+    assert len(fine.t) == 2 * len(coarse.t) - 1
+    (k, _), = coarse.right_du.items()
+    assert coarse.t[k] == pytest.approx(1.0004, abs=1e-12)
+    diff = max(abs(coarse(t)[0] - fine(t)[0]) for t in np.linspace(0.5, 3.0, 251))
+    assert diff < 1e-7
+
+
+def test_history_end_not_commensurate_with_the_delays_raises():
+    problem = _overlapping_history_problem(end=0.123456789)
+    with pytest.raises(ValueError, match="not commensurate with the delays"):
+        rk4_method_of_steps(problem, step=1e-3)
+
+
+def test_history_end_beyond_every_jump_leaves_the_step_alone():
+    # end + tau >= b: no delayed argument leaves the history inside (0, b)
+    problem = _overlapping_history_problem(end=0.123456789, b=0.6)
+    trajectory = rk4_method_of_steps(problem, step=1e-3)
+    assert np.array_equal(trajectory.t, _rk4_reference(problem, 1e-3)[0])
 
 
 # ---------------------------------------------------------------------------
