@@ -2,17 +2,7 @@
 equations, with residual-based error estimation and an RK4 method-of-steps
 reference integrator."""
 
-from .basis import (
-    BasisKind,
-    BasisMatrices,
-    PolynomialBasis,
-    basis_row,
-    build_basis_matrices,
-    generalized_laguerre_eval,
-    hermite_diff_matrix,
-    hermite_eval,
-    laguerre_eval,
-)
+from .basis import basis_row
 from .collocation import (
     DDEProblem,
     DelayTerm,
@@ -28,39 +18,28 @@ from .collocation import (
     solve_nonlinear,
 )
 from .accuracy import convergence_study, error_norms, error_report, residual
-from .linalg import AugmentedSystem, SingularSystemError, block_diagonal, gauss_solve
+from .linalg import SingularSystemError
 from .reference import Trajectory, brute_force_poly_identity, rk4_method_of_steps
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedSystem",
-    "BasisKind",
-    "BasisMatrices",
     "DDEProblem",
     "DelayTerm",
     "History",
     "NonConvergenceError",
     "NonlinearDelayTerm",
-    "PolynomialBasis",
     "SingularSystemError",
     "SpectralSolution",
     "Trajectory",
     "basis_row",
-    "block_diagonal",
     "brute_force_poly_identity",
-    "build_basis_matrices",
     "collocation_points",
     "convergence_study",
     "error_norms",
     "error_report",
     "evaluate",
     "evaluate_derivative",
-    "gauss_solve",
-    "generalized_laguerre_eval",
-    "hermite_diff_matrix",
-    "hermite_eval",
-    "laguerre_eval",
     "residual",
     "rk4_method_of_steps",
     "single_equation",

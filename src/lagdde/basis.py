@@ -1,5 +1,5 @@
-"""Laguerre and Hermite polynomial evaluation and the structural matrices
-used by the collocation solver.
+"""Laguerre polynomial rows and the structural matrices used by the
+collocation solver.
 
 All matrices act on *row* vectors of basis values, i.e. the identities have
 the shape ``row_new = row_old @ M``:
@@ -12,79 +12,18 @@ the shape ``row_new = row_old @ M``:
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 MAX_TRUNCATION = 20
 
 
-class BasisKind(enum.Enum):
-    LAGUERRE = "laguerre"
-    HERMITE = "hermite"
-
-
-@dataclass(frozen=True)
-class PolynomialBasis:
-    """A polynomial basis family truncated at degree ``n_max``."""
-
-    kind: BasisKind
-    n_max: int
-
-    def __post_init__(self):
-        _check_truncation(self.n_max)
-
-
-@dataclass(frozen=True)
-class BasisMatrices:
-    """The four (N+1)-square matrices the collocation method is built from."""
-
-    H: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    T: np.ndarray
-    tau: float
-
-    @property
-    def n_max(self) -> int:
-        return self.H.shape[0] - 1
-
-
-def _check_truncation(n_max, minimum=2):
-    if n_max < minimum:
-        raise ValueError(f"truncation must be >= {minimum}, got {n_max}")
-    if n_max > MAX_TRUNCATION:
-        raise ValueError(
-            f"truncation {n_max} exceeds supported maximum {MAX_TRUNCATION}"
-        )
-
-
-def laguerre_eval(n: int, t: float) -> float:
-    """Evaluate the Laguerre polynomial L_n(t) by three-term recurrence.
-
-    The recurrence (n+1) L_{n+1} = (2n+1-t) L_n - n L_{n-1} is stable where
-    the alternating explicit sum loses digits for n beyond ~15.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"evaluation point must be finite, got {t}")
-    prev, cur = 1.0, 1.0 - t
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - t) * cur - k * prev) / (k + 1)
-    return cur
-
-
 def laguerre_eval_sum(n: int, t: float) -> float:
     """Explicit alternating-sum form of L_n(t).
 
-    Numerically inferior to :func:`laguerre_eval` for large n; kept as an
-    independent cross-check for small degrees.
+    Numerically inferior to the recurrence of :func:`basis_row` for large n;
+    kept as an independent cross-check.
     """
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
@@ -92,37 +31,6 @@ def laguerre_eval_sum(n: int, t: float) -> float:
         sum((-1) ** k / math.factorial(k) * math.comb(n, k) * t**k
             for k in range(n + 1))
     )
-
-
-def generalized_laguerre_eval(n: int, alpha: float, t: float) -> float:
-    """Evaluate the generalized Laguerre polynomial L_n^(alpha)(t).
-
-    Reduces to :func:`laguerre_eval` for alpha = 0.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    if alpha <= -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
-    t = float(t)
-    prev, cur = 1.0, 1.0 + alpha - t
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - t) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
-
-
-def hermite_eval(n: int, t: float) -> float:
-    """Evaluate the (physicists') Hermite polynomial H_n(t)."""
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    t = float(t)
-    prev, cur = 1.0, 2.0 * t
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        prev, cur = cur, 2.0 * t * cur - 2.0 * k * prev
-    return cur
 
 
 def laguerre_change_matrix(n_max: int) -> np.ndarray:
@@ -166,81 +74,26 @@ def delay_shift_matrix(n_max: int, tau: float) -> np.ndarray:
     return T
 
 
-def build_basis_matrices(n_max: int, tau: float) -> BasisMatrices:
-    """Construct the H, B, C, T matrices for truncation ``n_max`` and delay ``tau``."""
-    _check_truncation(n_max)
-    if tau < 0:
-        raise ValueError(f"delay must be non-negative, got {tau}")
-    return BasisMatrices(
-        H=laguerre_change_matrix(n_max),
-        B=monomial_diff_matrix(n_max),
-        C=laguerre_diff_matrix(n_max),
-        T=delay_shift_matrix(n_max, tau),
-        tau=float(tau),
-    )
-
-
 def monomial_row(n_max: int, t: float) -> np.ndarray:
     """The row [1, t, t^2, ..., t^n_max]."""
     return np.power(float(t), np.arange(n_max + 1))
 
 
-def basis_row(basis: PolynomialBasis, t: float) -> np.ndarray:
-    """The row [P_0(t), ..., P_N(t)] for the chosen basis family."""
+def basis_row(n_max: int, t: float) -> np.ndarray:
+    """The Laguerre row [L_0(t), ..., L_n_max(t)] for t >= 0.
+
+    The recurrence (n+1) L_{n+1} = (2n+1-t) L_n - n L_{n-1} is stable where
+    the alternating explicit sum loses digits for n beyond ~15.
+    """
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"evaluation point must be finite, got {t}")
-    if basis.kind is BasisKind.LAGUERRE and t < 0:
+    if t < 0:
         raise ValueError(f"Laguerre basis requires t >= 0, got {t}")
-    n = basis.n_max
-    row = np.empty(n + 1)
-    if basis.kind is BasisKind.LAGUERRE:
-        row[0] = 1.0
+    row = np.empty(n_max + 1)
+    row[0] = 1.0
+    if n_max:
         row[1] = 1.0 - t
-        for k in range(1, n):
-            row[k + 1] = ((2 * k + 1 - t) * row[k] - k * row[k - 1]) / (k + 1)
-    else:
-        row[0] = 1.0
-        row[1] = 2.0 * t
-        for k in range(1, n):
-            row[k + 1] = 2.0 * t * row[k] - 2.0 * k * row[k - 1]
+    for k in range(1, n_max):
+        row[k + 1] = ((2 * k + 1 - t) * row[k] - k * row[k - 1]) / (k + 1)
     return row
-
-
-def hermite_diff_matrix(n_max: int) -> np.ndarray:
-    """Differentiation of the Hermite row: d/dt hermite_row = hermite_row @ D.
-
-    Encodes H_n'(t) = 2n H_{n-1}(t), so D[k, k+1] = 2(k+1).
-    """
-    _check_truncation(n_max, minimum=1)
-    D = np.zeros((n_max + 1, n_max + 1))
-    for k in range(n_max):
-        D[k, k + 1] = 2.0 * (k + 1)
-    return D
-
-
-def hermite_change_matrix(n_max: int) -> np.ndarray:
-    """Monomial-to-Hermite change of basis: hermite_row = monomial_row @ M."""
-    M = np.zeros((n_max + 1, n_max + 1))
-    M[0, 0] = 1.0
-    if n_max >= 1:
-        M[1, 1] = 2.0
-    for n in range(1, n_max):
-        # column recurrence from H_{n+1} = 2t H_n - 2n H_{n-1}
-        M[1:, n + 1] += 2.0 * M[:-1, n]
-        M[:, n + 1] -= 2.0 * n * M[:, n - 1]
-    return M
-
-
-def change_of_basis_matrix(basis: PolynomialBasis) -> np.ndarray:
-    """basis_row(t) = monomial_row(t) @ change_of_basis_matrix(basis)."""
-    if basis.kind is BasisKind.LAGUERRE:
-        return laguerre_change_matrix(basis.n_max)
-    return hermite_change_matrix(basis.n_max)
-
-
-def diff_matrix(basis: PolynomialBasis) -> np.ndarray:
-    """d/dt basis_row(t) = basis_row(t) @ diff_matrix(basis)."""
-    if basis.kind is BasisKind.LAGUERRE:
-        return laguerre_diff_matrix(basis.n_max)
-    return hermite_diff_matrix(basis.n_max)

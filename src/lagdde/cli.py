@@ -23,7 +23,13 @@ from .collocation import (
     solve_linear,
     solve_nonlinear,
 )
-from .config import ConfigError, ProblemConfig, build_problem, parse_config
+from .config import (
+    ConfigError,
+    ProblemConfig,
+    build_problem,
+    check_truncations,
+    parse_config,
+)
 from .linalg import SingularSystemError
 
 EXIT_OK = 0
@@ -34,6 +40,10 @@ EXIT_ORACLE = 4
 
 class OracleError(Exception):
     """The requested run needs a reference oracle that is not configured."""
+
+
+class SolverError(Exception):
+    """The run produced no solution at any requested truncation."""
 
 
 @dataclass
@@ -183,8 +193,6 @@ def run_converge(cfg: ProblemConfig, n_list, out_dir: Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = accuracy.convergence_study(problem, n_list, oracle,
                                       tol=cfg.tol, max_iter=cfg.max_iter)
-    if all(r.error is not None for r in rows):
-        raise NonConvergenceError(0, float("nan"))
 
     l = problem.n_equations
     header = ["N"]
@@ -202,6 +210,9 @@ def run_converge(cfg: ProblemConfig, n_list, out_dir: Path,
         row += [round(r.cpu_time, 3), r.condition, r.iterations]
         table.append(row)
         print(f"N={r.n_max} linf={max(r.linf):.3e} cpu_time={r.cpu_time:.3f}s")
+    if not table:
+        raise SolverError(f"every truncation failed (N = "
+                          f"{', '.join(str(r.n_max) for r in rows)})")
     conv_path = out_dir / "convergence.csv"
     _write_csv(conv_path, header, table)
     manifest = _write_manifest(out_dir, "converge", config_path,
@@ -226,11 +237,11 @@ def run_validate() -> int:
     return EXIT_OK if failures == 0 else EXIT_SOLVER
 
 
-def _parse_n_list(args, cfg, need_list=False):
+def _parse_n_list(args, cfg):
     if args.N_list:
-        return list(args.N_list)
-    if not need_list and args.N is not None:
-        return [args.N]
+        return check_truncations(args.N_list, "N_list")
+    if args.N is not None:
+        return check_truncations([args.N], "N")
     if cfg.n_list:
         return list(cfg.n_list)
     if cfg.n_max is not None:
@@ -294,7 +305,7 @@ def main(argv=None) -> int:
     except OracleError as err:
         print(f"oracle error: {err}", file=sys.stderr)
         return EXIT_ORACLE
-    except (SingularSystemError, NonConvergenceError) as err:
+    except (SingularSystemError, NonConvergenceError, SolverError) as err:
         print(f"solver error: {err}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK

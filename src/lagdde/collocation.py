@@ -25,15 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import basis as _basis
-from .basis import BasisKind, PolynomialBasis
-from .linalg import (
-    AugmentedSystem,
-    SingularSystemError,
-    block_diagonal,
-    condition_estimate,
-    lu_factor,
-    lu_solve,
-)
+from .linalg import SingularSystemError, condition_estimate, lu_factor, lu_solve
 
 HISTORY_EDGE_TOL = 1e-12
 
@@ -129,6 +121,9 @@ class DDEProblem:
             for term in terms:
                 if not 0 <= term.target < l:
                     raise ValueError(f"delay target {term.target} out of range")
+        for term in self.nonlinear:
+            if term is not None and not 0 <= term.target < l:
+                raise ValueError(f"nonlinear target {term.target} out of range")
 
     @property
     def n_equations(self) -> int:
@@ -159,8 +154,12 @@ class CollocationGrid:
 
 
 def collocation_points(n_max: int, b: float) -> CollocationGrid:
+    """The grid of truncation ``n_max``, which must lie in 2..MAX_TRUNCATION."""
     if n_max < 2:
         raise ValueError(f"truncation must be >= 2, got {n_max}")
+    if n_max > _basis.MAX_TRUNCATION:
+        raise ValueError(f"truncation {n_max} exceeds supported maximum "
+                         f"{_basis.MAX_TRUNCATION}")
     if b <= 0:
         raise ValueError(f"interval endpoint must be positive, got {b}")
     h = b / n_max
@@ -170,128 +169,64 @@ def collocation_points(n_max: int, b: float) -> CollocationGrid:
 
 @dataclass
 class SpectralSolution:
-    """Truncated series solution u_{l,N}(t) = sum_n a_{l,n} P_n(t)."""
+    """Truncated Laguerre series solution u_{l,N}(t) = sum_n a_{l,n} L_n(t)."""
 
     coefficients: np.ndarray  # shape (l, N+1)
-    basis: PolynomialBasis
     b: float
     iterations: int = 0
     condition: float = math.nan
 
     @property
     def n_max(self) -> int:
-        return self.basis.n_max
+        return self.coefficients.shape[1] - 1
 
     @property
     def n_equations(self) -> int:
         return self.coefficients.shape[0]
 
 
-def _series_row(pbasis: PolynomialBasis, t: float) -> np.ndarray:
+def _series_row(n_max: int, t: float) -> np.ndarray:
     """basis_row extended to negative arguments through the monomial frame.
 
     The recurrence rows are polynomial identities, but basis_row keeps its
-    t >= 0 contract for the Laguerre family; delayed arguments below zero
-    (extrapolation) go through basis_row(t) = X(t) @ M instead.
+    t >= 0 contract; delayed arguments below zero (extrapolation) go through
+    basis_row(t) = X(t) @ M instead.
     """
-    if pbasis.kind is BasisKind.LAGUERRE and t < 0:
-        return _basis.monomial_row(pbasis.n_max, t) @ _basis.change_of_basis_matrix(pbasis)
-    return _basis.basis_row(pbasis, t)
+    if t < 0:
+        return _basis.monomial_row(n_max, t) @ _basis.laguerre_change_matrix(n_max)
+    return _basis.basis_row(n_max, t)
 
 
 def evaluate(solution: SpectralSolution, t: float) -> np.ndarray:
     """Series value per equation at t. Values outside [0, b] extrapolate."""
-    row = _series_row(solution.basis, t)
+    row = _series_row(solution.n_max, t)
     return solution.coefficients @ row
 
 
 def evaluate_derivative(solution: SpectralSolution, t: float) -> np.ndarray:
     """Series derivative per equation at t, via the differentiation matrix."""
-    row = _series_row(solution.basis, t) @ _basis.diff_matrix(solution.basis)
+    n_max = solution.n_max
+    row = _series_row(n_max, t) @ _basis.laguerre_diff_matrix(n_max)
     return solution.coefficients @ row
 
 
-def _delay_row(pbasis: PolynomialBasis, t: float, tau: float) -> np.ndarray:
-    """Row r with u_N(t - tau) = r @ A, valid for any sign of t - tau."""
-    X = _basis.monomial_row(pbasis.n_max, t)
-    T = _basis.delay_shift_matrix(pbasis.n_max, tau)
-    return X @ T @ _basis.change_of_basis_matrix(pbasis)
-
-
-def assemble_row_block(problem: DDEProblem, pbasis: PolynomialBasis, eq: int,
-                       t: float):
-    """One collocation row for equation ``eq`` at point ``t``.
-
-    Returns ``(row, rhs)`` where ``row`` spans all l*(N+1) coefficient
-    columns. Delayed terms whose argument is covered by the history are
-    moved to the right-hand side as known values.
-    """
-    l = problem.n_equations
-    width = pbasis.n_max + 1
-    row = np.zeros(l * width)
-    Lrow = _basis.basis_row(pbasis, t)
-    row[eq * width:(eq + 1) * width] = (
-        Lrow @ _basis.diff_matrix(pbasis) + problem.gamma[eq] * Lrow
-    )
-    rhs = float(problem.g[eq](t))
-    for term in problem.delays[eq]:
-        t_delayed = t - term.tau
-        if problem.history is not None and problem.history.covers(t_delayed):
-            rhs += term.beta * problem.history.value(term.target, t_delayed)
-        else:
-            block = slice(term.target * width, (term.target + 1) * width)
-            row[block] -= term.beta * _delay_row(pbasis, t, term.tau)
-    return row, rhs
-
-
-def assemble_system(problem: DDEProblem, n_max: int,
-                    kind: BasisKind = BasisKind.LAGUERRE) -> AugmentedSystem:
-    """Stack collocation rows for all equations and points into W @ A = G."""
-    pbasis = PolynomialBasis(kind, n_max)
-    grid = collocation_points(n_max, problem.b)
-    l = problem.n_equations
-    width = n_max + 1
-    W = np.zeros((l * width, l * width))
-    G = np.zeros(l * width)
-    for eq in range(l):
-        for i, t in enumerate(grid.points):
-            row, rhs = assemble_row_block(problem, pbasis, eq, t)
-            W[eq * width + i] = row
-            G[eq * width + i] = rhs
-    return AugmentedSystem(W, G)
-
-
-def apply_initial_conditions(system: AugmentedSystem, problem: DDEProblem,
-                             pbasis: PolynomialBasis) -> AugmentedSystem:
-    """Replace the last row of each equation's block with u_l(0) = phi_l."""
-    W = system.W.copy()
-    G = system.G.copy()
-    width = pbasis.n_max + 1
-    row0 = _basis.basis_row(pbasis, 0.0)
-    for eq in range(problem.n_equations):
-        r = (eq + 1) * width - 1
-        W[r] = 0.0
-        W[r, eq * width:(eq + 1) * width] = row0
-        G[r] = problem.phi[eq]
-    return AugmentedSystem(W, G)
-
-
-def solve_linear(problem: DDEProblem, n_max: int,
-                 kind: BasisKind = BasisKind.LAGUERRE) -> SpectralSolution:
+def solve_linear(problem: DDEProblem, n_max: int) -> SpectralSolution:
     """Solve a linear problem by collocation at truncation ``n_max``."""
     if problem.has_nonlinearity:
         raise ValueError("problem has a nonlinear delay term; use solve_nonlinear")
-    return _FactoredOperator(problem, n_max, kind).solve(problem.g)
+    return _FactoredOperator(problem, n_max).solve(problem.g)
 
 
 def _monomial_operator(problem: DDEProblem, n_max: int) -> np.ndarray:
     """Collocation operator W of the monomial-frame system W @ c = G.
 
-    With basis_row(t) = X(t) @ M the unknowns transform as c = M @ a, so
-    W @ block_diagonal([M] * l) is the operator of apply_initial_conditions
-    (assemble_system(...)): both systems have identical solutions in function
-    space. Eliminating in the monomial frame avoids the extra conditioning
-    the factored delay product X T M and the basis rows put on the assembled
+    Each equation's block of N+1 rows holds the collocation rows at t_0 ..
+    t_{N-1} and, last, the condition row u(0) = phi. With
+    basis_row(t) = X(t) @ M the unknowns transform as c = M @ a, so
+    W @ kron(I_l, M) is the same system in the Laguerre frame, the one the
+    method is defined by: both have identical solutions in function space.
+    Eliminating in the monomial frame avoids the extra conditioning the
+    factored delay product X T M and the basis rows put on the assembled
     entries; the basis coefficients are recovered afterwards through the
     triangular change of basis. W depends only on the problem's
     coefficients, delays and history interval, never on its forcing.
@@ -357,21 +292,20 @@ class _FactoredOperator:
     ``solve`` takes a forcing and substitutes through the stored factors, so
     successive substitution pays for one elimination, not one per iteration.
     ``condition`` is the infinity-norm condition of the basis-frame operator
-    W @ block_diagonal([M] * l), the system the method is defined by; it is
+    W @ kron(I_l, M), the system the method is defined by; it is
     inf when that matrix is numerically singular, which never aborts a solve
     the monomial frame completed.
     """
 
-    def __init__(self, problem: DDEProblem, n_max: int, kind: BasisKind):
+    def __init__(self, problem: DDEProblem, n_max: int):
         self.problem = problem
         self.n_max = n_max
-        self.pbasis = PolynomialBasis(kind, n_max)
         W = _monomial_operator(problem, n_max)
         self.factors = lu_factor(W)
-        self.M = _basis.change_of_basis_matrix(self.pbasis)
+        self.M = _basis.laguerre_change_matrix(n_max)
         try:
             self.condition = condition_estimate(
-                W @ block_diagonal([self.M] * problem.n_equations))
+                W @ np.kron(np.eye(problem.n_equations), self.M))
         except SingularSystemError:
             self.condition = math.inf
 
@@ -383,7 +317,7 @@ class _FactoredOperator:
             for eq in range(self.problem.n_equations)
         ])
         return SpectralSolution(
-            coefficients=coeffs, basis=self.pbasis, b=self.problem.b,
+            coefficients=coeffs, b=self.problem.b,
             condition=self.condition,
         )
 
@@ -408,8 +342,7 @@ class NonConvergenceError(Exception):
 
 
 def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
-                    max_iter: int = 50,
-                    kind: BasisKind = BasisKind.LAGUERRE) -> SpectralSolution:
+                    max_iter: int = 50) -> SpectralSolution:
     """Solve a problem with nonlinear delay terms by successive substitution.
 
     Each iteration freezes every f(u(t - tau)) at the previous iterate
@@ -418,7 +351,7 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
     Iteration stops when the coefficient update falls below ``tol``.
     """
     if not problem.has_nonlinearity:
-        return solve_linear(problem, n_max, kind)
+        return solve_linear(problem, n_max)
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
@@ -454,7 +387,7 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
         for eq, term in enumerate(problem.nonlinear)
     )
     # the linearised operator never changes: only the frozen forcing does
-    operator = _FactoredOperator(problem, n_max, kind)
+    operator = _FactoredOperator(problem, n_max)
 
     last_delta = math.inf
     for iteration in range(1, max_iter + 1):

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .basis import MAX_TRUNCATION
 from .collocation import (
     DDEProblem,
     DelayTerm,
@@ -396,12 +397,9 @@ def _validate(cfg):
     if cfg.rk4_step is not None and cfg.rk4_step <= 0:
         raise ConfigError(f"rk4_step must be positive, got {cfg.rk4_step}",
                           field="rk4_step")
-    if cfg.n_max is not None and cfg.n_max < 2:
-        raise ConfigError(f"N must be >= 2, got {cfg.n_max}", field="N")
-    for n in cfg.n_list:
-        if n < 2:
-            raise ConfigError(f"N_list entries must be >= 2, got {n}",
-                              field="N_list")
+    if cfg.n_max is not None:
+        check_truncations([cfg.n_max], "N")
+    check_truncations(cfg.n_list, "N_list")
     for k, eq in enumerate(cfg.equations, start=1):
         for target, beta, tau in eq.delays:
             if tau < 0:
@@ -411,6 +409,11 @@ def _validate(cfg):
                 raise ConfigError(
                     f"delay target {target + 1} out of range in equation {k}",
                     field="delay")
+        if (eq.nonlinear_target is not None
+                and not 0 <= eq.nonlinear_target < cfg.n_equations):
+            raise ConfigError(
+                f"nonlinear target {eq.nonlinear_target + 1} out of range "
+                f"in equation {k}", field="nonlinear_target")
         if eq.nonlinear is not None:
             if eq.nonlinear_tau is None:
                 raise ConfigError(
@@ -428,6 +431,17 @@ def _validate(cfg):
                 raise ConfigError(
                     f"oracle 'exact' requires an exact expression in equation {k}",
                     field="exact")
+
+
+def check_truncations(values, field_name):
+    """The truncations as a list; one outside 2..MAX_TRUNCATION is a
+    ConfigError on ``field_name``."""
+    for n in values:
+        if not 2 <= n <= MAX_TRUNCATION:
+            raise ConfigError(
+                f"{field_name} must lie in 2..{MAX_TRUNCATION}, got {n}",
+                field=field_name)
+    return list(values)
 
 
 def serialize(cfg: ProblemConfig) -> str:

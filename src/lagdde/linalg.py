@@ -33,46 +33,6 @@ class SingularSystemError(Exception):
         )
 
 
-@dataclass
-class AugmentedSystem:
-    """Square system W @ A = G."""
-
-    W: np.ndarray
-    G: np.ndarray
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=float)
-        self.G = np.asarray(self.G, dtype=float)
-        if self.W.ndim != 2 or self.W.shape[0] != self.W.shape[1]:
-            raise ValueError(f"W must be square, got shape {self.W.shape}")
-        if self.G.shape != (self.W.shape[0],):
-            raise ValueError(
-                f"G length {self.G.shape} does not match W size {self.W.shape[0]}"
-            )
-
-    @property
-    def size(self) -> int:
-        return self.W.shape[0]
-
-
-def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
-    """Block-diagonal composition of square blocks; off-block entries exactly zero."""
-    if not blocks:
-        raise ValueError("block list must be non-empty")
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    for b in blocks:
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError(f"blocks must be square, got shape {b.shape}")
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size))
-    offset = 0
-    for b in blocks:
-        n = b.shape[0]
-        out[offset:offset + n, offset:offset + n] = b
-        offset += n
-    return out
-
-
 @dataclass(frozen=True)
 class LUFactors:
     """Row-pivoted LU factors of a square matrix, P @ W = L @ U.
@@ -135,11 +95,6 @@ def lu_solve(factors: LUFactors, G: np.ndarray) -> np.ndarray:
     for row in range(n - 1, -1, -1):
         A[row] = (G[row] - LU[row, row + 1:] @ A[row + 1:]) / LU[row, row]
     return A
-
-
-def gauss_solve(system: AugmentedSystem) -> np.ndarray:
-    """Solve W @ A = G by Gauss elimination with partial (row) pivoting."""
-    return lu_solve(lu_factor(system.W), system.G)
 
 
 def condition_estimate(W: np.ndarray) -> float:

@@ -283,14 +283,15 @@ def identity_suite(n_list: Sequence[int] = range(2, 11), trials: int = 100,
     rng = np.random.default_rng(seed)
     results = []
     for n_max in n_list:
-        mats = _basis.build_basis_matrices(n_max, 0.0)
-        lag = _basis.PolynomialBasis(_basis.BasisKind.LAGUERRE, n_max)
+        H = _basis.laguerre_change_matrix(n_max)
+        B = _basis.monomial_diff_matrix(n_max)
+        C = _basis.laguerre_diff_matrix(n_max)
 
         results.append((
             f"laguerre_from_monomials[N={n_max}]",
             brute_force_poly_identity(
                 lambda t, n=n_max: _laguerre_row_direct(n, t),
-                lambda t, n=n_max, H=mats.H: _basis.monomial_row(n, t) @ H,
+                lambda t, n=n_max, H=H: _basis.monomial_row(n, t) @ H,
                 trials=trials, rng=rng),
         ))
         results.append((
@@ -298,14 +299,14 @@ def identity_suite(n_list: Sequence[int] = range(2, 11), trials: int = 100,
             brute_force_poly_identity(
                 lambda t, n=n_max: np.array(
                     [k * t ** (k - 1) if k else 0.0 for k in range(n + 1)]),
-                lambda t, n=n_max, B=mats.B: _basis.monomial_row(n, t) @ B,
+                lambda t, n=n_max, B=B: _basis.monomial_row(n, t) @ B,
                 trials=trials, rng=rng),
         ))
         results.append((
             f"laguerre_derivative[N={n_max}]",
             brute_force_poly_identity(
                 lambda t, n=n_max: _laguerre_derivative_direct(n, t),
-                lambda t, b=lag, C=mats.C: _basis.basis_row(b, t) @ C,
+                lambda t, n=n_max, C=C: _basis.basis_row(n, t) @ C,
                 trials=trials, rng=rng),
         ))
         for tau in taus:
@@ -317,7 +318,7 @@ def identity_suite(n_list: Sequence[int] = range(2, 11), trials: int = 100,
                     lambda t, n=n_max, T=T: _basis.monomial_row(n, t) @ T,
                     trials=trials, rng=rng),
             ))
-        bh_hc = float(np.abs(mats.B @ mats.H - mats.H @ mats.C).max())
+        bh_hc = float(np.abs(B @ H - H @ C).max())
         results.append((
             f"diff_consistency_BH_eq_HC[N={n_max}]",
             IdentityCheck(passed=bh_hc < 1e-9, max_deviation=bh_hc),
@@ -333,11 +334,9 @@ def delay_product_mismatch(n_max: int = 3, tau: float = 1.0,
     the change-of-basis identity; the solver uses X(t) T H instead. This
     helper exists so tests can pin down that the literal product is wrong.
     """
-    mats = _basis.build_basis_matrices(n_max, tau)
-    literal = _basis.monomial_row(n_max, t) @ mats.T @ mats.B @ mats.H
-    true_row = np.array(
-        [_basis.laguerre_eval(n, t - tau) for n in range(n_max + 1)]
-        if t - tau >= 0 else
-        [_basis.laguerre_eval_sum(n, t - tau) for n in range(n_max + 1)]
-    )
+    literal = (_basis.monomial_row(n_max, t)
+               @ _basis.delay_shift_matrix(n_max, tau)
+               @ _basis.monomial_diff_matrix(n_max)
+               @ _basis.laguerre_change_matrix(n_max))
+    true_row = _laguerre_row_direct(n_max, t - tau)
     return float(np.abs(literal - true_row).max())

@@ -12,7 +12,6 @@ from lagdde.accuracy import (
     residual,
     sample_points,
 )
-from lagdde.basis import BasisKind, PolynomialBasis
 from lagdde.collocation import (
     DDEProblem,
     DelayTerm,
@@ -27,9 +26,7 @@ from lagdde.collocation import (
 
 def _solution(coeffs, b=1.0):
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    return SpectralSolution(
-        coefficients=coeffs,
-        basis=PolynomialBasis(BasisKind.LAGUERRE, coeffs.shape[1] - 1), b=b)
+    return SpectralSolution(coefficients=coeffs, b=b)
 
 
 # ---------------------------------------------------------------------------

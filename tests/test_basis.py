@@ -1,4 +1,4 @@
-"""Tests for polynomial evaluation and the structural matrices."""
+"""Tests for Laguerre rows and the structural matrices."""
 
 import math
 from fractions import Fraction
@@ -10,20 +10,21 @@ from lagdde import basis
 
 
 # ---------------------------------------------------------------------------
-# Laguerre evaluation
+# Laguerre evaluation: entry n of basis_row(N, t) is L_n(t)
 
 def test_laguerre_degree_zero_is_one():
-    assert basis.laguerre_eval(0, 3.7) == 1.0
+    assert basis.basis_row(2, 3.7)[0] == 1.0
+    np.testing.assert_array_equal(basis.basis_row(0, 3.7), [1.0])
 
 
 def test_laguerre_degree_one_root():
     # L_1(t) = 1 - t
-    assert basis.laguerre_eval(1, 1.0) == 0.0
+    assert basis.basis_row(2, 1.0)[1] == 0.0
 
 
 def test_laguerre_degree_two():
     # L_2(t) = (t^2 - 4t + 2) / 2, so L_2(2) = -1
-    assert basis.laguerre_eval(2, 2.0) == pytest.approx(-1.0, abs=1e-14)
+    assert basis.basis_row(2, 2.0)[2] == pytest.approx(-1.0, abs=1e-14)
 
 
 def _laguerre_exact(n, t_frac):
@@ -36,93 +37,33 @@ def _laguerre_exact(n, t_frac):
 
 def test_laguerre_recurrence_matches_exact_sum():
     # rational points in [0, 10], degrees up to the supported maximum
-    for n in range(21):
-        for num in (0, 3, 17, 50, 100):
-            t = Fraction(num, 10)
+    for num in (0, 3, 17, 50, 100):
+        t = Fraction(num, 10)
+        row = basis.basis_row(basis.MAX_TRUNCATION, float(t))
+        for n in range(basis.MAX_TRUNCATION + 1):
             exact = float(_laguerre_exact(n, t))
-            got = basis.laguerre_eval(n, float(t))
-            assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
+            assert row[n] == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
 def test_laguerre_sum_oracle_agrees_for_small_degrees():
     rng = np.random.default_rng(3)
     for n in range(13):
         for t in rng.uniform(0.0, 10.0, 5):
-            assert basis.laguerre_eval(n, t) == pytest.approx(
+            assert basis.basis_row(12, t)[n] == pytest.approx(
                 basis.laguerre_eval_sum(n, t), rel=1e-10, abs=1e-10)
 
 
 def test_laguerre_at_zero_is_one_up_to_degree_twenty():
-    for n in range(21):
-        assert basis.laguerre_eval(n, 0.0) == 1.0
+    np.testing.assert_array_equal(basis.basis_row(20, 0.0), np.ones(21))
 
 
 def test_laguerre_rejects_bad_input():
     with pytest.raises(ValueError):
-        basis.laguerre_eval(-1, 1.0)
+        basis.laguerre_eval_sum(-1, 1.0)
     with pytest.raises(ValueError):
-        basis.laguerre_eval(2, math.inf)
+        basis.basis_row(20, math.inf)
     with pytest.raises(ValueError):
-        basis.laguerre_eval(2, math.nan)
-
-
-# ---------------------------------------------------------------------------
-# generalized Laguerre and Hermite
-
-def test_generalized_laguerre_degree_zero():
-    assert basis.generalized_laguerre_eval(0, -0.5, 2.0) == 1.0
-
-
-def test_generalized_laguerre_reduces_to_laguerre():
-    assert basis.generalized_laguerre_eval(1, 0.0, 1.0) == 0.0
-    rng = np.random.default_rng(5)
-    for n in range(8):
-        for t in rng.uniform(0.0, 5.0, 3):
-            assert basis.generalized_laguerre_eval(n, 0.0, t) == pytest.approx(
-                basis.laguerre_eval(n, t), rel=1e-12, abs=1e-12)
-
-
-def test_generalized_laguerre_degree_one():
-    # L_1^(alpha)(t) = 1 + alpha - t
-    assert basis.generalized_laguerre_eval(1, -0.5, 4.0) == pytest.approx(-3.5)
-
-
-def test_generalized_laguerre_rejects_alpha():
-    with pytest.raises(ValueError):
-        basis.generalized_laguerre_eval(2, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        basis.generalized_laguerre_eval(-1, 0.0, 1.0)
-
-
-def test_hermite_small_degrees():
-    assert basis.hermite_eval(0, 5.0) == 1.0
-    # H_2(t) = 4t^2 - 2, H_3(t) = 8t^3 - 12t
-    assert basis.hermite_eval(2, 1.0) == pytest.approx(2.0)
-    assert basis.hermite_eval(3, 1.0) == pytest.approx(-4.0)
-    with pytest.raises(ValueError):
-        basis.hermite_eval(-1, 0.0)
-
-
-def test_hermite_laguerre_relation_even():
-    # H_{2n}(t) = (-1)^n 2^{2n} n! L_n^(-1/2)(t^2)
-    rng = np.random.default_rng(11)
-    for n in (0, 1, 2):
-        for t in rng.uniform(0.0, 2.0, 10):
-            lhs = basis.hermite_eval(2 * n, t)
-            rhs = ((-1) ** n * 2 ** (2 * n) * math.factorial(n)
-                   * basis.generalized_laguerre_eval(n, -0.5, t * t))
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-
-
-def test_hermite_laguerre_relation_odd():
-    # H_{2n+1}(t) = (-1)^n 2^{2n+1} n! t L_n^(1/2)(t^2)
-    rng = np.random.default_rng(13)
-    for n in (0, 1, 2):
-        for t in rng.uniform(0.0, 2.0, 10):
-            lhs = basis.hermite_eval(2 * n + 1, t)
-            rhs = ((-1) ** n * 2 ** (2 * n + 1) * math.factorial(n) * t
-                   * basis.generalized_laguerre_eval(n, 0.5, t * t))
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+        basis.basis_row(20, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -165,35 +106,27 @@ def test_monomial_diff_matrix_superdiagonal():
         assert B[k, k + 1] == k + 1
 
 
-def test_build_basis_matrices_validation():
-    mats = basis.build_basis_matrices(3, 0.5)
-    assert mats.n_max == 3
-    assert mats.tau == 0.5
+def test_delay_shift_matrix_rejects_negative_delay():
     with pytest.raises(ValueError):
-        basis.build_basis_matrices(1, 0.5)
-    with pytest.raises(ValueError):
-        basis.build_basis_matrices(3, -0.5)
-    with pytest.raises(ValueError):
-        basis.build_basis_matrices(basis.MAX_TRUNCATION + 1, 0.5)
+        basis.delay_shift_matrix(3, -0.5)
 
 
 def test_row_vector_identities_random_points():
     rng = np.random.default_rng(17)
     for n in range(2, 11):
-        mats = basis.build_basis_matrices(n, 0.0)
-        lag = basis.PolynomialBasis(basis.BasisKind.LAGUERRE, n)
+        H = basis.laguerre_change_matrix(n)
+        B = basis.monomial_diff_matrix(n)
         for t in rng.uniform(0.0, 5.0, 100):
             X = basis.monomial_row(n, t)
-            L = basis.basis_row(lag, t)
-            np.testing.assert_allclose(X @ mats.H, L, atol=1e-9 * max(1, abs(L).max()))
+            L = basis.basis_row(n, t)
+            np.testing.assert_allclose(X @ H, L, atol=1e-9 * max(1, abs(L).max()))
             dX = np.array([k * t ** (k - 1) if k else 0.0 for k in range(n + 1)])
-            np.testing.assert_allclose(X @ mats.B, dX, atol=1e-9 * max(1, abs(dX).max()))
+            np.testing.assert_allclose(X @ B, dX, atol=1e-9 * max(1, abs(dX).max()))
 
 
 def test_derivative_identity_against_termwise_and_finite_difference():
     rng = np.random.default_rng(19)
     for n in range(2, 11):
-        lag = basis.PolynomialBasis(basis.BasisKind.LAGUERRE, n)
         C = basis.laguerre_diff_matrix(n)
         for t in rng.uniform(0.1, 5.0, 20):
             analytic = np.array([
@@ -201,10 +134,10 @@ def test_derivative_identity_against_termwise_and_finite_difference():
                     for k in range(1, m + 1))
                 for m in range(n + 1)
             ])
-            via_matrix = basis.basis_row(lag, t) @ C
+            via_matrix = basis.basis_row(n, t) @ C
             np.testing.assert_allclose(via_matrix, analytic, atol=1e-8)
             h = 1e-6
-            fd = (basis.basis_row(lag, t + h) - basis.basis_row(lag, t - h)) / (2 * h)
+            fd = (basis.basis_row(n, t + h) - basis.basis_row(n, t - h)) / (2 * h)
             np.testing.assert_allclose(via_matrix, fd, atol=1e-6 * max(1, abs(fd).max()))
 
 
@@ -222,63 +155,25 @@ def test_delay_identity_relative_to_monomial_scale():
 
 def test_bh_equals_hc():
     for n in range(2, 11):
-        mats = basis.build_basis_matrices(n, 0.0)
-        np.testing.assert_allclose(mats.B @ mats.H, mats.H @ mats.C, atol=1e-12)
+        B = basis.monomial_diff_matrix(n)
+        H = basis.laguerre_change_matrix(n)
+        C = basis.laguerre_diff_matrix(n)
+        np.testing.assert_allclose(B @ H, H @ C, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # basis rows
 
 def test_basis_row_laguerre_at_zero():
-    lag = basis.PolynomialBasis(basis.BasisKind.LAGUERRE, 2)
-    np.testing.assert_array_equal(basis.basis_row(lag, 0.0), [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(basis.basis_row(2, 0.0), [1.0, 1.0, 1.0])
 
 
 def test_basis_row_laguerre_at_one():
-    # L_0(1) = 1, L_1(1) = 0; degree one is below the supported truncation,
-    # so check the leading entries of the N=2 row instead
-    lag = basis.PolynomialBasis(basis.BasisKind.LAGUERRE, 2)
-    row = basis.basis_row(lag, 1.0)
+    # L_0(1) = 1, L_1(1) = 0
+    row = basis.basis_row(2, 1.0)
     np.testing.assert_allclose(row[:2], [1.0, 0.0], atol=1e-14)
 
 
-def test_basis_row_hermite():
-    herm = basis.PolynomialBasis(basis.BasisKind.HERMITE, 2)
-    np.testing.assert_allclose(basis.basis_row(herm, 1.0), [1.0, 2.0, 2.0])
-
-
 def test_basis_row_rejects_negative_laguerre_argument():
-    lag = basis.PolynomialBasis(basis.BasisKind.LAGUERRE, 2)
     with pytest.raises(ValueError):
-        basis.basis_row(lag, -0.1)
-
-
-def test_polynomial_basis_rejects_small_truncation():
-    with pytest.raises(ValueError):
-        basis.PolynomialBasis(basis.BasisKind.LAGUERRE, 1)
-
-
-# ---------------------------------------------------------------------------
-# Hermite matrices
-
-def test_hermite_diff_matrix_small():
-    np.testing.assert_array_equal(
-        basis.hermite_diff_matrix(1), [[0.0, 2.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(
-        basis.hermite_diff_matrix(2)[:, 2], [0.0, 4.0, 0.0])
-    np.testing.assert_array_equal(
-        basis.hermite_diff_matrix(3)[:, 3], [0.0, 0.0, 6.0, 0.0])
-    with pytest.raises(ValueError):
-        basis.hermite_diff_matrix(0)
-
-
-def test_hermite_change_matrix_identity():
-    rng = np.random.default_rng(29)
-    for n in (2, 4, 7):
-        M = basis.hermite_change_matrix(n)
-        herm = basis.PolynomialBasis(basis.BasisKind.HERMITE, n)
-        for t in rng.uniform(-2.0, 2.0, 20):
-            row = basis.basis_row(herm, t)
-            np.testing.assert_allclose(
-                basis.monomial_row(n, t) @ M, row,
-                atol=1e-9 * max(1, abs(row).max()))
+        basis.basis_row(2, -0.1)

@@ -184,6 +184,38 @@ def test_missing_truncation_exits_two(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+def test_truncation_above_maximum_exits_two(tmp_path, capsys):
+    for flags in (["--N", "21"], ["--N-list", "3", "21"], ["--N", "1"]):
+        code = cli.main(["solve", "--config", str(CONFIG_DIR / "example2.cfg"),
+                         *flags, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: N" in capsys.readouterr().err
+    cfg = _write(tmp_path, CONSTANT_PROBLEM.replace("N = 3", "N = 21"))
+    assert cli.main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+
+
+def test_nonlinear_target_out_of_range_exits_two(tmp_path, capsys):
+    cfg = _write(tmp_path, CONSTANT_PROBLEM + "nonlinear = sin(u)\n"
+                 "nonlinear_tau = 0.5\nnonlinear_target = 3\n")
+    assert cli.main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "nonlinear_target" in capsys.readouterr().err
+
+
+def test_converge_every_truncation_failing_reports_each(tmp_path, capsys):
+    # at b = 5 the monomial pivots fail for N = 19 and 20
+    cfg = _write(tmp_path, "b = 5\nN_list = 19 20\n\n[equation 1]\n"
+                 "gamma = 1\nphi = 1\ndelay = 1 0.5 1\nhistory = 1\n")
+    code = cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("N=19: failed (singular system")
+    assert err[1].startswith("N=20: failed (singular system")
+    assert err[2] == "solver error: every truncation failed (N = 19, 20)"
+    assert "no convergence" not in "\n".join(err)
+
+
 def test_validate_prints_identity_lines():
     result = subprocess.run(
         [sys.executable, "-m", "lagdde.cli", "validate"],

@@ -9,7 +9,6 @@ from lagdde import basis as basis_mod
 from lagdde import collocation as collocation_mod
 from lagdde import linalg as linalg_mod
 from lagdde.accuracy import convergence_study
-from lagdde.basis import BasisKind, PolynomialBasis
 from lagdde.collocation import (
     DDEProblem,
     DelayTerm,
@@ -18,9 +17,7 @@ from lagdde.collocation import (
     NonlinearDelayTerm,
     SpectralSolution,
     _monomial_operator,
-    apply_initial_conditions,
-    assemble_row_block,
-    assemble_system,
+    _monomial_rhs,
     collocation_points,
     evaluate,
     evaluate_derivative,
@@ -28,15 +25,23 @@ from lagdde.collocation import (
     solve_linear,
     solve_nonlinear,
 )
-from lagdde.linalg import SingularSystemError, block_diagonal
+from lagdde.linalg import SingularSystemError
 
 
 def _solution(coeffs, b=1.0):
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    n_max = coeffs.shape[1] - 1
-    return SpectralSolution(
-        coefficients=coeffs,
-        basis=PolynomialBasis(BasisKind.LAGUERRE, n_max), b=b)
+    return SpectralSolution(coefficients=coeffs, b=b)
+
+
+def _laguerre_frame(problem, n):
+    """The collocation system in the Laguerre frame, W @ kron(I_l, M) and G.
+
+    Each equation's block holds the collocation rows at t_0 .. t_{N-1} and,
+    last, the initial-condition row.
+    """
+    M = basis_mod.laguerre_change_matrix(n)
+    W = _monomial_operator(problem, n) @ np.kron(np.eye(problem.n_equations), M)
+    return W, _monomial_rhs(problem, n, problem.g)
 
 
 # ---------------------------------------------------------------------------
@@ -51,65 +56,68 @@ def test_collocation_points_small():
 
 
 def test_collocation_points_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be >= 2"):
         collocation_points(1, 1.0)
+    with pytest.raises(ValueError, match="exceeds supported maximum 20"):
+        collocation_points(21, 1.0)
     with pytest.raises(ValueError):
         collocation_points(3, 0.0)
+    # every solve grids its truncation first
+    problem = single_equation(1.0, 0.5, 0.5, lambda t: 0.0, 1.0, 1.0)
+    for n in (1, 21):
+        with pytest.raises(ValueError, match="truncation"):
+            solve_linear(problem, n)
 
 
 # ---------------------------------------------------------------------------
-# row assembly
+# row assembly, read in the Laguerre frame
 
 def test_row_block_derivative_only():
-    problem = single_equation(0.0, 0.0, 1.0, lambda t: 1.0, 0.0, 1.0)
-    pbasis = PolynomialBasis(BasisKind.LAGUERRE, 3)
+    # N = 3 on [0, 1.8]: row 1 collocates at t = 0.6
+    problem = single_equation(0.0, 0.0, 1.0, lambda t: 1.0, 0.0, 1.8)
     t = 0.6
-    row, rhs = assemble_row_block(problem, pbasis, 0, t)
-    expected = basis_mod.basis_row(pbasis, t) @ basis_mod.laguerre_diff_matrix(3)
-    np.testing.assert_allclose(row, expected, atol=1e-14)
-    assert rhs == 1.0
+    W, G = _laguerre_frame(problem, 3)
+    expected = basis_mod.basis_row(3, t) @ basis_mod.laguerre_diff_matrix(3)
+    np.testing.assert_allclose(W[1], expected, atol=1e-14)
+    assert G[1] == 1.0
 
 
 def test_row_block_with_gamma_at_zero():
     problem = single_equation(1.0, 0.0, 1.0, lambda t: 0.0, 0.0, 1.0)
-    pbasis = PolynomialBasis(BasisKind.LAGUERRE, 2)
-    row, _ = assemble_row_block(problem, pbasis, 0, 0.0)
+    W, _ = _laguerre_frame(problem, 2)
     # [1,1,1] @ C + [1,1,1] = [0,-1,-2] + [1,1,1]
-    np.testing.assert_allclose(row, [1.0, 0.0, -1.0], atol=1e-14)
+    np.testing.assert_allclose(W[0], [1.0, 0.0, -1.0], atol=1e-14)
 
 
 def test_row_block_delay_collapses_at_zero_tau():
-    problem = single_equation(0.0, 1.0, 0.0, lambda t: 0.0, 0.0, 1.0)
-    pbasis = PolynomialBasis(BasisKind.LAGUERRE, 3)
+    # N = 3 on [0, 1.2]: row 1 collocates at t = 0.4
+    problem = single_equation(0.0, 1.0, 0.0, lambda t: 0.0, 0.0, 1.2)
     t = 0.4
-    row, _ = assemble_row_block(problem, pbasis, 0, t)
-    L = basis_mod.basis_row(pbasis, t)
+    W, _ = _laguerre_frame(problem, 3)
+    L = basis_mod.basis_row(3, t)
     np.testing.assert_allclose(
-        row, L @ basis_mod.laguerre_diff_matrix(3) - L, atol=1e-12)
+        W[1], L @ basis_mod.laguerre_diff_matrix(3) - L, atol=1e-12)
 
 
 def test_assemble_system_derivative_rows():
     problem = single_equation(0.0, 0.0, 1.0, lambda t: 0.0, 0.0, 1.0)
-    system = assemble_system(problem, 2)
-    assert system.W.shape == (3, 3)
-    pbasis = PolynomialBasis(BasisKind.LAGUERRE, 2)
+    W, G = _laguerre_frame(problem, 2)
+    assert W.shape == (3, 3)
     C = basis_mod.laguerre_diff_matrix(2)
-    for i, t in enumerate(collocation_points(2, 1.0).points):
-        np.testing.assert_allclose(system.W[i],
-                                   basis_mod.basis_row(pbasis, t) @ C,
+    for i, t in enumerate(collocation_points(2, 1.0).points[:-1]):
+        np.testing.assert_allclose(W[i], basis_mod.basis_row(2, t) @ C,
                                    atol=1e-14)
-    np.testing.assert_array_equal(system.G, np.zeros(3))
+    np.testing.assert_array_equal(G, np.zeros(3))
 
 
 def test_delay_collapse_matches_ode_assembly():
     gamma, beta = 0.7, 0.3
     problem = single_equation(gamma, beta, 0.0, lambda t: math.sin(t), 0.2, 2.0)
-    system = assemble_system(problem, 5)
-    pbasis = PolynomialBasis(BasisKind.LAGUERRE, 5)
+    W, _ = _laguerre_frame(problem, 5)
     C = basis_mod.laguerre_diff_matrix(5)
-    for i, t in enumerate(collocation_points(5, 2.0).points):
-        L = basis_mod.basis_row(pbasis, t)
-        np.testing.assert_allclose(system.W[i], L @ C + (gamma - beta) * L,
+    for i, t in enumerate(collocation_points(5, 2.0).points[:-1]):
+        L = basis_mod.basis_row(5, t)
+        np.testing.assert_allclose(W[i], L @ C + (gamma - beta) * L,
                                    atol=1e-12)
 
 
@@ -122,22 +130,20 @@ def test_coupled_system_off_diagonal_block():
         g=[lambda t: 0.0, lambda t: 0.0],
         phi=[1.0, 1.0], b=5.0, history=history)
     n = 4
-    system = assemble_system(problem, n)
-    assert system.W.shape == (2 * (n + 1), 2 * (n + 1))
+    W, _ = _laguerre_frame(problem, n)
+    assert W.shape == (2 * (n + 1), 2 * (n + 1))
     # the delayed argument leaves the history interval at the later
     # collocation points, where the first equation's block must feed the
     # second equation's rows
-    off_block = system.W[n + 1:, :n + 1]
+    off_block = W[n + 1:, :n + 1]
     assert np.abs(off_block).max() > 0.0
 
 
 def test_initial_condition_row_replacement():
     problem = single_equation(0.0, 0.0, 1.0, lambda t: 0.0, 1.0, 1.0)
-    pbasis = PolynomialBasis(BasisKind.LAGUERRE, 2)
-    system = apply_initial_conditions(assemble_system(problem, 2),
-                                      problem, pbasis)
-    np.testing.assert_array_equal(system.W[2], [1.0, 1.0, 1.0])
-    assert system.G[2] == 1.0
+    W, G = _laguerre_frame(problem, 2)
+    np.testing.assert_array_equal(W[2], [1.0, 1.0, 1.0])
+    assert G[2] == 1.0
 
 
 def test_initial_condition_rows_two_equations():
@@ -148,14 +154,12 @@ def test_initial_condition_rows_two_equations():
         g=[lambda t: 0.0, lambda t: 0.0],
         phi=[1.0, 1.0], b=5.0, history=history)
     n = 3
-    pbasis = PolynomialBasis(BasisKind.LAGUERRE, n)
-    system = apply_initial_conditions(assemble_system(problem, n),
-                                      problem, pbasis)
+    W, G = _laguerre_frame(problem, n)
     for r in (n, 2 * n + 1):
         block = 0 if r == n else 1
         np.testing.assert_array_equal(
-            system.W[r, block * (n + 1):(block + 1) * (n + 1)], np.ones(n + 1))
-        assert system.G[r] == 1.0
+            W[r, block * (n + 1):(block + 1) * (n + 1)], np.ones(n + 1))
+        assert G[r] == 1.0
 
 
 def test_solved_coefficients_sum_to_initial_value():
@@ -414,6 +418,33 @@ def test_evaluate_derivative_matches_finite_difference():
 # ---------------------------------------------------------------------------
 # one factorisation per solve; the diagnostic in the basis frame
 
+def _laguerre_frame_reference(problem, n):
+    """The Laguerre-frame collocation operator assembled row by row from the
+    definitions, frozen as the reference: L(t) @ C + gamma L(t) on the
+    diagonal block, -beta L(t - tau) from the explicit sum (any sign of
+    t - tau) where the series serves a delay, and L(0) as each block's last,
+    initial-condition row."""
+    l = problem.n_equations
+    width = n + 1
+    C = basis_mod.laguerre_diff_matrix(n)
+    W = np.zeros((l * width, l * width))
+    for eq in range(l):
+        for i, t in enumerate(collocation_points(n, problem.b).points[:-1]):
+            r = eq * width + i
+            L = basis_mod.basis_row(n, t)
+            W[r, eq * width:(eq + 1) * width] = L @ C + problem.gamma[eq] * L
+            for term in problem.delays[eq]:
+                if problem.history.covers(t - term.tau):
+                    continue
+                delayed = [basis_mod.laguerre_eval_sum(k, t - term.tau)
+                           for k in range(width)]
+                block = slice(term.target * width, (term.target + 1) * width)
+                W[r, block] -= term.beta * np.array(delayed)
+        W[(eq + 1) * width - 1, eq * width:(eq + 1) * width] = (
+            basis_mod.basis_row(n, 0.0))
+    return W
+
+
 def test_monomial_operator_times_change_of_basis_is_basis_frame_operator():
     # coupled system: the history serves each delay at the early points and
     # the series at the later ones; equation 3 also has an undelayed term
@@ -425,12 +456,10 @@ def test_monomial_operator_times_change_of_basis_is_basis_frame_operator():
         g=[math.sin, math.cos, lambda t: 1.0], phi=[1.0, 0.0, 0.5], b=2.0,
         history=History(functions=(math.cos, math.sin, lambda t: 0.5), end=0.0))
     for n in (4, 8, 12):
-        pbasis = PolynomialBasis(BasisKind.LAGUERRE, n)
-        M = basis_mod.change_of_basis_matrix(pbasis)
+        M = basis_mod.laguerre_change_matrix(n)
         mono = _monomial_operator(problem, n)
-        reference = apply_initial_conditions(
-            assemble_system(problem, n), problem, pbasis).W
-        np.testing.assert_allclose(mono @ block_diagonal([M] * 3), reference,
+        reference = _laguerre_frame_reference(problem, n)
+        np.testing.assert_allclose(mono @ np.kron(np.eye(3), M), reference,
                                    rtol=0.0, atol=1e-10 * np.abs(reference).max())
 
 
@@ -529,3 +558,8 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         DDEProblem(gamma=[0.0, 0.0], delays=[[]],
                    g=[lambda t: 0.0], phi=[0.0], b=1.0)
+    for target in (1, -1):
+        term = NonlinearDelayTerm(f=math.sin, target=target, tau=0.5)
+        with pytest.raises(ValueError, match="nonlinear target"):
+            DDEProblem(gamma=[0.0], delays=[[]], g=[lambda t: 0.0], phi=[0.0],
+                       b=1.0, nonlinear=[term])

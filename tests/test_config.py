@@ -262,6 +262,26 @@ def test_semantic_validation():
         parse_config_text("b = 1\n[equation 1]\nnonlinear = exp(-u)\n")
 
 
+def test_truncation_above_maximum_is_config_error():
+    with pytest.raises(ConfigError) as info:
+        parse_config_text("b = 1\nN = 21\n")
+    assert info.value.field == "N"
+    with pytest.raises(ConfigError) as info:
+        parse_config_text("b = 1\nN_list = 3 21\n")
+    assert info.value.field == "N_list"
+    assert parse_config_text("b = 1\nN_list = 2 20\n").n_list == (2, 20)
+
+
+def test_nonlinear_target_out_of_range_is_config_error():
+    text = ("b = 1\n[equation 1]\nnonlinear = sin(u)\nnonlinear_tau = 0.5\n"
+            "nonlinear_target = {}\n")
+    for target in (0, 2, 3):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text.format(target))
+        assert info.value.field == "nonlinear_target"
+    assert parse_config_text(text.format(1)).equations[0].nonlinear_target == 0
+
+
 def test_round_trip_through_serialize():
     for text in (EXAMPLE1, EXAMPLE2):
         cfg = parse_config_text(text)

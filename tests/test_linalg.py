@@ -1,71 +1,34 @@
-"""Tests for the dense elimination kernel and block assembly."""
+"""Tests for the dense elimination kernel and the condition diagnostic."""
 
 import numpy as np
 import pytest
 
 from lagdde.linalg import (
     SINGULAR_PIVOT_FACTOR,
-    AugmentedSystem,
     SingularSystemError,
-    block_diagonal,
     condition_estimate,
-    gauss_solve,
     lu_factor,
     lu_solve,
 )
 
 
-def test_block_diagonal_single_block():
-    np.testing.assert_array_equal(block_diagonal([np.array([[2.0]])]), [[2.0]])
-
-
-def test_block_diagonal_identity_blocks():
-    np.testing.assert_array_equal(
-        block_diagonal([np.eye(2), np.eye(2)]), np.eye(4))
-
-
-def test_block_diagonal_off_blocks_exactly_zero():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    out = block_diagonal([a, b])
-    np.testing.assert_array_equal(out[:2, :2], a)
-    np.testing.assert_array_equal(out[2:, 2:], b)
-    assert np.all(out[:2, 2:] == 0.0)
-    assert np.all(out[2:, :2] == 0.0)
-
-
-def test_block_diagonal_rejects_bad_input():
-    with pytest.raises(ValueError):
-        block_diagonal([])
-    with pytest.raises(ValueError):
-        block_diagonal([np.ones((2, 3))])
-
-
 def test_gauss_identity_system():
-    got = gauss_solve(AugmentedSystem(np.eye(3), np.array([1.0, 2.0, 3.0])))
+    got = lu_solve(lu_factor(np.eye(3)), np.array([1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(got, [1.0, 2.0, 3.0])
 
 
 def test_gauss_forces_row_pivot():
-    system = AugmentedSystem(np.array([[0.0, 1.0], [1.0, 0.0]]),
-                             np.array([3.0, 4.0]))
-    np.testing.assert_array_equal(gauss_solve(system), [4.0, 3.0])
+    W = np.array([[0.0, 1.0], [1.0, 0.0]])
+    got = lu_solve(lu_factor(W), np.array([3.0, 4.0]))
+    np.testing.assert_array_equal(got, [4.0, 3.0])
 
 
 def test_gauss_singular_system_reports_column():
-    system = AugmentedSystem(np.array([[1.0, 1.0], [1.0, 1.0]]),
-                             np.array([1.0, 2.0]))
+    W = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularSystemError) as info:
-        gauss_solve(system)
+        lu_solve(lu_factor(W), np.array([1.0, 2.0]))
     assert info.value.column == 1
     assert info.value.pivot <= 1e-13
-
-
-def test_augmented_system_validation():
-    with pytest.raises(ValueError):
-        AugmentedSystem(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(ValueError):
-        AugmentedSystem(np.eye(2), np.ones(3))
 
 
 def test_round_trip_random_well_conditioned():
@@ -73,7 +36,7 @@ def test_round_trip_random_well_conditioned():
     for _ in range(100):
         W = rng.uniform(-1.0, 1.0, (10, 10)) + 10.0 * np.eye(10)
         G = rng.uniform(-1.0, 1.0, 10)
-        A = gauss_solve(AugmentedSystem(W, G))
+        A = lu_solve(lu_factor(W), G)
         assert np.abs(W @ A - G).max() < 1e-10
 
 
@@ -81,9 +44,9 @@ def test_permutation_invariance():
     rng = np.random.default_rng(37)
     W = rng.uniform(-1.0, 1.0, (8, 8)) + 8.0 * np.eye(8)
     G = rng.uniform(-1.0, 1.0, 8)
-    base = gauss_solve(AugmentedSystem(W, G))
+    base = lu_solve(lu_factor(W), G)
     perm = rng.permutation(8)
-    permuted = gauss_solve(AugmentedSystem(W[perm], G[perm]))
+    permuted = lu_solve(lu_factor(W[perm]), G[perm])
     np.testing.assert_allclose(permuted, base, atol=1e-12)
 
 
@@ -93,12 +56,10 @@ def test_block_diagonal_preserves_solutions():
     b = rng.uniform(-1.0, 1.0, (4, 4)) + 4.0 * np.eye(4)
     ga = rng.uniform(-1.0, 1.0, 3)
     gb = rng.uniform(-1.0, 1.0, 4)
-    joint = gauss_solve(AugmentedSystem(block_diagonal([a, b]),
-                                        np.concatenate([ga, gb])))
-    np.testing.assert_allclose(joint[:3], gauss_solve(AugmentedSystem(a, ga)),
-                               atol=1e-12)
-    np.testing.assert_allclose(joint[3:], gauss_solve(AugmentedSystem(b, gb)),
-                               atol=1e-12)
+    W = np.block([[a, np.zeros((3, 4))], [np.zeros((4, 3)), b]])
+    joint = lu_solve(lu_factor(W), np.concatenate([ga, gb]))
+    np.testing.assert_allclose(joint[:3], lu_solve(lu_factor(a), ga), atol=1e-12)
+    np.testing.assert_allclose(joint[3:], lu_solve(lu_factor(b), gb), atol=1e-12)
 
 
 def test_condition_identity():
@@ -126,7 +87,7 @@ def test_condition_propagates_singularity():
 
 
 def _gauss_solve_reference(W, G):
-    """The one-shot elimination gauss_solve ran before it was split into
+    """The one-shot elimination the solver ran before it was split into
     lu_factor and lu_solve, frozen as the bit-for-bit reference."""
     W = np.array(W, dtype=float)
     G = np.array(G, dtype=float)
@@ -160,7 +121,6 @@ def test_lu_solve_bit_identical_to_reference_elimination():
         factors = lu_factor(W)
         assert not np.array_equal(factors.perm, np.arange(n))
         assert np.array_equal(lu_solve(factors, G), expected)
-        assert np.array_equal(gauss_solve(AugmentedSystem(W, G)), expected)
 
 
 def test_lu_factor_singular_matches_reference_column_and_pivot():
