@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lagdde import basis
+from lagdde.collocation import collocation_points
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +110,14 @@ def test_monomial_diff_matrix_superdiagonal():
 def test_delay_shift_matrix_rejects_negative_delay():
     with pytest.raises(ValueError):
         basis.delay_shift_matrix(3, -0.5)
+
+
+def test_polynomial_basis_rejects_small_truncation():
+    # a truncation is posed on its collocation grid, which needs N >= 2
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError, match="must be >= 2"):
+            collocation_points(n, 1.0)
+    assert len(collocation_points(2, 1.0).points) == 3
 
 
 def test_row_vector_identities_random_points():
