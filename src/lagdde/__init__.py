@@ -9,6 +9,7 @@ from .collocation import (
     History,
     NonConvergenceError,
     NonlinearDelayTerm,
+    SingularSystemError,
     SpectralSolution,
     collocation_points,
     evaluate,
@@ -18,7 +19,6 @@ from .collocation import (
     solve_nonlinear,
 )
 from .accuracy import convergence_study, error_norms, error_report, residual
-from .linalg import SingularSystemError
 from .reference import Trajectory, brute_force_poly_identity, rk4_method_of_steps
 
 __version__ = "0.1.0"

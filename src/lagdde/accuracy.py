@@ -13,7 +13,6 @@ from .collocation import (
     SpectralSolution,
     evaluate,
     evaluate_derivative,
-    solve_linear,
     solve_nonlinear,
 )
 
@@ -128,10 +127,7 @@ def convergence_study(problem: DDEProblem, n_list: Sequence[int],
     for n_max in n_list:
         start = time.perf_counter()
         try:
-            if problem.has_nonlinearity:
-                solution = solve_nonlinear(problem, n_max, tol=tol, max_iter=max_iter)
-            else:
-                solution = solve_linear(problem, n_max)
+            solution = solve_nonlinear(problem, n_max, tol=tol, max_iter=max_iter)
         except Exception as err:  # recorded, not raised
             rows.append(ConvergenceRow(
                 n_max=n_max, l2=None, linf=None, rms=None,

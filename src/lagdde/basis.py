@@ -1,5 +1,5 @@
-"""Laguerre polynomial rows and the structural matrices used by the
-collocation solver.
+"""Laguerre polynomial rows and the structural matrices of the paper's
+row-vector relations, which ``lagdde validate`` checks.
 
 All matrices act on *row* vectors of basis values, i.e. the identities have
 the shape ``row_new = row_old @ M``:

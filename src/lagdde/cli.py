@@ -19,8 +19,8 @@ import numpy as np
 from . import accuracy, reference
 from .collocation import (
     NonConvergenceError,
+    SingularSystemError,
     evaluate,
-    solve_linear,
     solve_nonlinear,
 )
 from .config import (
@@ -29,8 +29,8 @@ from .config import (
     build_problem,
     check_truncations,
     parse_config,
+    validate,
 )
-from .linalg import SingularSystemError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,12 +95,6 @@ def _make_oracle(cfg: ProblemConfig, problem, step_override=None):
         raise OracleError(str(err)) from err
 
 
-def _solve_at(problem, cfg, n_max):
-    if problem.has_nonlinearity:
-        return solve_nonlinear(problem, n_max, tol=cfg.tol, max_iter=cfg.max_iter)
-    return solve_linear(problem, n_max)
-
-
 def run_solve(cfg: ProblemConfig, n_list, out_dir: Path,
               config_path="<config>") -> RunReport:
     """Solve at each truncation of ``n_list`` (or at one given as an int).
@@ -120,7 +114,8 @@ def run_solve(cfg: ProblemConfig, n_list, out_dir: Path,
 def _solve_one(run, cfg, problem, oracle, n_max, out_dir, config_path):
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    solution = _solve_at(problem, cfg, n_max)
+    solution = solve_nonlinear(problem, n_max, tol=cfg.tol,
+                               max_iter=cfg.max_iter)
     cpu_time = time.perf_counter() - start
 
     points = accuracy.sample_points(problem.b)
@@ -130,8 +125,9 @@ def _solve_one(run, cfg, problem, oracle, n_max, out_dir, config_path):
     _write_csv(sol_path, ["t"] + [f"u_{i + 1}" for i in range(l)], sol_rows)
 
     coeff_path = out_dir / "coefficients.csv"
+    coefficients = solution.coefficients
     _write_csv(coeff_path, ["equation", "n", "a_n"],
-               [[eq + 1, n, solution.coefficients[eq, n]]
+               [[eq + 1, n, coefficients[eq, n]]
                 for eq in range(l) for n in range(n_max + 1)])
 
     record = {
@@ -162,7 +158,8 @@ def run_compare(cfg: ProblemConfig, n_list, out_dir: Path,
             "compare needs a reference; set oracle = rk4 (with rk4_step) "
             "or oracle = exact in the config")
     out_dir.mkdir(parents=True, exist_ok=True)
-    solutions = {n: _solve_at(problem, cfg, n) for n in n_list}
+    solutions = {n: solve_nonlinear(problem, n, tol=cfg.tol, max_iter=cfg.max_iter)
+                 for n in n_list}
 
     points = accuracy.sample_points(problem.b)
     l = problem.n_equations
@@ -288,6 +285,7 @@ def main(argv=None) -> int:
             cfg.rk4_step = args.oracle_step
             if cfg.oracle == "none":
                 cfg.oracle = "rk4"
+        validate(cfg)
         out_dir = Path(args.out)
         if args.command == "solve":
             run_solve(cfg, _parse_n_list(args, cfg), out_dir,

@@ -10,24 +10,37 @@ with prescribed history wherever a delayed argument falls before the
 computed range, that is at or below the history's ``end``. The computed
 range always starts at t = 0 from u(0) = phi: a history with end > 0
 serves delayed arguments on [0, end] while u there is computed, and the
-two need not agree (see History). The approximate solution is a truncated
-Laguerre series per equation; its coefficients come from forcing the
-equation to hold at equally spaced collocation points, with the last
-collocation row of each equation replaced by the initial-condition row.
+two need not agree (see History). The approximate solution is a degree-N
+polynomial per equation, the paper's truncated Laguerre series; it comes
+from forcing the equation to hold at equally spaced collocation points,
+with the last collocation row of each equation replaced by the
+initial-condition row. The system is solved in Chebyshev coefficients on
+[0, b], and the Laguerre coefficients are derived from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import basis as _basis
-from .linalg import SingularSystemError, condition_estimate, lu_factor, lu_solve
 
 HISTORY_EDGE_TOL = 1e-12
+# cond * eps above 1e-2 leaves fewer than two reliable digits
+SINGULAR_CONDITION = 1e-2 / np.finfo(float).eps
+
+
+class SingularSystemError(Exception):
+    """The collocation system is singular to working precision; ``condition``
+    is its infinity-norm condition number (inf when exactly singular)."""
+
+    def __init__(self, condition: float):
+        self.condition = condition
+        super().__init__(f"singular system: condition number {condition:.3e} "
+                         f"(bound {SINGULAR_CONDITION:.3e})")
 
 
 @dataclass(frozen=True)
@@ -169,94 +182,123 @@ def collocation_points(n_max: int, b: float) -> CollocationGrid:
 
 @dataclass
 class SpectralSolution:
-    """Truncated Laguerre series solution u_{l,N}(t) = sum_n a_{l,n} L_n(t)."""
+    """Degree-N polynomial per equation, u_{l,N}(t) = sum_k c_{l,k} T_k(2t/b - 1).
 
-    coefficients: np.ndarray  # shape (l, N+1)
+    The system is solved in, and evaluation reads, the coefficients c.
+    """
+
+    chebyshev: np.ndarray  # shape (l, N+1)
     b: float
     iterations: int = 0
     condition: float = math.nan
 
     @property
     def n_max(self) -> int:
-        return self.coefficients.shape[1] - 1
+        return self.chebyshev.shape[1] - 1
 
     @property
     def n_equations(self) -> int:
-        return self.coefficients.shape[0]
+        return self.chebyshev.shape[0]
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Laguerre coefficients a, u_{l,N}(t) = sum_n a_{l,n} L_n(t).
+
+        Interpolated with basis_row at N+1 equispaced points on each read.
+        Their digits carry the Laguerre basis's own conditioning on [0, b];
+        evaluation never goes through them.
+        """
+        points = np.linspace(0.0, self.b, self.n_max + 1)
+        laguerre = np.array([_basis.basis_row(self.n_max, t) for t in points])
+        values = _chebyshev_rows(self.n_max, self.b, points)[0] @ self.chebyshev.T
+        return np.linalg.solve(laguerre, values).T
 
 
-def _series_row(n_max: int, t: float) -> np.ndarray:
-    """basis_row extended to negative arguments through the monomial frame.
+def _chebyshev_rows(n_max: int, b: float, t: np.ndarray):
+    """Rows [T_0, ..., T_N] of T_k(2t/b - 1) and of their t-derivatives at
+    the points ``t``, by T_{k+1} = 2x T_k - T_{k-1}, valid for any t."""
+    x = 2.0 * np.asarray(t, dtype=float) / b - 1.0
+    values = np.empty((x.size, n_max + 1))
+    slopes = np.empty_like(values)
+    values[:, 0], slopes[:, 0] = 1.0, 0.0
+    values[:, 1], slopes[:, 1] = x, 1.0
+    for k in range(1, n_max):
+        values[:, k + 1] = 2.0 * x * values[:, k] - values[:, k - 1]
+        slopes[:, k + 1] = (2.0 * values[:, k] + 2.0 * x * slopes[:, k]
+                            - slopes[:, k - 1])
+    return values, slopes * (2.0 / b)
 
-    The recurrence rows are polynomial identities, but basis_row keeps its
-    t >= 0 contract; delayed arguments below zero (extrapolation) go through
-    basis_row(t) = X(t) @ M instead.
+
+def _clenshaw(solution: SpectralSolution, t: float):
+    """Series values and t-derivatives per equation at t, for any t.
+
+    Clenshaw's recurrence b_k = c_k + 2x b_{k+1} - b_{k+2} on Python floats
+    gives u = c_0 + x b_1 - b_2; differentiated in x, d_k = 2 b_{k+1}
+    + 2x d_{k+1} - d_{k+2} gives du/dx = b_1 + x d_1 - d_2, and dx/dt = 2/b.
     """
-    if t < 0:
-        return _basis.monomial_row(n_max, t) @ _basis.laguerre_change_matrix(n_max)
-    return _basis.basis_row(n_max, t)
+    x = 2.0 * float(t) / solution.b - 1.0
+    x2 = 2.0 * x
+    values, slopes = [], []
+    for c in solution.chebyshev.tolist():
+        b1 = b2 = d1 = d2 = 0.0
+        for ck in c[:0:-1]:
+            b1, b2, d1, d2 = ck + x2 * b1 - b2, b1, 2.0 * b1 + x2 * d1 - d2, d1
+        values.append(c[0] + x * b1 - b2)
+        slopes.append(2.0 / solution.b * (b1 + x * d1 - d2))
+    return np.array(values), np.array(slopes)
 
 
 def evaluate(solution: SpectralSolution, t: float) -> np.ndarray:
     """Series value per equation at t. Values outside [0, b] extrapolate."""
-    row = _series_row(solution.n_max, t)
-    return solution.coefficients @ row
+    return _clenshaw(solution, t)[0]
 
 
 def evaluate_derivative(solution: SpectralSolution, t: float) -> np.ndarray:
-    """Series derivative per equation at t, via the differentiation matrix."""
-    n_max = solution.n_max
-    row = _series_row(n_max, t) @ _basis.laguerre_diff_matrix(n_max)
-    return solution.coefficients @ row
+    """Series derivative per equation at t."""
+    return _clenshaw(solution, t)[1]
 
 
 def solve_linear(problem: DDEProblem, n_max: int) -> SpectralSolution:
     """Solve a linear problem by collocation at truncation ``n_max``."""
     if problem.has_nonlinearity:
         raise ValueError("problem has a nonlinear delay term; use solve_nonlinear")
-    return _FactoredOperator(problem, n_max).solve(problem.g)
+    return _solver(problem, n_max)(problem.g)
 
 
-def _monomial_operator(problem: DDEProblem, n_max: int) -> np.ndarray:
-    """Collocation operator W of the monomial-frame system W @ c = G.
+def _operator(problem: DDEProblem, n_max: int) -> np.ndarray:
+    """Collocation operator A of the system A @ c = G in Chebyshev coefficients.
 
-    Each equation's block of N+1 rows holds the collocation rows at t_0 ..
-    t_{N-1} and, last, the condition row u(0) = phi. With
-    basis_row(t) = X(t) @ M the unknowns transform as c = M @ a, so
-    W @ kron(I_l, M) is the same system in the Laguerre frame, the one the
-    method is defined by: both have identical solutions in function space.
-    Eliminating in the monomial frame avoids the extra conditioning the
-    factored delay product X T M and the basis rows put on the assembled
-    entries; the basis coefficients are recovered afterwards through the
-    triangular change of basis. W depends only on the problem's
-    coefficients, delays and history interval, never on its forcing.
+    Each equation's N+1 rows hold the collocation rows at t_0 .. t_{N-1}
+    (T'(t) + gamma T(t), and -beta T(t - tau) where the series serves a
+    delay) and, last, the condition row u(0) = phi. With S the Chebyshev
+    coefficients of L_0..L_N, A @ kron(I_l, S) is the paper's Laguerre-frame
+    system: same points, same polynomials, a far better conditioned basis.
     """
-    grid = collocation_points(n_max, problem.b)
+    b = problem.b
+    t = collocation_points(n_max, b).points[:-1]
+    values, slopes = _chebyshev_rows(n_max, b, t)
+    history = problem.history
     l = problem.n_equations
     width = n_max + 1
-    B = _basis.monomial_diff_matrix(n_max)
-    shifts = {}
-    W = np.zeros((l * width, l * width))
+    A = np.zeros((l * width, l * width))
     for eq in range(l):
-        for i, t in enumerate(grid.points[:-1]):
-            X = _basis.monomial_row(n_max, t)
-            r = eq * width + i
-            W[r, eq * width:(eq + 1) * width] = X @ B + problem.gamma[eq] * X
-            for term in problem.delays[eq]:
-                t_delayed = t - term.tau
-                if problem.history is None or not problem.history.covers(t_delayed):
-                    if term.tau not in shifts:
-                        shifts[term.tau] = _basis.delay_shift_matrix(n_max, term.tau)
-                    block = slice(term.target * width, (term.target + 1) * width)
-                    W[r, block] -= term.beta * (X @ shifts[term.tau])
-        # condition row u_eq(0) = phi_eq; X(0) = [1, 0, ..., 0]
-        W[(eq + 1) * width - 1, eq * width] = 1.0
-    return W
+        own = slice(eq * width, (eq + 1) * width)
+        rows = slice(own.start, own.stop - 1)
+        A[rows, own] = slopes + problem.gamma[eq] * values
+        for term in problem.delays[eq]:
+            delayed = t - term.tau
+            served = np.array([history is None or not history.covers(s)
+                               for s in delayed])
+            block = slice(term.target * width, (term.target + 1) * width)
+            A[rows, block][served] -= (
+                term.beta * _chebyshev_rows(n_max, b, delayed[served])[0])
+        A[own.stop - 1, own] = (-1.0) ** np.arange(width)  # T_k(-1) at t = 0
+    return A
 
 
-def _monomial_rhs(problem: DDEProblem, n_max: int,
-                  g: Sequence[Callable[[float], float]]) -> np.ndarray:
-    """Right-hand side G of the monomial-frame system for forcing ``g``.
+def _rhs(problem: DDEProblem, n_max: int,
+         g: Sequence[Callable[[float], float]]) -> np.ndarray:
+    """Right-hand side G of the collocation system for forcing ``g``.
 
     Each collocation row carries g_eq(t) plus the delayed terms the history
     serves; each equation's last row carries phi_eq.
@@ -277,49 +319,37 @@ def _monomial_rhs(problem: DDEProblem, n_max: int,
     return G
 
 
-def _solve_upper_triangular(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Back substitution for the (invertible) change-of-basis matrix."""
-    n = M.shape[0]
-    out = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        out[row] = (rhs[row] - M[row, row + 1:] @ out[row + 1:]) / M[row, row]
-    return out
+def _invert(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """A^-1 and ||A||_inf ||A^-1||_inf; SingularSystemError when LAPACK finds
+    A singular or the condition number exceeds SINGULAR_CONDITION."""
+    try:
+        inverse = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError(math.inf) from None
+    condition = float(np.linalg.norm(A, np.inf) * np.linalg.norm(inverse, np.inf))
+    if not condition <= SINGULAR_CONDITION:  # nan included
+        raise SingularSystemError(condition)
+    return inverse, condition
 
 
-class _FactoredOperator:
-    """The monomial-frame operator of one problem and truncation, factored once.
+def _solver(problem: DDEProblem, n_max: int):
+    """The map forcing g -> solution; assembles and inverts the operator once.
 
-    ``solve`` takes a forcing and substitutes through the stored factors, so
-    successive substitution pays for one elimination, not one per iteration.
-    ``condition`` is the infinity-norm condition of the basis-frame operator
-    W @ kron(I_l, M), the system the method is defined by; it is
-    inf when that matrix is numerically singular, which never aborts a solve
-    the monomial frame completed.
+    A product with an explicit inverse is not backward stable (its error
+    scales with ||A^-1|| ||G||, not with the solution), so one residual
+    correction through the same inverse follows it.
     """
+    A = _operator(problem, n_max)
+    inverse, condition = _invert(A)
 
-    def __init__(self, problem: DDEProblem, n_max: int):
-        self.problem = problem
-        self.n_max = n_max
-        W = _monomial_operator(problem, n_max)
-        self.factors = lu_factor(W)
-        self.M = _basis.laguerre_change_matrix(n_max)
-        try:
-            self.condition = condition_estimate(
-                W @ np.kron(np.eye(problem.n_equations), self.M))
-        except SingularSystemError:
-            self.condition = math.inf
+    def solve(g: Sequence[Callable[[float], float]]) -> SpectralSolution:
+        G = _rhs(problem, n_max, g)
+        c = inverse @ G
+        c += inverse @ (G - A @ c)
+        return SpectralSolution(chebyshev=c.reshape(problem.n_equations, n_max + 1),
+                                b=problem.b, condition=condition)
 
-    def solve(self, g: Sequence[Callable[[float], float]]) -> SpectralSolution:
-        c = lu_solve(self.factors, _monomial_rhs(self.problem, self.n_max, g))
-        width = self.n_max + 1
-        coeffs = np.vstack([
-            _solve_upper_triangular(self.M, c[eq * width:(eq + 1) * width])
-            for eq in range(self.problem.n_equations)
-        ])
-        return SpectralSolution(
-            coefficients=coeffs, b=self.problem.b,
-            condition=self.condition,
-        )
+    return solve
 
 
 class NonConvergenceError(Exception):
@@ -387,17 +417,17 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
         for eq, term in enumerate(problem.nonlinear)
     )
     # the linearised operator never changes: only the frozen forcing does
-    operator = _FactoredOperator(problem, n_max)
+    solve = _solver(problem, n_max)
 
     last_delta = math.inf
     for iteration in range(1, max_iter + 1):
-        solution = operator.solve(g_frozen)
+        solution = solve(g_frozen)
         if previous is not None:
-            # relative to coefficient scale: the raw coefficients grow with N
-            # and carry roundoff far above any absolute tolerance
-            scale = max(1.0, float(np.abs(solution.coefficients).max()))
+            # relative to the coefficient scale, as the solution's magnitude
+            # sets the roundoff floor of its coefficients
+            scale = max(1.0, float(np.abs(solution.chebyshev).max()))
             last_delta = float(
-                np.abs(solution.coefficients - previous.coefficients).max()
+                np.abs(solution.chebyshev - previous.chebyshev).max()
             ) / scale
             if last_delta < tol:
                 # count substitution updates beyond the initial solve

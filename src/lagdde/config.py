@@ -10,7 +10,6 @@ constants pi and e.
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -267,15 +266,13 @@ _EQUATION_KEYS = {"gamma", "phi", "forcing", "history", "delay",
                   "nonlinear", "nonlinear_tau", "nonlinear_target", "exact"}
 
 
-def parse_config(source) -> ProblemConfig:
-    """Parse a configuration from a file path or raw text."""
-    if isinstance(source, (str, os.PathLike)):
-        text = str(source)
-        if "\n" not in text and "=" not in text and os.path.exists(text):
-            with open(text) as fh:
-                text = fh.read()
-    else:
-        raise TypeError(f"expected path or text, got {type(source)!r}")
+def parse_config(path) -> ProblemConfig:
+    """Parse the configuration file at ``path``."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file: {err}") from err
     return parse_config_text(text)
 
 
@@ -325,7 +322,7 @@ def parse_config_text(text: str) -> ProblemConfig:
             f"section [equation {max(equations) + 1}] exceeds declared "
             f"equation count {n_eq}", field="equations")
     cfg.equations = tuple(equations.get(i, EquationConfig()) for i in range(n_eq))
-    _validate(cfg)
+    validate(cfg)
     return cfg
 
 
@@ -383,7 +380,8 @@ def _apply_equation(eq, key, value):
         eq.exact = Expression(value)
 
 
-def _validate(cfg):
+def validate(cfg: ProblemConfig) -> None:
+    """Raise ConfigError on the first invalid setting of ``cfg``."""
     if not 1 <= cfg.n_equations <= 3:
         raise ConfigError(f"equation count must be 1-3, got {cfg.n_equations}",
                           field="equations")
@@ -414,7 +412,13 @@ def _validate(cfg):
             raise ConfigError(
                 f"nonlinear target {eq.nonlinear_target + 1} out of range "
                 f"in equation {k}", field="nonlinear_target")
-        if eq.nonlinear is not None:
+        if eq.nonlinear is None:
+            for key in ("nonlinear_tau", "nonlinear_target"):
+                if getattr(eq, key) is not None:
+                    raise ConfigError(
+                        f"equation {k} sets {key} without a nonlinear expression",
+                        field=key)
+        else:
             if eq.nonlinear_tau is None:
                 raise ConfigError(
                     f"equation {k} declares a nonlinearity without nonlinear_tau",

@@ -24,9 +24,10 @@ from lagdde.collocation import (
 )
 
 
-def _solution(coeffs, b=1.0):
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    return SpectralSolution(coefficients=coeffs, b=b)
+def _solution(chebyshev, b=1.0):
+    """Solution with the Chebyshev coefficients of T_k(2t/b - 1)."""
+    chebyshev = np.atleast_2d(np.asarray(chebyshev, dtype=float))
+    return SpectralSolution(chebyshev=chebyshev, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,7 @@ def test_residual_of_zero_solution_against_unit_forcing():
 
 def test_residual_of_linear_solution_without_forcing():
     problem = single_equation(0.0, 0.0, 1.0, lambda t: 0.0, 0.0, 1.0)
-    solution = _solution([1.0, -1.0, 0.0])  # u(t) = t
+    solution = _solution([0.5, 0.5, 0.0])  # u(t) = t = (T_0 + T_1)/2 on [0, 1]
     assert residual(problem, solution, 0.5)[0] == pytest.approx(1.0)
 
 

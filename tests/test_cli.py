@@ -178,6 +178,33 @@ def test_solver_error_exits_three(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("verb, flag, field", [
+    ("solve", "--tol", "tol"),
+    ("solve", "--max-iter", "max_iter"),
+    ("converge", "--tol", "tol"),
+    ("compare", "--oracle-step", "rk4_step"),
+])
+def test_invalid_override_exits_two(tmp_path, capsys, verb, flag, field):
+    # overrides are validated like the config values they replace
+    code = cli.main([verb, "--config", str(CONFIG_DIR / "example1.cfg"),
+                     "--N-list", "4", "6", flag, "0",
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"field '{field}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_config_file_exits_two(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cfg")
+    assert cli.main(["solve", "--config", missing,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config file:")
+    assert missing in err
+
+
 def test_missing_truncation_exits_two(tmp_path):
     cfg = _write(tmp_path, CONSTANT_PROBLEM.replace("N = 3\n", ""))
     assert cli.main(["solve", "--config", cfg,
@@ -204,9 +231,10 @@ def test_nonlinear_target_out_of_range_exits_two(tmp_path, capsys):
 
 
 def test_converge_every_truncation_failing_reports_each(tmp_path, capsys):
-    # at b = 5 the monomial pivots fail for N = 19 and 20
-    cfg = _write(tmp_path, "b = 5\nN_list = 19 20\n\n[equation 1]\n"
-                 "gamma = 1\nphi = 1\ndelay = 1 0.5 1\nhistory = 1\n")
+    # without a history the delayed term extrapolates the series to t = -1,
+    # and at N = 19 and 20 the condition number passes the singularity bound
+    cfg = _write(tmp_path, "b = 2\nN_list = 19 20\n\n[equation 1]\n"
+                 "gamma = 0\nphi = 0\nforcing = 1\ndelay = 1 1 1\n")
     code = cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 3
     err = capsys.readouterr().err.splitlines()

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev, Laguerre
 
 from lagdde import basis as basis_mod
 from lagdde import collocation as collocation_mod
-from lagdde import linalg as linalg_mod
 from lagdde.accuracy import convergence_study
 from lagdde.collocation import (
     DDEProblem,
@@ -15,9 +15,10 @@ from lagdde.collocation import (
     History,
     NonConvergenceError,
     NonlinearDelayTerm,
+    SingularSystemError,
     SpectralSolution,
-    _monomial_operator,
-    _monomial_rhs,
+    _operator,
+    _rhs,
     collocation_points,
     evaluate,
     evaluate_derivative,
@@ -25,23 +26,34 @@ from lagdde.collocation import (
     solve_linear,
     solve_nonlinear,
 )
-from lagdde.linalg import SingularSystemError
+
+
+def _chebyshev_of_laguerre(n, b):
+    """S, whose column k holds the Chebyshev coefficients of L_k(t) in
+    T_j(2t/b - 1): laguerre_row(t) = chebyshev_row(t) @ S."""
+    S = np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        coef = Laguerre.basis(k).convert(domain=[0.0, b], kind=Chebyshev).coef
+        S[:len(coef), k] = coef
+    return S
 
 
 def _solution(coeffs, b=1.0):
+    """Solution with the Laguerre coefficients ``coeffs``."""
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    return SpectralSolution(coefficients=coeffs, b=b)
+    S = _chebyshev_of_laguerre(coeffs.shape[1] - 1, b)
+    return SpectralSolution(chebyshev=coeffs @ S.T, b=b)
 
 
 def _laguerre_frame(problem, n):
-    """The collocation system in the Laguerre frame, W @ kron(I_l, M) and G.
+    """The collocation system in the Laguerre frame, A @ kron(I_l, S) and G.
 
     Each equation's block holds the collocation rows at t_0 .. t_{N-1} and,
     last, the initial-condition row.
     """
-    M = basis_mod.laguerre_change_matrix(n)
-    W = _monomial_operator(problem, n) @ np.kron(np.eye(problem.n_equations), M)
-    return W, _monomial_rhs(problem, n, problem.g)
+    S = _chebyshev_of_laguerre(n, problem.b)
+    A = _operator(problem, n) @ np.kron(np.eye(problem.n_equations), S)
+    return A, _rhs(problem, n, problem.g)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +428,7 @@ def test_evaluate_derivative_matches_finite_difference():
 
 
 # ---------------------------------------------------------------------------
-# one factorisation per solve; the diagnostic in the basis frame
+# one assembly and one inverse per solve; the frame identity; singularity
 
 def _laguerre_frame_reference(problem, n):
     """The Laguerre-frame collocation operator assembled row by row from the
@@ -445,7 +457,7 @@ def _laguerre_frame_reference(problem, n):
     return W
 
 
-def test_monomial_operator_times_change_of_basis_is_basis_frame_operator():
+def test_chebyshev_operator_times_change_of_basis_is_basis_frame_operator():
     # coupled system: the history serves each delay at the early points and
     # the series at the later ones; equation 3 also has an undelayed term
     problem = DDEProblem(
@@ -456,10 +468,10 @@ def test_monomial_operator_times_change_of_basis_is_basis_frame_operator():
         g=[math.sin, math.cos, lambda t: 1.0], phi=[1.0, 0.0, 0.5], b=2.0,
         history=History(functions=(math.cos, math.sin, lambda t: 0.5), end=0.0))
     for n in (4, 8, 12):
-        M = basis_mod.laguerre_change_matrix(n)
-        mono = _monomial_operator(problem, n)
+        S = _chebyshev_of_laguerre(n, problem.b)
         reference = _laguerre_frame_reference(problem, n)
-        np.testing.assert_allclose(mono @ np.kron(np.eye(3), M), reference,
+        np.testing.assert_allclose(_operator(problem, n) @ np.kron(np.eye(3), S),
+                                   reference,
                                    rtol=0.0, atol=1e-10 * np.abs(reference).max())
 
 
@@ -474,12 +486,13 @@ def _degree_four_problem():
     return problem, poly
 
 
-def test_singular_diagnostic_reports_inf_and_keeps_the_solution():
-    # at N = 11 the basis-frame matrix is numerically singular while the
-    # monomial frame solves the problem to roundoff
+def test_condition_is_finite_where_the_laguerre_frame_was_singular():
+    # at N = 11 the Laguerre-frame matrix of this problem is numerically
+    # singular; the Chebyshev frame the system is solved in is not, and its
+    # condition number is the one reported
     problem, poly = _degree_four_problem()
     solution = solve_linear(problem, 11)
-    assert solution.condition == math.inf
+    assert 1.0 < solution.condition < 1e6
     worst = max(abs(evaluate(solution, t)[0] - poly(t))
                 for t in np.linspace(0.0, 1.0, 41))
     assert worst < 1e-12
@@ -487,54 +500,74 @@ def test_singular_diagnostic_reports_inf_and_keeps_the_solution():
     (row,) = convergence_study(problem, [11],
                                reference=lambda t: np.array([poly(t)]))
     assert row.error is None
-    assert row.condition == math.inf
+    assert row.condition == solution.condition
     assert row.linf[0] < 1e-12
 
 
 def test_singular_monomial_operator_still_raises():
-    # the collocation rows at t = 0 and 1 read [2/3, 1/3, 2/3] and
-    # [2/3, 1, 2]; with the initial-condition row [1, 0, 0] the operator
-    # itself is singular, so there is no solution to keep
+    # in monomial coefficients the collocation rows at t = 0 and 1 read
+    # [2/3, 1/3, 2/3] and [2/3, 1, 2]; with the initial-condition row
+    # [1, 0, 0] the operator is singular in every frame
     problem = single_equation(0.0, -2.0 / 3.0, 1.0, lambda t: 1.0, 0.0, 2.0)
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError, match="singular system") as info:
         solve_linear(problem, 2)
+    assert info.value.condition > collocation_mod.SINGULAR_CONDITION
 
 
-def _count_factorisations(monkeypatch):
-    """Count lu_factor calls by the solver (operator) and by the diagnostic."""
+def _coupled_problem(b):
+    """Three coupled equations whose delays b/5 the history serves early."""
+    return DDEProblem(
+        gamma=[0.5, 1.0, 1.5],
+        delays=[[DelayTerm(1, 0.5, b / 5)], [DelayTerm(2, -0.5, b / 5)],
+                [DelayTerm(0, 0.5, b / 5)]],
+        g=[math.sin, math.cos, lambda t: 1.0], phi=[1.0, 0.0, 0.5], b=b,
+        history=History(functions=(math.cos, math.sin, lambda t: 0.5), end=0.0))
+
+
+def test_singularity_bound_admits_wide_and_narrow_intervals():
+    # the condition number does not depend on the scale of t: from b = 0.01
+    # to b = 50 the largest system, N = 20 with three equations, solves
+    for b in (0.01, 10.0, 50.0):
+        solution = solve_linear(_coupled_problem(b), 20)
+        assert solution.condition < collocation_mod.SINGULAR_CONDITION
+        assert np.all(np.isfinite(solution.chebyshev))
+
+
+def _count_assemblies_and_inverses(monkeypatch):
+    """Count operator assemblies and matrix inversions."""
     calls = []
 
     def counting(label, fn):
-        def wrapper(W):
+        def wrapper(*args):
             calls.append(label)
-            return fn(W)
+            return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(linalg_mod, "lu_factor",
-                        counting("diagnostic", linalg_mod.lu_factor))
-    monkeypatch.setattr(collocation_mod, "lu_factor",
-                        counting("operator", collocation_mod.lu_factor))
+    monkeypatch.setattr(collocation_mod, "_operator",
+                        counting("operator", collocation_mod._operator))
+    monkeypatch.setattr(collocation_mod.np.linalg, "inv",
+                        counting("inverse", np.linalg.inv))
     return calls
 
 
 def test_solve_nonlinear_factors_once_however_many_iterations(monkeypatch):
-    calls = _count_factorisations(monkeypatch)
+    calls = _count_assemblies_and_inverses(monkeypatch)
     for n in (6, 10):
         calls.clear()
         solution = solve_nonlinear(_nonlinear_problem(lambda u: math.exp(-u)), n)
         assert solution.iterations > 3
-        assert calls == ["operator", "diagnostic"]
+        assert calls == ["operator", "inverse"]
     calls.clear()
     with pytest.raises(NonConvergenceError):
         solve_nonlinear(_nonlinear_problem(lambda u: math.exp(-u)), 10, max_iter=3)
-    assert calls == ["operator", "diagnostic"]
+    assert calls == ["operator", "inverse"]
 
 
 def test_solve_linear_factors_once(monkeypatch):
-    calls = _count_factorisations(monkeypatch)
+    calls = _count_assemblies_and_inverses(monkeypatch)
     problem = single_equation(0.5, 0.8, 1.0, lambda t: math.cos(t), 0.7, 2.0)
     solve_linear(problem, 8)
-    assert calls == ["operator", "diagnostic"]
+    assert calls == ["operator", "inverse"]
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,13 @@ def test_parse_config_from_file(tmp_path):
     assert cfg == parse_config_text(EXAMPLE1)
 
 
+def test_parse_config_reads_a_path(tmp_path):
+    # configuration text is not taken for a path, nor a missing path for text
+    for source in (EXAMPLE1, str(tmp_path / "missing.cfg"), str(tmp_path)):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            parse_config(source)
+
+
 def test_negative_delay_is_semantic_error():
     text = "b = 1\n[equation 1]\ndelay = 1 1.0 -1\n"
     with pytest.raises(ConfigError) as info:
@@ -283,9 +290,20 @@ def test_nonlinear_target_out_of_range_is_config_error():
 
 
 def test_round_trip_through_serialize():
-    for text in (EXAMPLE1, EXAMPLE2):
+    nonlinear_target = ("equations = 2\nb = 1\n[equation 1]\nnonlinear = sin(u)\n"
+                        "nonlinear_tau = 0.5\nnonlinear_target = 2\n")
+    for text in (EXAMPLE1, EXAMPLE2, nonlinear_target):
         cfg = parse_config_text(text)
         assert parse_config_text(serialize(cfg)) == cfg
+
+
+def test_nonlinear_settings_need_a_nonlinearity():
+    # serialize writes nonlinear_tau and nonlinear_target only beside a
+    # nonlinear expression, so a config may not hold them without one
+    for key, value in (("nonlinear_target", 1), ("nonlinear_tau", 0.5)):
+        with pytest.raises(ConfigError, match="without a nonlinear") as info:
+            parse_config_text(f"b = 1\n[equation 1]\n{key} = {value}\n")
+        assert info.value.field == key
 
 
 def test_comments_and_blank_lines_ignored():
