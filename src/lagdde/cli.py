@@ -93,6 +93,9 @@ def _make_oracle(cfg: ProblemConfig, problem, step_override=None):
         return reference.rk4_method_of_steps(problem, step=step)
     except ValueError as err:  # e.g. history_end off the delay grid
         raise OracleError(str(err)) from err
+    except ArithmeticError as err:  # e.g. a forcing that overflows
+        raise OracleError(f"RK4 integration failed: "
+                          f"{type(err).__name__}: {err}") from err
 
 
 def run_solve(cfg: ProblemConfig, n_list, out_dir: Path,
@@ -305,6 +308,9 @@ def main(argv=None) -> int:
         return EXIT_ORACLE
     except (SingularSystemError, NonConvergenceError, SolverError) as err:
         print(f"solver error: {err}", file=sys.stderr)
+        return EXIT_SOLVER
+    except ArithmeticError as err:  # from a config expression in the solve
+        print(f"solver error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 

@@ -97,6 +97,12 @@ def _aligned_step(taus: list[float], history: Optional[History], b: float,
         return b / math.ceil(b / step)
     base = _float_gcd(taus)
     h = base / math.ceil(base / step)
+    shortest = min(taus)
+    if h < shortest / math.ceil(shortest / step) and h < step / 10:
+        raise ValueError(
+            f"the delays {taus} are not commensurate: a grid through every "
+            f"breaking point k*tau needs step {h:.3g}, below step/10 = "
+            f"{step / 10:.3g}; put every delay on a multiple of a common step")
     end = history.end if history is not None else 0.0
     if end != 0 and any(0 < end + tau < b for tau in taus):
         joint = _float_gcd(taus + [end])
@@ -120,9 +126,11 @@ def rk4_method_of_steps(problem: DDEProblem, history: Optional[History] = None,
     GCD of the delays and, if it is nonzero and its jumps fall inside
     (0, b), of history.end, so delayed lookups always hit history or
     previously computed sub-intervals, and every breaking point
-    history.end + k*tau is a grid point. A history.end that would shrink
-    the step below step / 10 raises ValueError. Off-grid delayed queries
-    use the trajectory's cubic Hermite interpolant.
+    history.end + k*tau is a grid point. Delays whose GCD would shrink the
+    step below both step / 10 and the step the shortest delay alone needs
+    (incommensurate delays such as 1 and sqrt(2)), or a history.end that
+    would shrink it below step / 10, raise ValueError. Off-grid delayed
+    queries use the trajectory's cubic Hermite interpolant.
 
     At a grid point t with t - tau == history.end, delayed arguments leave
     the history for the trajectory; where the two disagree at history.end,
@@ -130,6 +138,17 @@ def rk4_method_of_steps(problem: DDEProblem, history: Optional[History] = None,
     derivative, which reads u(history.end) from the trajectory, and keeps it
     as the trajectory's right_du there; every other step reuses the
     derivative stored at its left end.
+
+    Every delay is at least one step, so at a stage time t the forcing
+    g(t), each delayed term beta * u(t - tau) and the nonlinear term
+    f(u(t - tau_f)) do not depend on the stage. They are evaluated once per
+    distinct time: at the midpoint (shared by k2 and k3), at the step end
+    (shared by k4 and the stored u'), and at a history edge once more as
+    the right limit; that is 2 * steps + 1 + edges calls of each g, history
+    function and f. Each must therefore be a function of its argument
+    alone. Each stage then adds them to -gamma * u and the tau = 0
+    couplings in the order of the equation: -gamma * u + g, the delay
+    terms in list order, then the nonlinear term.
 
     Stepping runs on Python floats, and a delayed query is a bisection on
     the grid plus the Hermite formula of ``Trajectory.__call__`` for one
@@ -185,24 +204,46 @@ def rk4_method_of_steps(problem: DDEProblem, history: Optional[History] = None,
         return _hermite(tq, grid[k], grid[i], u_buf[k * l + eq], slope,
                         u_buf[i * l + eq], du_buf[i * l + eq])
 
-    def rhs(t, u, right_limit=False):
-        out = []
+    def forcing(t, right_limit=False):
+        # per equation, the terms at t that read no stage value, in the order
+        # rhs adds them: g(t), each delay term (None where tau = 0), then f
+        rows = []
         for eq in range(l):
-            value = -problem.gamma[eq] * u[eq] + problem.g[eq](t)
+            row = [problem.g[eq](t)]
             for term in problem.delays[eq]:
-                if term.tau == 0:  # degenerate delay: plain ODE coupling
-                    value += term.beta * u[term.target]
-                else:
-                    value += term.beta * delayed(term.target, t - term.tau,
-                                                 right_limit)
+                row.append(None if term.tau == 0 else
+                           term.beta * delayed(term.target, t - term.tau,
+                                               right_limit))
             nl = problem.nonlinear[eq]
             if nl is not None:
-                value += nl.f(delayed(nl.target, t - nl.tau, right_limit))
+                row.append(nl.f(delayed(nl.target, t - nl.tau, right_limit)))
+            rows.append(row)
+        return rows
+
+    neg_gamma = [-gamma for gamma in problem.gamma]
+    # for an equation with a tau = 0 term, the term in its slot of the
+    # forcing row and None in every other slot; None for an equation
+    # without one, which adds its row as it is
+    slots = [[None, *(term if term.tau == 0 else None for term in terms),
+              *([None] if nl is not None else [])]
+             if any(term.tau == 0 for term in terms) else None
+             for terms, nl in zip(problem.delays, problem.nonlinear)]
+
+    def rhs(rows, u):
+        out = []
+        for eq in range(l):
+            value = neg_gamma[eq] * u[eq]
+            if slots[eq] is None:
+                for part in rows[eq]:
+                    value += part
+            else:
+                for part, term in zip(rows[eq], slots[eq]):
+                    value += part if term is None else term.beta * u[term.target]
             out.append(value)
         return out
 
     u = list(problem.phi)
-    du = rhs(0.0, u)
+    du = rhs(forcing(0.0), u)
     u_buf.extend(u)
     du_buf.extend(du)
     for k in range(1, len(grid)):
@@ -211,14 +252,16 @@ def rk4_method_of_steps(problem: DDEProblem, history: Optional[History] = None,
         half = hk / 2
         k1 = du
         if k - 1 in edges:
-            k1 = right_du[k - 1] = rhs(t0, u, right_limit=True)
-        k2 = rhs(t0 + half, [a + half * d for a, d in zip(u, k1)])
-        k3 = rhs(t0 + half, [a + half * d for a, d in zip(u, k2)])
-        k4 = rhs(t1, [a + hk * d for a, d in zip(u, k3)])
+            k1 = right_du[k - 1] = rhs(forcing(t0, right_limit=True), u)
+        mid = forcing(t0 + half)
+        k2 = rhs(mid, [a + half * d for a, d in zip(u, k1)])
+        k3 = rhs(mid, [a + half * d for a, d in zip(u, k2)])
+        end = forcing(t1)
+        k4 = rhs(end, [a + hk * d for a, d in zip(u, k3)])
         sixth = hk / 6
         u = [a + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
              for a, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
-        du = rhs(t1, u)
+        du = rhs(end, u)
         u_buf.extend(u)
         du_buf.extend(du)
     return Trajectory(np.asarray(grid, dtype=float),

@@ -294,3 +294,46 @@ def test_history_end_off_the_delay_grid_is_an_oracle_error(tmp_path, capsys):
     code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 4
     assert "not commensurate with the delays" in capsys.readouterr().err
+
+
+def test_incommensurate_delays_are_an_oracle_error(tmp_path, capsys):
+    # delays 1 and sqrt(2) share no grid step; the oracle refuses them
+    # instead of stepping a 1.9e9-point grid
+    text = ZERO_DELAY_ODE.replace(
+        "delay = 1 0.5 0",
+        "delay = 1 0.5 1\ndelay = 1 0.5 1.4142135623730951\nhistory = 1")
+    cfg = _write(tmp_path, text)
+    code = cli.main(["compare", "--config", cfg, "--N-list", "4",
+                     "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("oracle error: the delays")
+    assert "not commensurate" in err
+
+
+ARITHMETIC_PROBLEM = """\
+b = 2
+N = 6
+
+[equation 1]
+gamma = 1
+phi = 0
+"""
+
+
+def test_division_by_zero_in_the_solve_exits_three(tmp_path, capsys):
+    # 1/(t - 1) at the collocation point t = 1
+    cfg = _write(tmp_path, ARITHMETIC_PROBLEM + "forcing = 1/(t-1)\n")
+    code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("solver error: ZeroDivisionError")
+
+
+def test_overflow_in_the_oracle_exits_four(tmp_path, capsys):
+    # exp(900 t) overflows a float from t = 0.79, inside the RK4 run
+    cfg = _write(tmp_path, "rk4_step = 0.001\n" + ARITHMETIC_PROBLEM
+                 + "forcing = exp(900*t)\n")
+    code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        "oracle error: RK4 integration failed: OverflowError")

@@ -19,6 +19,7 @@ from lagdde.collocation import (
 )
 from lagdde.reference import (
     Trajectory,
+    _aligned_step,
     brute_force_poly_identity,
     delay_product_mismatch,
     identity_suite,
@@ -319,7 +320,35 @@ def _bit_identity_cases():
         problem = build_problem(parse_config_text(
             _manufactured_config(rng, equations, b)))
         cases.append(pytest.param(problem, id=f"generated_{equations}eq_b{b}"))
+    cases.append(pytest.param(_zero_delay_coupling_problem(), id="zero_delay"))
+    cases.append(pytest.param(_delay_and_nonlinear_problem(),
+                              id="delay_and_nonlinear"))
     return cases
+
+
+def _zero_delay_coupling_problem():
+    # tau = 0 couplings between and after delayed terms, so the stage's own
+    # u enters the sum in the middle of each equation's delay list
+    history = History(functions=(math.sin, math.cos), end=0.0)
+    return DDEProblem(
+        gamma=[0.3, 0.7],
+        delays=[[DelayTerm(0, 0.5, 0.5), DelayTerm(1, 0.3, 0.0),
+                 DelayTerm(1, -0.2, 0.25)],
+                [DelayTerm(0, -0.4, 0.0), DelayTerm(1, 0.6, 0.75)]],
+        g=[math.cos, lambda t: math.exp(-t)], phi=[0.1, 1.0], b=2.0,
+        history=history)
+
+
+def _delay_and_nonlinear_problem():
+    # one equation with a linear delay term and a nonlinear term, summed
+    # g, beta * u(t - 0.5), then f(u(t - 0.25)); history.end = 0.25 adds
+    # right-limit edges at 0.5 and 0.75
+    history = History(functions=(math.sin,), end=0.25)
+    return DDEProblem(
+        gamma=[0.4], delays=[[DelayTerm(0, -0.3, 0.5)]], g=[math.cos],
+        phi=[0.2], b=2.0, history=history,
+        nonlinear=[NonlinearDelayTerm(f=lambda u: math.exp(-u), target=0,
+                                      tau=0.25)])
 
 
 @pytest.mark.parametrize("problem", _bit_identity_cases())
@@ -350,6 +379,41 @@ def test_step_halving_with_history_end_off_the_delay_grid():
     assert coarse.t[k] == pytest.approx(1.0004, abs=1e-12)
     diff = max(abs(coarse(t)[0] - fine(t)[0]) for t in np.linspace(0.5, 3.0, 251))
     assert diff < 1e-7
+
+
+@pytest.mark.parametrize("taus, step", [
+    ([1.0, math.sqrt(2)], 2.57e-9),
+    ([0.5, 0.333333], 1e-6),
+])
+def test_incommensurate_delays_raise(taus, step):
+    # without the check the grid would be b / step points: 1.9e9 and 5e6
+    with pytest.raises(ValueError, match="not commensurate") as info:
+        _aligned_step(taus, None, 5.0, 1e-3)
+    assert f"needs step {step:.3g}" in str(info.value)
+
+
+def test_delay_shorter_than_the_step_sets_the_step():
+    # one short delay, or delays that are multiples of the shortest, are
+    # commensurate: the step is the shortest delay, not an error
+    assert _aligned_step([5e-5], None, 1.0, 1e-3) == 5e-5
+    assert _aligned_step([5e-5, 1e-4], None, 1.0, 1e-3) == 5e-5
+
+
+def test_forcing_is_called_once_per_distinct_stage_time():
+    # midpoint once for k2 and k3, step end once for k4 and the stored u',
+    # t = 0 once, and the history edge t = 0.75 once more as the right limit
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return math.cos(t)
+
+    problem = single_equation(0.5, 0.3, 0.5, g, 1.0, 2.0,
+                              History((math.sin,), end=0.25))
+    trajectory = rk4_method_of_steps(problem, step=1e-2)
+    steps, edges = len(trajectory.t) - 1, len(trajectory.right_du)
+    assert (steps, edges) == (200, 1)
+    assert len(calls) == 2 * steps + 1 + edges == 402
 
 
 def test_history_end_not_commensurate_with_the_delays_raises():
