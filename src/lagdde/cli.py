@@ -85,7 +85,14 @@ def _make_oracle(cfg: ProblemConfig, problem, step_override=None):
         return None
     if cfg.oracle == "exact":
         exacts = [eq.exact for eq in cfg.equations]
-        return lambda t: np.array([f(t) for f in exacts])
+
+        def exact(t):
+            try:
+                return np.array([f(t) for f in exacts])
+            except ArithmeticError as err:  # e.g. 1/(t-1) at t = 1
+                raise OracleError(f"exact solution failed at t={t}: "
+                                  f"{type(err).__name__}: {err}") from err
+        return exact
     step = step_override if step_override is not None else cfg.rk4_step
     if step is None:
         raise OracleError("rk4 oracle requested but no rk4_step configured")

@@ -97,8 +97,10 @@ def _aligned_step(taus: list[float], history: Optional[History], b: float,
         return b / math.ceil(b / step)
     base = _float_gcd(taus)
     h = base / math.ceil(base / step)
-    shortest = min(taus)
-    if h < shortest / math.ceil(shortest / step) and h < step / 10:
+    # the shortest delay's own step, rounded as base is, so that a single
+    # delay always passes
+    own = _float_gcd([min(taus)])
+    if h < own / math.ceil(own / step) and h < step / 10:
         raise ValueError(
             f"the delays {taus} are not commensurate: a grid through every "
             f"breaking point k*tau needs step {h:.3g}, below step/10 = "
@@ -221,24 +223,18 @@ def rk4_method_of_steps(problem: DDEProblem, history: Optional[History] = None,
         return rows
 
     neg_gamma = [-gamma for gamma in problem.gamma]
-    # for an equation with a tau = 0 term, the term in its slot of the
-    # forcing row and None in every other slot; None for an equation
-    # without one, which adds its row as it is
+    # per equation, the tau = 0 term in its slot of the forcing row and None
+    # in every other slot
     slots = [[None, *(term if term.tau == 0 else None for term in terms),
               *([None] if nl is not None else [])]
-             if any(term.tau == 0 for term in terms) else None
              for terms, nl in zip(problem.delays, problem.nonlinear)]
 
     def rhs(rows, u):
         out = []
         for eq in range(l):
             value = neg_gamma[eq] * u[eq]
-            if slots[eq] is None:
-                for part in rows[eq]:
-                    value += part
-            else:
-                for part, term in zip(rows[eq], slots[eq]):
-                    value += part if term is None else term.beta * u[term.target]
+            for part, term in zip(rows[eq], slots[eq]):
+                value += part if term is None else term.beta * u[term.target]
             out.append(value)
         return out
 

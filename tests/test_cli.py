@@ -337,3 +337,13 @@ def test_overflow_in_the_oracle_exits_four(tmp_path, capsys):
     assert code == 4
     assert capsys.readouterr().err.startswith(
         "oracle error: RK4 integration failed: OverflowError")
+
+
+def test_division_by_zero_in_the_exact_solution_exits_four(tmp_path, capsys):
+    # exact = 1/(t - 1) at the sample point t = 1, met in the error report
+    cfg = _write(tmp_path, "oracle = exact\n" + ARITHMETIC_PROBLEM
+                 + "exact = 1/(t-1)\n")
+    code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        "oracle error: exact solution failed at t=1.0: ZeroDivisionError")

@@ -397,6 +397,10 @@ def test_delay_shorter_than_the_step_sets_the_step():
     # commensurate: the step is the shortest delay, not an error
     assert _aligned_step([5e-5], None, 1.0, 1e-3) == 5e-5
     assert _aligned_step([5e-5, 1e-4], None, 1.0, 1e-3) == 5e-5
+    # a delay whose decimal has more digits than a denominator of 1e9 holds
+    # is still one delay; the step is its rounded GCD
+    tau = 1.23456789123e-5
+    assert _aligned_step([tau], None, 1.0, 1e-3) == pytest.approx(tau, rel=1e-9)
 
 
 def test_forcing_is_called_once_per_distinct_stage_time():
