@@ -59,6 +59,9 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write one CSV, making its directory: a run that fails before its
+    first file leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -79,7 +82,7 @@ def _write_manifest(out_dir: Path, command: str, config_path, settings: dict,
     return path
 
 
-def _make_oracle(cfg: ProblemConfig, problem, step_override=None):
+def _make_oracle(cfg: ProblemConfig, problem):
     """Callable t -> per-equation reference values, or None."""
     if cfg.oracle == "none":
         return None
@@ -93,11 +96,10 @@ def _make_oracle(cfg: ProblemConfig, problem, step_override=None):
                 raise OracleError(f"exact solution failed at t={t}: "
                                   f"{type(err).__name__}: {err}") from err
         return exact
-    step = step_override if step_override is not None else cfg.rk4_step
-    if step is None:
+    if cfg.rk4_step is None:
         raise OracleError("rk4 oracle requested but no rk4_step configured")
     try:
-        return reference.rk4_method_of_steps(problem, step=step)
+        return reference.rk4_method_of_steps(problem, step=cfg.rk4_step)
     except ValueError as err:  # e.g. history_end off the delay grid
         raise OracleError(str(err)) from err
     except ArithmeticError as err:  # e.g. a forcing that overflows
@@ -122,24 +124,12 @@ def run_solve(cfg: ProblemConfig, n_list, out_dir: Path,
 
 
 def _solve_one(run, cfg, problem, oracle, n_max, out_dir, config_path):
-    out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     solution = solve_nonlinear(problem, n_max, tol=cfg.tol,
                                max_iter=cfg.max_iter)
     cpu_time = time.perf_counter() - start
 
-    points = accuracy.sample_points(problem.b)
     l = problem.n_equations
-    sol_rows = [[t, *evaluate(solution, t)] for t in points]
-    sol_path = out_dir / "solution.csv"
-    _write_csv(sol_path, ["t"] + [f"u_{i + 1}" for i in range(l)], sol_rows)
-
-    coeff_path = out_dir / "coefficients.csv"
-    coefficients = solution.coefficients
-    _write_csv(coeff_path, ["equation", "n", "a_n"],
-               [[eq + 1, n, coefficients[eq, n]]
-                for eq in range(l) for n in range(n_max + 1)])
-
     record = {
         "N": n_max, "cpu_time": round(cpu_time, 3),
         "condition": solution.condition, "iterations": solution.iterations,
@@ -153,6 +143,16 @@ def _solve_one(run, cfg, problem, oracle, n_max, out_dir, config_path):
                   f"Linf={report.linf[eq]:.3e} RMS={report.rms[eq]:.3e}")
     print(f"N={n_max} cpu_time={record['cpu_time']:.3f}s "
           f"condition={solution.condition:.3e}")
+
+    sol_path = out_dir / "solution.csv"
+    _write_csv(sol_path, ["t"] + [f"u_{i + 1}" for i in range(l)],
+               [[t, *evaluate(solution, t)]
+                for t in accuracy.sample_points(problem.b)])
+    coeff_path = out_dir / "coefficients.csv"
+    coefficients = solution.coefficients
+    _write_csv(coeff_path, ["equation", "n", "a_n"],
+               [[eq + 1, n, coefficients[eq, n]]
+                for eq in range(l) for n in range(n_max + 1)])
     manifest = _write_manifest(out_dir, "solve", config_path,
                                {"N": n_max}, [sol_path, coeff_path])
     run.records.append(record)
@@ -160,14 +160,13 @@ def _solve_one(run, cfg, problem, oracle, n_max, out_dir, config_path):
 
 
 def run_compare(cfg: ProblemConfig, n_list, out_dir: Path,
-                oracle_step=None, config_path="<config>") -> RunReport:
+                config_path="<config>") -> RunReport:
     problem = build_problem(cfg)
-    oracle = _make_oracle(cfg, problem, step_override=oracle_step)
+    oracle = _make_oracle(cfg, problem)
     if oracle is None:
         raise OracleError(
             "compare needs a reference; set oracle = rk4 (with rk4_step) "
             "or oracle = exact in the config")
-    out_dir.mkdir(parents=True, exist_ok=True)
     solutions = {n: solve_nonlinear(problem, n, tol=cfg.tol, max_iter=cfg.max_iter)
                  for n in n_list}
 
@@ -197,7 +196,6 @@ def run_converge(cfg: ProblemConfig, n_list, out_dir: Path,
                  config_path="<config>") -> RunReport:
     problem = build_problem(cfg)
     oracle = _make_oracle(cfg, problem)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = accuracy.convergence_study(problem, n_list, oracle,
                                       tol=cfg.tol, max_iter=cfg.max_iter)
 
@@ -302,8 +300,7 @@ def main(argv=None) -> int:
                       config_path=args.config)
         elif args.command == "compare":
             n_list = _parse_n_list(args, cfg)
-            run_compare(cfg, n_list, out_dir, oracle_step=args.oracle_step,
-                        config_path=args.config)
+            run_compare(cfg, n_list, out_dir, config_path=args.config)
         elif args.command == "converge":
             n_list = _parse_n_list(args, cfg)
             run_converge(cfg, n_list, out_dir, config_path=args.config)

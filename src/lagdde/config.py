@@ -4,13 +4,18 @@ The format is line oriented: global keys first, then one ``[equation k]``
 section per equation. ``#`` starts a comment. Forcing, history, exact and
 nonlinearity values are expressions over ``t`` (or ``u`` for the
 nonlinearity) built from + - * / ^, exp, sin, cos, numbers and the
-constants pi and e.
+constants pi and e. They follow Python's precedence with ``^`` as ``**``:
+``^`` is right-associative, binds tighter than unary minus (``-2^2`` is -4)
+and takes a signed exponent (``2^-t``). Nesting too deep for the parser is
+a ConfigError.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,61 +51,99 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# expression grammar
+# expressions
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
-                       r"|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^,]))")
 _FUNCTIONS = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+# the grammar's number literals; Python's 1_0, 0x1f and 1j are not among them
+_NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+# a character no token of the grammar has, or Python's own '**'
+_UNEXPECTED = re.compile(r"[^0-9A-Za-z_ ()+\-*/^.]|\*\*")
+# leading zeros of a number, which Python refuses in an integer ("007")
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![\d.][eE][+-])0+(?=\d)")
+_LAMBDA = "lambda x: "
+# the only names a compiled expression can reach
+_NAMESPACE = {"__builtins__": {}, "float": float, **_FUNCTIONS}
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        while self.pos < len(text):
-            m = _TOKEN_RE.match(text, self.pos)
-            if m is None or m.end() == self.pos:
-                rest = text[self.pos:].lstrip()
-                if not rest:
-                    break
-                col = len(text) - len(rest) + 1
-                raise ConfigError(f"unexpected character {rest[0]!r}", column=col)
-            start = m.start(1) if m.group(1) else (
-                m.start(2) if m.group(2) else m.start(3))
-            if m.group(1):
-                self.tokens.append(("num", float(text[start:m.end()]), start + 1))
-            elif m.group(2):
-                self.tokens.append(("name", m.group(2), start + 1))
-            else:
-                self.tokens.append(("op", m.group(3), start + 1))
-            self.pos = m.end()
-        self.tokens.append(("end", None, len(text) + 1))
-        self.index = 0
+def _compile(text, variable):
+    """One-argument function computing ``text`` as an expression over
+    ``variable``; a ConfigError, with a column where one exists, if it is not.
 
-    def peek(self):
-        return self.tokens[self.index]
+    ``ast`` parses the text, with ``^`` read as ``**``, as the body of
+    ``lambda x: ...``, and the body is walked once under a whitelist: + - *
+    / ** of two operands, unary minus (unary plus is dropped), exp, sin or
+    cos of one argument, pi, e, the variable and number literals. Numbers
+    become the float of their text, pi and e constants, and the variable
+    ``float(x)`` (numpy scalars in, Python floats out). The lambda is then
+    compiled and evaluated with no builtins.
+    """
+    # each rewrite keeps the length, so columns hold, but for '^' -> '**':
+    # spaces and digits to ASCII (float() reads any Unicode digit), then
+    # leading zeros to spaces
+    text = re.sub(r"(?![0-9])\d", lambda m: str(int(m.group())),
+                  re.sub(r"\s", " ", text))
+    bad = _UNEXPECTED.search(text)
+    if bad:
+        raise ConfigError(f"unexpected character {bad.group()[-1]!r}",
+                          column=bad.end())
+    python = _LAMBDA + _LEADING_ZEROS.sub(lambda m: " " * len(m.group()),
+                                          text).replace("^", "**")
 
-    def next(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+    def column(offset):  # 0-based in python -> 1-based in text
+        return offset - python[:offset].count("**") - len(_LAMBDA) + 1
+
+    def checked(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
+            node.left, node.right = checked(node.left), checked(node.right)
+            return node
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            node.operand = checked(node.operand)
+            return node.operand if isinstance(node.op, ast.UAdd) else node
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS
+                and len(node.args) == 1 and not node.keywords):
+            node.args = [checked(node.args[0])]
+            return node
+        if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+            return ast.copy_location(ast.Constant(_CONSTANTS[node.id]), node)
+        if (isinstance(node, ast.Name) and node.id == variable
+                and node.id not in _FUNCTIONS):
+            node.id = "x"
+            name = ast.copy_location(ast.Name("float", ast.Load()), node)
+            return ast.copy_location(ast.Call(name, [node], []), node)
+        literal = python[node.col_offset:node.end_col_offset]
+        if isinstance(node, ast.Constant) and _NUMBER.fullmatch(literal):
+            node.value = float(literal)
+            return node
+        start, end = column(node.col_offset), column(node.end_col_offset)
+        kind = "unknown name" if isinstance(node, ast.Name) else "unexpected"
+        raise ConfigError(f"{kind} {text[start - 1:end - 1]!r}", column=start)
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "invalid decimal literal" in 1or 2
+            function = ast.parse(python, mode="eval")
+        # without commas the text cannot end the lambda, so this is its body
+        function.body.body = checked(function.body.body)
+        code = compile(function, "<expression>", "eval")
+    except SyntaxError as err:  # offset 0 is the end of the text
+        raise ConfigError(err.msg, column=None if err.offset is None
+                          else column((err.offset or len(python) + 1) - 1)) from None
+    except (RecursionError, MemoryError):
+        raise ConfigError("expression nested too deeply") from None
+    return eval(code, _NAMESPACE)
 
 
 class Expression:
-    """A compiled expression over a single named variable.
-
-    The parsed tree is turned once into the source of one Python lambda
-    whose operations, operands and evaluation order are the tree's, so a
-    call costs one function call instead of a walk over the tree.
-    """
+    """A compiled expression over a single named variable (see ``_compile``);
+    a call is one call of a Python lambda."""
 
     def __init__(self, source: str, variable: str = "t"):
         self.source = source.strip()
         self.variable = variable
-        code = "lambda x: " + _emit(_parse_expression(self.source, variable))[0]
-        self._fn = eval(code, _COMPILE_NAMESPACE)
+        self._fn = _compile(self.source, variable)
 
     def __call__(self, value: float) -> float:
         return self._fn(value)
@@ -118,116 +161,6 @@ class Expression:
 
     def __repr__(self):
         return f"Expression({self.source!r})"
-
-
-def _parse_expression(text, variable):
-    tk = _Tokenizer(text)
-
-    def expect_op(op):
-        kind, value, col = tk.next()
-        if kind != "op" or value != op:
-            raise ConfigError(f"expected '{op}'", column=col)
-
-    def atom():
-        kind, value, col = tk.next()
-        if kind == "num":
-            return ("const", value)
-        if kind == "name":
-            if value in _FUNCTIONS:
-                expect_op("(")
-                inner = expr()
-                expect_op(")")
-                return ("call", value, inner)
-            if value in _CONSTANTS:
-                return ("const", _CONSTANTS[value])
-            if value == variable:
-                return ("var",)
-            raise ConfigError(f"unknown name '{value}'", column=col)
-        if kind == "op" and value == "(":
-            inner = expr()
-            expect_op(")")
-            return inner
-        raise ConfigError("expected a number, name or '('", column=col)
-
-    def power():
-        base = atom()
-        kind, value, _ = tk.peek()
-        if kind == "op" and value == "^":
-            tk.next()
-            return ("pow", base, unary())
-        return base
-
-    def unary():
-        kind, value, _ = tk.peek()
-        if kind == "op" and value in "+-":
-            tk.next()
-            operand = unary()
-            return operand if value == "+" else ("neg", operand)
-        return power()
-
-    def term():
-        node = unary()
-        while True:
-            kind, value, _ = tk.peek()
-            if kind == "op" and value in "*/":
-                tk.next()
-                node = ("mul" if value == "*" else "div", node, unary())
-            else:
-                return node
-
-    def expr():
-        node = term()
-        while True:
-            kind, value, _ = tk.peek()
-            if kind == "op" and value in "+-":
-                tk.next()
-                node = ("add" if value == "+" else "sub", node, term())
-            else:
-                return node
-
-    tree = expr()
-    kind, value, col = tk.peek()
-    if kind != "end":
-        raise ConfigError(f"unexpected trailing input {value!r}", column=col)
-    return tree
-
-
-# Names the compiled source may use; the source is generated from the
-# parsed tree, never copied from the configuration text.
-_COMPILE_NAMESPACE = {"__builtins__": {}, "float": float, **_FUNCTIONS}
-# operator, its Python precedence level, and the levels its left and right
-# operands need to go without parentheses; unary minus is 3, atoms 5
-_BINARY = {"add": ("+", 1, 1, 2), "sub": ("-", 1, 1, 2),
-           "mul": ("*", 2, 2, 3), "div": ("/", 2, 2, 3),
-           "pow": ("**", 4, 5, 3)}  # the base is an atom, the exponent unary
-
-
-def _emit(node):
-    """Python source for a parsed tree, and its precedence level.
-
-    Parentheses go exactly where Python would otherwise group differently,
-    so the source parses back to the same tree (left-associative + - * /,
-    right-associative ** with a unary exponent) without one pair per node.
-    """
-    op = node[0]
-    if op == "const":
-        # repr round-trips a float exactly; inf has no literal
-        return (repr(node[1]) if math.isfinite(node[1]) else "float('inf')"), 5
-    if op == "var":
-        return "float(x)", 5  # numpy scalars in, Python floats out
-    if op == "call":
-        return f"{node[1]}({_emit(node[2])[0]})", 5
-    if op == "neg":
-        text, level = _emit(node[1])
-        return "-" + (text if level >= 3 else f"({text})"), 3
-    symbol, level, left_min, right_min = _BINARY[op]
-    left, left_level = _emit(node[1])
-    right, right_level = _emit(node[2])
-    if left_level < left_min:
-        left = f"({left})"
-    if right_level < right_min:
-        right = f"({right})"
-    return f"{left} {symbol} {right}", level
 
 
 # ---------------------------------------------------------------------------

@@ -119,10 +119,10 @@ def _aligned_step(taus: list[float], history: Optional[History], b: float,
     return h
 
 
-def rk4_method_of_steps(problem: DDEProblem, history: Optional[History] = None,
-                        step: float = 1e-3) -> Trajectory:
-    """Integrate the problem on [0, b] with classical RK4, stepping so that
-    every delay breaking point lands on the grid.
+def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
+    """Integrate the problem on [0, b] with classical RK4 from
+    ``problem.history``, stepping so that every delay breaking point lands
+    on the grid.
 
     The step is rounded down to d / ceil(d / step) where d is the (rational)
     GCD of the delays and, if it is nonzero and its jumps fall inside
@@ -158,8 +158,7 @@ def rk4_method_of_steps(problem: DDEProblem, history: Optional[History] = None,
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    if history is None:
-        history = problem.history
+    history = problem.history
     taus = _problem_delays(problem)
     h = _aligned_step(taus, history, problem.b, step)
 
@@ -370,8 +369,10 @@ def delay_product_mismatch(n_max: int = 3, tau: float = 1.0,
     """Deviation of the product X(t) T B H from the true delayed row L(t-tau).
 
     The extra differentiation factor B makes this product inconsistent with
-    the change-of-basis identity; the solver uses X(t) T H instead. This
-    helper exists so tests can pin down that the literal product is wrong.
+    the change-of-basis identity, by which X(t) T H is the delayed row. The
+    solver uses neither product: it assembles in Chebyshev coefficients
+    (``collocation._operator``). This helper exists so that tests and
+    ``lagdde validate`` can pin down that the literal product is wrong.
     """
     literal = (_basis.monomial_row(n_max, t)
                @ _basis.delay_shift_matrix(n_max, tau)

@@ -242,6 +242,19 @@ def test_converge_every_truncation_failing_reports_each(tmp_path, capsys):
     assert err[1].startswith("N=20: failed (singular system")
     assert err[2] == "solver error: every truncation failed (N = 19, 20)"
     assert "no convergence" not in "\n".join(err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_keeps_the_truncations_that_finished(tmp_path, capsys):
+    # N = 4 solves; N = 19 passes the singularity bound (see above)
+    cfg = _write(tmp_path, "b = 2\nN_list = 4 19\n\n[equation 1]\n"
+                 "gamma = 0\nphi = 0\nforcing = 1\ndelay = 1 1 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("solver error: singular system")
+    assert sorted(p.name for p in (out / "N4").iterdir()) == [
+        "coefficients.csv", "manifest.txt", "solution.csv"]
+    assert not (out / "N19").exists()
 
 
 def test_validate_prints_identity_lines():
@@ -327,6 +340,16 @@ def test_division_by_zero_in_the_solve_exits_three(tmp_path, capsys):
     code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 3
     assert capsys.readouterr().err.startswith("solver error: ZeroDivisionError")
+    assert not (tmp_path / "out").exists()
+
+
+def test_deeply_nested_expression_exits_two(tmp_path, capsys):
+    cfg = _write(tmp_path, ARITHMETIC_PROBLEM
+                 + "forcing = " + "(" * 300 + "t" + ")" * 300 + "\n")
+    code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflow_in_the_oracle_exits_four(tmp_path, capsys):
@@ -347,3 +370,4 @@ def test_division_by_zero_in_the_exact_solution_exits_four(tmp_path, capsys):
     assert code == 4
     assert capsys.readouterr().err.startswith(
         "oracle error: exact solution failed at t=1.0: ZeroDivisionError")
+    assert not (tmp_path / "out").exists()

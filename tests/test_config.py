@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from lagdde.config import (
     _FUNCTIONS,
     ConfigError,
     Expression,
-    _parse_expression,
     build_problem,
     parse_config,
     parse_config_text,
@@ -64,6 +64,10 @@ def test_expression_arithmetic():
     assert Expression("-2^2")(0.0) == pytest.approx(-4.0)
     assert Expression("(1+t)/2")(3.0) == pytest.approx(2.0)
     assert Expression("exp(-u)", variable="u")(0.0) == pytest.approx(1.0)
+    # leading zeros, which a Python integer literal may not have
+    assert Expression("007*t")(2.0) == 14.0
+    assert Expression("t - 007")(2.0) == -5.0
+    assert Expression("1e-007")(0.0) == 1e-7
 
 
 def test_expression_functions_and_constants():
@@ -85,11 +89,153 @@ def test_expression_syntax_errors_carry_location():
     with pytest.raises(ConfigError) as info:
         Expression("foo(t)")
     assert "foo" in str(info.value)
+    # Python syntax outside the grammar, each refused with its column
+    for source in ("__import__('os')", "().__class__", "exp.__globals__",
+                   "t[0]", "lambda: 1", "t < 1", "t if t else t",
+                   "sin(x=1)", "exp(*t)", "sin(1, 2)", "'a'", "1j", "0x1f",
+                   "1_0", "2**3", "2 // 3", "t % 2", "1or t", "True", "..."):
+        with pytest.raises(ConfigError) as info:
+            Expression(source)
+        assert info.value.column is not None, source
+    for source, column in (("2**3", 3), ("t % 2", 3), ("sin(1, 2)", 6),
+                           ("t^2 + 1j", 7), ("2^3^", 5)):
+        with pytest.raises(ConfigError) as info:
+            Expression(source)
+        assert info.value.column == column, source
 
 
 def test_expression_rejects_wrong_variable():
     with pytest.raises(ConfigError):
         Expression("u + 1", variable="t")
+    # nor can an expression reach the compiled function's own names
+    for source in ("x", "float(t)", "__builtins__"):
+        with pytest.raises(ConfigError) as info:
+            Expression(source, variable="t")
+        assert info.value.column == 1, source
+
+
+@pytest.mark.parametrize("source", [
+    "(" * 300 + "t" + ")" * 300,
+    "-" * 1500 + "t",
+    "+".join(["t"] * 2000),
+], ids=["parentheses", "unary_minus", "sum"])
+def test_too_deep_nesting_is_a_config_error(source):
+    with pytest.raises(ConfigError):
+        Expression(source)
+
+
+# The hand-written tokenizer and recursive-descent parser that defined the
+# expression grammar before expressions were compiled through ``ast``, frozen
+# as the reference grammar for the compiled functions.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+                       r"|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^,]))")
+_CONSTANTS = {"pi": math.pi, "e": math.e}
+
+
+class _Tokenizer:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self.tokens = []
+        while self.pos < len(text):
+            m = _TOKEN_RE.match(text, self.pos)
+            if m is None or m.end() == self.pos:
+                rest = text[self.pos:].lstrip()
+                if not rest:
+                    break
+                col = len(text) - len(rest) + 1
+                raise ConfigError(f"unexpected character {rest[0]!r}", column=col)
+            start = m.start(1) if m.group(1) else (
+                m.start(2) if m.group(2) else m.start(3))
+            if m.group(1):
+                self.tokens.append(("num", float(text[start:m.end()]), start + 1))
+            elif m.group(2):
+                self.tokens.append(("name", m.group(2), start + 1))
+            else:
+                self.tokens.append(("op", m.group(3), start + 1))
+            self.pos = m.end()
+        self.tokens.append(("end", None, len(text) + 1))
+        self.index = 0
+
+    def peek(self):
+        return self.tokens[self.index]
+
+    def next(self):
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+
+def _parse_expression(text, variable):
+    tk = _Tokenizer(text)
+
+    def expect_op(op):
+        kind, value, col = tk.next()
+        if kind != "op" or value != op:
+            raise ConfigError(f"expected '{op}'", column=col)
+
+    def atom():
+        kind, value, col = tk.next()
+        if kind == "num":
+            return ("const", value)
+        if kind == "name":
+            if value in _FUNCTIONS:
+                expect_op("(")
+                inner = expr()
+                expect_op(")")
+                return ("call", value, inner)
+            if value in _CONSTANTS:
+                return ("const", _CONSTANTS[value])
+            if value == variable:
+                return ("var",)
+            raise ConfigError(f"unknown name '{value}'", column=col)
+        if kind == "op" and value == "(":
+            inner = expr()
+            expect_op(")")
+            return inner
+        raise ConfigError("expected a number, name or '('", column=col)
+
+    def power():
+        base = atom()
+        kind, value, _ = tk.peek()
+        if kind == "op" and value == "^":
+            tk.next()
+            return ("pow", base, unary())
+        return base
+
+    def unary():
+        kind, value, _ = tk.peek()
+        if kind == "op" and value in "+-":
+            tk.next()
+            operand = unary()
+            return operand if value == "+" else ("neg", operand)
+        return power()
+
+    def term():
+        node = unary()
+        while True:
+            kind, value, _ = tk.peek()
+            if kind == "op" and value in "*/":
+                tk.next()
+                node = ("mul" if value == "*" else "div", node, unary())
+            else:
+                return node
+
+    def expr():
+        node = term()
+        while True:
+            kind, value, _ = tk.peek()
+            if kind == "op" and value in "+-":
+                tk.next()
+                node = ("add" if value == "+" else "sub", node, term())
+            else:
+                return node
+
+    tree = expr()
+    kind, value, col = tk.peek()
+    if kind != "end":
+        raise ConfigError(f"unexpected trailing input {value!r}", column=col)
+    return tree
 
 
 def _eval_ast(node, x):
