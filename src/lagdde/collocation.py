@@ -56,8 +56,9 @@ class DelayTerm:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError(f"delay must be non-negative, got {self.tau}")
+        if not (math.isfinite(self.beta) and 0 <= self.tau < math.inf):
+            raise ValueError(f"delay needs a finite beta and tau >= 0, got "
+                             f"beta={self.beta}, tau={self.tau}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,9 @@ class NonlinearDelayTerm:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"nonlinear delay must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(
+                f"nonlinear delay must be finite and positive, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,12 @@ class History:
     functions: tuple
     end: float = 0.0
 
-    def covers(self, t: float) -> bool:
+    def __post_init__(self):
+        if not math.isfinite(self.end):
+            raise ValueError(f"history end must be finite, got {self.end}")
+
+    def covers(self, t):
+        """Whether the history serves t; elementwise for an array of t."""
         return t <= self.end + HISTORY_EDGE_TOL
 
     def value(self, eq: int, t: float) -> float:
@@ -116,11 +123,14 @@ class DDEProblem:
         l = len(self.gamma)
         if not 1 <= l <= 3:
             raise ValueError(f"equation count must be 1-3, got {l}")
-        if self.b <= 0:
-            raise ValueError(f"interval endpoint must be positive, got {self.b}")
         self.delays = tuple(tuple(terms) for terms in self.delays)
         self.g = tuple(self.g)
         self.phi = tuple(float(x) for x in self.phi)
+        if not (0 < self.b < math.inf
+                and all(map(math.isfinite, self.gamma + self.phi))):
+            raise ValueError(f"b must be finite and positive, gamma and phi "
+                             f"finite: got b={self.b}, gamma={self.gamma}, "
+                             f"phi={self.phi}")
         if self.nonlinear is None:
             self.nonlinear = (None,) * l
         self.nonlinear = tuple(self.nonlinear)
@@ -258,21 +268,21 @@ def evaluate_derivative(solution: SpectralSolution, t: float) -> np.ndarray:
     return _clenshaw(solution, t)[1]
 
 
-def solve_linear(problem: DDEProblem, n_max: int) -> SpectralSolution:
-    """Solve a linear problem by collocation at truncation ``n_max``."""
-    if problem.has_nonlinearity:
-        raise ValueError("problem has a nonlinear delay term; use solve_nonlinear")
-    return _solver(problem, n_max)(problem.g)
-
-
-def _operator(problem: DDEProblem, n_max: int) -> np.ndarray:
-    """Collocation operator A of the system A @ c = G in Chebyshev coefficients.
+def _system(problem: DDEProblem, n_max: int):
+    """The system A @ c = G in Chebyshev coefficients, and the delayed
+    points of each nonlinear term.
 
     Each equation's N+1 rows hold the collocation rows at t_0 .. t_{N-1}
-    (T'(t) + gamma T(t), and -beta T(t - tau) where the series serves a
-    delay) and, last, the condition row u(0) = phi. With S the Chebyshev
-    coefficients of L_0..L_N, A @ kron(I_l, S) is the paper's Laguerre-frame
-    system: same points, same polynomials, a far better conditioned basis.
+    and, last, the condition row u(0) = phi. A collocation row of A is
+    T'(t) + gamma T(t), less beta T(t - tau) for each delay the series
+    serves; its entry of G is g(t) plus beta u(t - tau) for each delay the
+    history serves. With S the Chebyshev coefficients of L_0..L_N,
+    A @ kron(I_l, S) is the paper's Laguerre-frame operator, in a far
+    better conditioned basis. Each nonlinear term f(u_m(t - tau)) adds
+    (rows, term, served, T, u) to the third result: its equation's rows,
+    the mask of delayed points the series serves, the T_k rows there, and
+    the first iterate's delayed values: the history where it serves, else
+    the history at its end (phi without one).
     """
     b = problem.b
     t = collocation_points(n_max, b).points[:-1]
@@ -280,43 +290,36 @@ def _operator(problem: DDEProblem, n_max: int) -> np.ndarray:
     history = problem.history
     l = problem.n_equations
     width = n_max + 1
+
+    def delayed(target, tau):
+        s = t - tau
+        served = np.ones(s.size, bool) if history is None else ~history.covers(s)
+        known = np.array([history.value(target, x) for x in s[~served]])
+        return served, _chebyshev_rows(n_max, b, s[served])[0], known
+
     A = np.zeros((l * width, l * width))
+    G = np.zeros(l * width)
+    feedback = []
     for eq in range(l):
         own = slice(eq * width, (eq + 1) * width)
         rows = slice(own.start, own.stop - 1)
         A[rows, own] = slopes + problem.gamma[eq] * values
+        G[rows] = [float(problem.g[eq](x)) for x in t]
         for term in problem.delays[eq]:
-            delayed = t - term.tau
-            served = np.array([history is None or not history.covers(s)
-                               for s in delayed])
+            served, T, known = delayed(term.target, term.tau)
             block = slice(term.target * width, (term.target + 1) * width)
-            A[rows, block][served] -= (
-                term.beta * _chebyshev_rows(n_max, b, delayed[served])[0])
+            A[rows, block][served] -= term.beta * T
+            G[rows][~served] += term.beta * known
         A[own.stop - 1, own] = (-1.0) ** np.arange(width)  # T_k(-1) at t = 0
-    return A
-
-
-def _rhs(problem: DDEProblem, n_max: int,
-         g: Sequence[Callable[[float], float]]) -> np.ndarray:
-    """Right-hand side G of the collocation system for forcing ``g``.
-
-    Each collocation row carries g_eq(t) plus the delayed terms the history
-    serves; each equation's last row carries phi_eq.
-    """
-    grid = collocation_points(n_max, problem.b)
-    l = problem.n_equations
-    width = n_max + 1
-    G = np.zeros(l * width)
-    for eq in range(l):
-        for i, t in enumerate(grid.points[:-1]):
-            r = eq * width + i
-            G[r] = float(g[eq](t))
-            for term in problem.delays[eq]:
-                t_delayed = t - term.tau
-                if problem.history is not None and problem.history.covers(t_delayed):
-                    G[r] += term.beta * problem.history.value(term.target, t_delayed)
-        G[(eq + 1) * width - 1] = problem.phi[eq]
-    return G
+        G[own.stop - 1] = problem.phi[eq]
+        term = problem.nonlinear[eq]
+        if term is not None:
+            served, T, known = delayed(term.target, term.tau)
+            u = np.full(n_max, problem.phi[term.target] if history is None
+                        else history.value(term.target, history.end))
+            u[~served] = known
+            feedback.append((rows, term, served, T, u))
+    return A, G, feedback
 
 
 def _invert(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -332,24 +335,24 @@ def _invert(A: np.ndarray) -> tuple[np.ndarray, float]:
     return inverse, condition
 
 
-def _solver(problem: DDEProblem, n_max: int):
-    """The map forcing g -> solution; assembles and inverts the operator once.
+def _solve(problem: DDEProblem, A: np.ndarray, G: np.ndarray,
+           inverse: np.ndarray, condition: float) -> SpectralSolution:
+    """The solution of A @ c = G through A's inverse. A product with an
+    explicit inverse is not backward stable (its error scales with
+    ||A^-1|| ||G||, not with the solution), so one residual correction
+    through the same inverse follows it."""
+    c = inverse @ G
+    c += inverse @ (G - A @ c)
+    return SpectralSolution(chebyshev=c.reshape(problem.n_equations, -1),
+                            b=problem.b, condition=condition)
 
-    A product with an explicit inverse is not backward stable (its error
-    scales with ||A^-1|| ||G||, not with the solution), so one residual
-    correction through the same inverse follows it.
-    """
-    A = _operator(problem, n_max)
-    inverse, condition = _invert(A)
 
-    def solve(g: Sequence[Callable[[float], float]]) -> SpectralSolution:
-        G = _rhs(problem, n_max, g)
-        c = inverse @ G
-        c += inverse @ (G - A @ c)
-        return SpectralSolution(chebyshev=c.reshape(problem.n_equations, n_max + 1),
-                                b=problem.b, condition=condition)
-
-    return solve
+def solve_linear(problem: DDEProblem, n_max: int) -> SpectralSolution:
+    """Solve a linear problem by collocation at truncation ``n_max``."""
+    if problem.has_nonlinearity:
+        raise ValueError("problem has a nonlinear delay term; use solve_nonlinear")
+    A, G, _ = _system(problem, n_max)
+    return _solve(problem, A, G, *_invert(A))
 
 
 class NonConvergenceError(Exception):
@@ -376,59 +379,36 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
     """Solve a problem with nonlinear delay terms by successive substitution.
 
     Each iteration freezes every f(u(t - tau)) at the previous iterate
-    (or at the history where the delayed argument is covered), moves it to
-    the right-hand side as a known forcing, and solves the linear system.
-    Iteration stops when the coefficient update falls below ``tol``.
+    (or at the history where the delayed argument is covered), adds it to
+    the right-hand side as a known forcing, and solves the linear system,
+    assembled and inverted once; the iterate is read at the delayed points
+    through the T_k rows of ``_system``. Iteration stops when the
+    coefficient update falls below ``tol``.
     """
     if not problem.has_nonlinearity:
         return solve_linear(problem, n_max)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
-    history = problem.history
-
-    def initial_iterate(eq, t):
-        # history extended constantly beyond its interval
-        if history is not None:
-            return history.value(eq, min(t, history.end))
-        return problem.phi[eq]
-
+    A, G, feedback = _system(problem, n_max)
+    inverse, condition = _invert(A)
     previous: Optional[SpectralSolution] = None
-
-    def delayed_value(eq, t):
-        if history is not None and history.covers(t):
-            return history.value(eq, t)
-        if previous is None:
-            return initial_iterate(eq, t)
-        return float(evaluate(previous, t)[eq])
-
-    def frozen_forcing(eq, term):
-        base_g = problem.g[eq]
-
-        def g_eff(t, _g=base_g, _term=term):
-            return _g(t) + _term.f(delayed_value(_term.target, t - _term.tau))
-
-        return g_eff
-
-    g_frozen = tuple(
-        frozen_forcing(eq, term) if term is not None else problem.g[eq]
-        for eq, term in enumerate(problem.nonlinear)
-    )
-    # the linearised operator never changes: only the frozen forcing does
-    solve = _solver(problem, n_max)
-
     last_delta = math.inf
     for iteration in range(1, max_iter + 1):
-        solution = solve(g_frozen)
+        forcing = G.copy()
+        for rows, term, served, T, u in feedback:
+            if previous is not None:
+                u[served] = T @ previous.chebyshev[term.target]
+            forcing[rows] += [term.f(x) for x in u.tolist()]
+        solution = _solve(problem, A, forcing, inverse, condition)
         if previous is not None:
             # relative to the coefficient scale, as the solution's magnitude
             # sets the roundoff floor of its coefficients
             scale = max(1.0, float(np.abs(solution.chebyshev).max()))
-            last_delta = float(
-                np.abs(solution.chebyshev - previous.chebyshev).max()
-            ) / scale
+            change = np.abs(solution.chebyshev - previous.chebyshev).max()
+            last_delta = float(change) / scale
             if last_delta < tol:
                 # count substitution updates beyond the initial solve
                 solution.iterations = iteration - 1

@@ -315,6 +315,15 @@ def _apply_equation(eq, key, value):
 
 def validate(cfg: ProblemConfig) -> None:
     """Raise ConfigError on the first invalid setting of ``cfg``."""
+    numbers = [("b", cfg.b), ("tol", cfg.tol), ("rk4_step", cfg.rk4_step),
+               ("history_end", cfg.history_end)]
+    for eq in cfg.equations:
+        numbers += [("gamma", eq.gamma), ("phi", eq.phi),
+                    ("nonlinear_tau", eq.nonlinear_tau)]
+        numbers += [("delay", x) for _, beta, tau in eq.delays for x in (beta, tau)]
+    for name, value in numbers:
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}", field=name)
     if not 1 <= cfg.n_equations <= 3:
         raise ConfigError(f"equation count must be 1-3, got {cfg.n_equations}",
                           field="equations")

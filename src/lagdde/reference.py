@@ -74,13 +74,17 @@ def _hermite(t, t0, t1, u0, du0, u1, du1):
 
 
 def _float_gcd(values: Sequence[float]) -> float:
-    fracs = [Fraction(v).limit_denominator(10**9) for v in values]
-    gcd = fracs[0]
-    for f in fracs[1:]:
-        gcd = Fraction(math.gcd(gcd.numerator, f.numerator),
-                       (gcd.denominator * f.denominator)
-                       // math.gcd(gcd.denominator, f.denominator))
-    return float(gcd)
+    """The rational GCD of nonzero values. The smallest in magnitude is
+    rounded with ``limit_denominator(10**9)`` and each value as its ratio to
+    it, so exact multiples of the smallest stay multiples whatever digits it
+    has."""
+    base = min(map(abs, values))
+    gcd = Fraction(0)
+    for v in values:
+        r = Fraction(abs(v) / base).limit_denominator(10**9)
+        gcd = Fraction(math.gcd(gcd.numerator, r.numerator),
+                       math.lcm(gcd.denominator, r.denominator))
+    return float(Fraction(base).limit_denominator(10**9) * gcd)
 
 
 def _problem_delays(problem: DDEProblem) -> list[float]:
@@ -371,7 +375,7 @@ def delay_product_mismatch(n_max: int = 3, tau: float = 1.0,
     The extra differentiation factor B makes this product inconsistent with
     the change-of-basis identity, by which X(t) T H is the delayed row. The
     solver uses neither product: it assembles in Chebyshev coefficients
-    (``collocation._operator``). This helper exists so that tests and
+    (``collocation._system``). This helper exists so that tests and
     ``lagdde validate`` can pin down that the literal product is wrong.
     """
     literal = (_basis.monomial_row(n_max, t)

@@ -230,6 +230,44 @@ def test_nonlinear_target_out_of_range_exits_two(tmp_path, capsys):
     assert "nonlinear_target" in capsys.readouterr().err
 
 
+NON_FINITE_BASE = """\
+b = 2
+N = 4
+rk4_step = 0.01
+history_end = 0
+
+[equation 1]
+gamma = 0.5
+phi = 1
+history = 1
+delay = 1 0.5 0.5
+"""
+
+
+@pytest.mark.parametrize("line, replacement, field", [
+    ("b = 2", "b = nan", "b"),
+    ("b = 2", "b = inf", "b"),
+    ("gamma = 0.5", "gamma = nan", "gamma"),
+    ("delay = 1 0.5 0.5", "delay = 1 nan 0.5", "delay"),
+    ("rk4_step = 0.01", "rk4_step = nan", "rk4_step"),
+    ("rk4_step = 0.01", "rk4_step = inf", "rk4_step"),
+    ("history_end = 0", "history_end = nan", "history_end"),
+    ("phi = 1", "phi = inf", "phi"),
+    ("delay = 1 0.5 0.5", "delay = 1 0.5 inf", "delay"),
+])
+def test_non_finite_value_exits_two(tmp_path, capsys, line, replacement, field):
+    # each used to solve to a false "singular system", fail in the oracle,
+    # or write output
+    assert line in NON_FINITE_BASE
+    cfg = _write(tmp_path, NON_FINITE_BASE.replace(line, replacement))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "must be finite" in err and f"field '{field}'" in err
+    assert not out.exists()
+
+
 def test_converge_every_truncation_failing_reports_each(tmp_path, capsys):
     # without a history the delayed term extrapolates the series to t = -1,
     # and at N = 19 and 20 the condition number passes the singularity bound

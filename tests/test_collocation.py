@@ -1,6 +1,7 @@
 """Tests for system assembly, initial-condition rows, and the solvers."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,8 +18,7 @@ from lagdde.collocation import (
     NonlinearDelayTerm,
     SingularSystemError,
     SpectralSolution,
-    _operator,
-    _rhs,
+    _system,
     collocation_points,
     evaluate,
     evaluate_derivative,
@@ -52,8 +52,8 @@ def _laguerre_frame(problem, n):
     last, the initial-condition row.
     """
     S = _chebyshev_of_laguerre(n, problem.b)
-    A = _operator(problem, n) @ np.kron(np.eye(problem.n_equations), S)
-    return A, _rhs(problem, n, problem.g)
+    A, G, _ = _system(problem, n)
+    return A @ np.kron(np.eye(problem.n_equations), S), G
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def test_constant_nonlinearity_converges_in_one_iteration():
     assert solution.iterations == 1
 
 
-def test_linear_nonlinearity_reproduces_linear_solve():
+def _scalar_feedback():
     beta = 0.8
     history = History(functions=(lambda t: math.cos(t),), end=0.0)
     nonlinear = DDEProblem(
@@ -292,10 +292,36 @@ def test_linear_nonlinearity_reproduces_linear_solve():
     linear = DDEProblem(
         gamma=[0.5], delays=[[DelayTerm(0, beta, 1.0)]],
         g=[lambda t: math.sin(t)], phi=[1.0], b=3.0, history=history)
-    got = solve_nonlinear(nonlinear, 8, tol=1e-10)
-    expected = solve_linear(linear, 8)
-    scale = max(1.0, np.abs(expected.coefficients).max())
-    assert np.abs(got.coefficients - expected.coefficients).max() < 1e-6 * scale
+    return nonlinear, linear
+
+
+def _cross_feedback(history):
+    """Two equations, each fed beta_k times the other at t - 0.5, once as
+    nonlinear terms and once as linear delays."""
+    betas = (0.3, -0.2)
+    common = dict(gamma=[0.5, 1.0], g=[math.sin, math.cos], phi=[1.0, 0.0],
+                  b=2.0, history=history)
+    nonlinear = DDEProblem(
+        delays=[[], []], **common,
+        nonlinear=[NonlinearDelayTerm(f=lambda u, k=k: betas[k] * u,
+                                      target=1 - k, tau=0.5) for k in (0, 1)])
+    linear = DDEProblem(
+        delays=[[DelayTerm(1 - k, betas[k], 0.5)] for k in (0, 1)], **common)
+    return nonlinear, linear
+
+
+def test_linear_nonlinearity_reproduces_linear_solve():
+    # a scalar problem, and a coupled one with and without a history (the
+    # delayed arguments below 0 then read the series)
+    for nonlinear, linear in (
+            _scalar_feedback(),
+            _cross_feedback(History(functions=(math.cos, math.sin), end=0.0)),
+            _cross_feedback(None)):
+        got = solve_nonlinear(nonlinear, 8, tol=1e-10)
+        expected = solve_linear(linear, 8)
+        assert got.iterations > 1
+        scale = max(1.0, np.abs(expected.coefficients).max())
+        assert np.abs(got.coefficients - expected.coefficients).max() < 1e-6 * scale
 
 
 def test_nonlinear_solution_satisfies_equation():
@@ -369,6 +395,38 @@ def test_overlapping_history_gap_belongs_to_the_discrete_system():
           f"50 digits vs RK4 {gap:.5e}")
     assert roundoff <= 1e-8
     assert gap > 1e-2
+
+
+def test_picard_evaluates_g_and_history_once_per_solve():
+    # f is called at every delayed point in every substitution; g and the
+    # history only while the system is assembled, whatever the iteration count
+    calls = Counter()
+
+    def counted(label, fn):
+        def wrapper(x):
+            calls[label] += 1
+            return fn(x)
+        return wrapper
+
+    history = History(functions=(counted("history", math.sin),), end=0.5)
+    problem = DDEProblem(
+        gamma=[0.4], delays=[[DelayTerm(0, 0.3, 1.0)]],
+        g=[counted("g", math.cos)], phi=[0.0], b=5.0, history=history,
+        nonlinear=[NonlinearDelayTerm(f=counted("f", lambda u: math.exp(-u)),
+                                      target=0, tau=0.5)])
+    for n, max_iter in ((6, 50), (10, 50), (10, 3)):
+        calls.clear()
+        try:
+            solves = solve_nonlinear(problem, n, max_iter=max_iter).iterations + 1
+            assert solves > 3
+        except NonConvergenceError:
+            solves = max_iter
+        t = collocation_points(n, problem.b).points[:-1]
+        covered = history.covers(t - 1.0).sum() + history.covers(t - 0.5).sum()
+        assert calls["g"] == n
+        # the points the history serves, and its end for the first iterate
+        assert calls["history"] == covered + 1
+        assert calls["f"] == n * solves
 
 
 def test_nonlinear_non_convergence_error():
@@ -470,7 +528,7 @@ def test_chebyshev_operator_times_change_of_basis_is_basis_frame_operator():
     for n in (4, 8, 12):
         S = _chebyshev_of_laguerre(n, problem.b)
         reference = _laguerre_frame_reference(problem, n)
-        np.testing.assert_allclose(_operator(problem, n) @ np.kron(np.eye(3), S),
+        np.testing.assert_allclose(_system(problem, n)[0] @ np.kron(np.eye(3), S),
                                    reference,
                                    rtol=0.0, atol=1e-10 * np.abs(reference).max())
 
@@ -534,7 +592,7 @@ def test_singularity_bound_admits_wide_and_narrow_intervals():
 
 
 def _count_assemblies_and_inverses(monkeypatch):
-    """Count operator assemblies and matrix inversions."""
+    """Count system assemblies and matrix inversions."""
     calls = []
 
     def counting(label, fn):
@@ -543,8 +601,8 @@ def _count_assemblies_and_inverses(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(collocation_mod, "_operator",
-                        counting("operator", collocation_mod._operator))
+    monkeypatch.setattr(collocation_mod, "_system",
+                        counting("system", collocation_mod._system))
     monkeypatch.setattr(collocation_mod.np.linalg, "inv",
                         counting("inverse", np.linalg.inv))
     return calls
@@ -556,18 +614,18 @@ def test_solve_nonlinear_factors_once_however_many_iterations(monkeypatch):
         calls.clear()
         solution = solve_nonlinear(_nonlinear_problem(lambda u: math.exp(-u)), n)
         assert solution.iterations > 3
-        assert calls == ["operator", "inverse"]
+        assert calls == ["system", "inverse"]
     calls.clear()
     with pytest.raises(NonConvergenceError):
         solve_nonlinear(_nonlinear_problem(lambda u: math.exp(-u)), 10, max_iter=3)
-    assert calls == ["operator", "inverse"]
+    assert calls == ["system", "inverse"]
 
 
 def test_solve_linear_factors_once(monkeypatch):
     calls = _count_assemblies_and_inverses(monkeypatch)
     problem = single_equation(0.5, 0.8, 1.0, lambda t: math.cos(t), 0.7, 2.0)
     solve_linear(problem, 8)
-    assert calls == ["operator", "inverse"]
+    assert calls == ["system", "inverse"]
 
 
 # ---------------------------------------------------------------------------
@@ -596,3 +654,29 @@ def test_problem_validation():
         with pytest.raises(ValueError, match="nonlinear target"):
             DDEProblem(gamma=[0.0], delays=[[]], g=[lambda t: 0.0], phi=[0.0],
                        b=1.0, nonlinear=[term])
+
+
+def _scalar(**changes):
+    args = dict(gamma=[0.5], delays=[[]], g=[math.cos], phi=[1.0], b=1.0)
+    args.update(changes)
+    return DDEProblem(**args)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _scalar(b=math.nan),
+    lambda: _scalar(b=math.inf),
+    lambda: _scalar(gamma=[math.nan]),
+    lambda: _scalar(phi=[math.inf]),
+    lambda: DelayTerm(0, math.nan, 0.5),
+    lambda: DelayTerm(0, 0.5, math.nan),
+    lambda: DelayTerm(0, 0.5, math.inf),
+    lambda: NonlinearDelayTerm(f=math.sin, target=0, tau=math.nan),
+    lambda: History(functions=(math.sin,), end=math.nan),
+    lambda: solve_nonlinear(_nonlinear_problem(math.sin), 6, tol=math.nan),
+], ids=["b_nan", "b_inf", "gamma_nan", "phi_inf", "beta_nan", "tau_nan",
+        "tau_inf", "nonlinear_tau_nan", "history_end_nan", "tol_nan"])
+def test_non_finite_inputs_are_refused(build):
+    # a NaN passes every "x <= 0" check; a NaN tol ended in a false
+    # NonConvergenceError
+    with pytest.raises(ValueError, match="finite|positive"):
+        build()

@@ -401,6 +401,10 @@ def test_delay_shorter_than_the_step_sets_the_step():
     # is still one delay; the step is its rounded GCD
     tau = 1.23456789123e-5
     assert _aligned_step([tau], None, 1.0, 1e-3) == pytest.approx(tau, rel=1e-9)
+    # and its exact multiples keep that step: each delay is rounded as its
+    # ratio to the shortest, not on its own
+    assert _aligned_step([tau, 2 * tau], None, 1.0, 1e-3) == pytest.approx(
+        tau, rel=1e-9)
 
 
 def test_forcing_is_called_once_per_distinct_stage_time():
