@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -11,38 +11,30 @@ import numpy as np
 from .collocation import (
     DDEProblem,
     SpectralSolution,
+    _feedback,
+    _system,
     evaluate,
-    evaluate_derivative,
     solve_nonlinear,
 )
 
 SAMPLES_PER_UNIT = 10  # 11 points per unit interval, integer t always included
 
 
-def residual(problem: DDEProblem, solution: SpectralSolution, t: float) -> np.ndarray:
-    """Pointwise defect |u_N' + gamma u_N - sum beta u_N(t-tau) - f(...) - g| per equation.
+def residual(problem: DDEProblem, solution: SpectralSolution, t) -> np.ndarray:
+    """Pointwise defect |u_N' + gamma u_N - sum beta u_N(t-tau) - f(...) - g|
+    per equation at a number t, shape (l,), or at an array of m points,
+    shape (l, m).
 
-    Delayed values come from the history function where its interval covers
-    the delayed argument, matching how the system was assembled.
+    It is |A(t) @ c - G(t) - f(u(t - tau))| over the collocation rows of
+    ``_system`` at t, so delayed values come from the history or the series
+    exactly as the solvers assemble them.
     """
-    u = evaluate(solution, t)
-    du = evaluate_derivative(solution, t)
-
-    def delayed(eq, td):
-        if problem.history is not None and problem.history.covers(td):
-            return problem.history.value(eq, td)
-        return float(evaluate(solution, td)[eq])
-
-    out = np.empty(problem.n_equations)
-    for eq in range(problem.n_equations):
-        value = du[eq] + problem.gamma[eq] * u[eq] - problem.g[eq](t)
-        for term in problem.delays[eq]:
-            value -= term.beta * delayed(term.target, t - term.tau)
-        nl = problem.nonlinear[eq]
-        if nl is not None:
-            value -= nl.f(delayed(nl.target, t - nl.tau))
-        out[eq] = abs(value)
-    return out
+    points = np.atleast_1d(np.asarray(t, dtype=float))
+    A, G, feedback = _system(problem, solution.n_max, points)
+    c = solution.chebyshev
+    defect = A @ c.ravel() - _feedback(feedback, c, G)
+    out = np.abs(defect.reshape(problem.n_equations, -1)[:, :-1])
+    return out if np.ndim(t) else out[:, 0]
 
 
 def error_norms(errors: Sequence[float]) -> tuple[float, float, float]:
@@ -82,18 +74,16 @@ def error_report(problem: DDEProblem, solution: SpectralSolution,
                  reference: Optional[Callable[[float], np.ndarray]] = None,
                  points: Optional[np.ndarray] = None,
                  reference_label: str = "exact") -> ErrorReport:
-    """Errors against a reference callable, or residuals when none is given."""
-    if points is None:
-        points = sample_points(problem.b)
-    l = problem.n_equations
-    errors = np.empty((l, len(points)))
-    for j, t in enumerate(points):
-        if reference is None:
-            errors[:, j] = residual(problem, solution, t)
-        else:
-            ref = np.atleast_1d(np.asarray(reference(t), dtype=float))
-            errors[:, j] = np.abs(evaluate(solution, t) - ref)
-    norms = np.array([error_norms(errors[eq]) for eq in range(l)])
+    """Errors against a reference callable, or residuals when none is given,
+    at ``points`` (the sample grid by default), with one read of the series."""
+    points = (sample_points(problem.b) if points is None
+              else np.asarray(points, dtype=float))
+    if reference is None:
+        errors = residual(problem, solution, points)
+    else:
+        ref = np.column_stack([reference(t) for t in points])
+        errors = np.abs(evaluate(solution, points) - ref)
+    norms = np.array([error_norms(e) for e in errors])
     return ErrorReport(
         points=points, errors=errors,
         l2=norms[:, 0], linf=norms[:, 1], rms=norms[:, 2],

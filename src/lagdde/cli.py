@@ -145,9 +145,9 @@ def _solve_one(run, cfg, problem, oracle, n_max, out_dir, config_path):
           f"condition={solution.condition:.3e}")
 
     sol_path = out_dir / "solution.csv"
+    points = accuracy.sample_points(problem.b)
     _write_csv(sol_path, ["t"] + [f"u_{i + 1}" for i in range(l)],
-               [[t, *evaluate(solution, t)]
-                for t in accuracy.sample_points(problem.b)])
+               np.column_stack([points, *evaluate(solution, points)]))
     coeff_path = out_dir / "coefficients.csv"
     coefficients = solution.coefficients
     _write_csv(coeff_path, ["equation", "n", "a_n"],
@@ -176,16 +176,13 @@ def run_compare(cfg: ProblemConfig, n_list, out_dir: Path,
     for n in n_list:
         header += [f"u_{i + 1}_N{n}" for i in range(l)]
         header += [f"absdiff_u_{i + 1}_N{n}" for i in range(l)]
-    rows = []
-    for t in points:
-        ref = np.atleast_1d(np.asarray(oracle(t), dtype=float))
-        row = [t, *ref]
-        for n in n_list:
-            vals = evaluate(solutions[n], t)
-            row += list(vals) + list(np.abs(vals - ref))
-        rows.append(row)
+    ref = np.column_stack([oracle(t) for t in points])
+    columns = [points, *ref]
+    for n in n_list:
+        values = evaluate(solutions[n], points)
+        columns += [*values, *np.abs(values - ref)]
     cmp_path = out_dir / "comparison.csv"
-    _write_csv(cmp_path, header, rows)
+    _write_csv(cmp_path, header, np.column_stack(columns))
     manifest = _write_manifest(out_dir, "compare", config_path,
                                {"N_list": list(n_list)}, [cmp_path])
     return RunReport(records=[{"N_list": list(n_list)}],

@@ -239,14 +239,18 @@ def _chebyshev_rows(n_max: int, b: float, t: np.ndarray):
     return values, slopes * (2.0 / b)
 
 
-def _clenshaw(solution: SpectralSolution, t: float):
-    """Series values and t-derivatives per equation at t, for any t.
+def _clenshaw(solution: SpectralSolution, t):
+    """Series values and t-derivatives per equation at t, for any t: shape
+    (l,) each for a number t, (l, m) for a numpy array of m points.
 
-    Clenshaw's recurrence b_k = c_k + 2x b_{k+1} - b_{k+2} on Python floats
-    gives u = c_0 + x b_1 - b_2; differentiated in x, d_k = 2 b_{k+1}
-    + 2x d_{k+1} - d_{k+2} gives du/dx = b_1 + x d_1 - d_2, and dx/dt = 2/b.
+    Clenshaw's recurrence b_k = c_k + 2x b_{k+1} - b_{k+2} gives u = c_0
+    + x b_1 - b_2; differentiated in x, d_k = 2 b_{k+1} + 2x d_{k+1} - d_{k+2}
+    gives du/dx = b_1 + x d_1 - d_2, and dx/dt = 2/b. A scalar t, numpy's
+    included, runs on Python floats; an array runs the same operations
+    elementwise, so each of its points reads bit-identically to a scalar.
     """
-    x = 2.0 * float(t) / solution.b - 1.0
+    t = np.asarray(t, dtype=float) if isinstance(t, np.ndarray) else float(t)
+    x = 2.0 * t / solution.b - 1.0
     x2 = 2.0 * x
     values, slopes = [], []
     for c in solution.chebyshev.tolist():
@@ -258,23 +262,26 @@ def _clenshaw(solution: SpectralSolution, t: float):
     return np.array(values), np.array(slopes)
 
 
-def evaluate(solution: SpectralSolution, t: float) -> np.ndarray:
-    """Series value per equation at t. Values outside [0, b] extrapolate."""
+def evaluate(solution: SpectralSolution, t) -> np.ndarray:
+    """Series value per equation at a number t, shape (l,), or at a numpy
+    array of m points, shape (l, m). Values outside [0, b] extrapolate."""
     return _clenshaw(solution, t)[0]
 
 
-def evaluate_derivative(solution: SpectralSolution, t: float) -> np.ndarray:
-    """Series derivative per equation at t."""
+def evaluate_derivative(solution: SpectralSolution, t) -> np.ndarray:
+    """Series derivative per equation at t, shaped as ``evaluate``'s."""
     return _clenshaw(solution, t)[1]
 
 
-def _system(problem: DDEProblem, n_max: int):
-    """The system A @ c = G in Chebyshev coefficients, and the delayed
-    points of each nonlinear term.
+def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
+    """The rows A @ c = G of the collocation system in Chebyshev coefficients
+    at the m points ``t``, and the delayed points of each nonlinear term.
 
-    Each equation's N+1 rows hold the collocation rows at t_0 .. t_{N-1}
-    and, last, the condition row u(0) = phi. A collocation row of A is
-    T'(t) + gamma T(t), less beta T(t - tau) for each delay the series
+    Each equation's m+1 rows hold the collocation rows at ``t`` and, last,
+    the condition row u(0) = phi; at the collocation points t_0 .. t_{N-1}
+    A is square, and at other points its collocation rows give the
+    equation's defect (see ``accuracy.residual``). A collocation row of A
+    is T'(t) + gamma T(t), less beta T(t - tau) for each delay the series
     serves; its entry of G is g(t) plus beta u(t - tau) for each delay the
     history serves. With S the Chebyshev coefficients of L_0..L_N,
     A @ kron(I_l, S) is the paper's Laguerre-frame operator, in a far
@@ -285,24 +292,23 @@ def _system(problem: DDEProblem, n_max: int):
     the history at its end (phi without one).
     """
     b = problem.b
-    t = collocation_points(n_max, b).points[:-1]
     values, slopes = _chebyshev_rows(n_max, b, t)
     history = problem.history
     l = problem.n_equations
-    width = n_max + 1
+    m, width = t.size, n_max + 1
 
     def delayed(target, tau):
         s = t - tau
-        served = np.ones(s.size, bool) if history is None else ~history.covers(s)
+        served = np.ones(m, bool) if history is None else ~history.covers(s)
         known = np.array([history.value(target, x) for x in s[~served]])
         return served, _chebyshev_rows(n_max, b, s[served])[0], known
 
-    A = np.zeros((l * width, l * width))
-    G = np.zeros(l * width)
+    A = np.zeros((l * (m + 1), l * width))
+    G = np.zeros(l * (m + 1))
     feedback = []
     for eq in range(l):
         own = slice(eq * width, (eq + 1) * width)
-        rows = slice(own.start, own.stop - 1)
+        rows = slice(eq * (m + 1), eq * (m + 1) + m)
         A[rows, own] = slopes + problem.gamma[eq] * values
         G[rows] = [float(problem.g[eq](x)) for x in t]
         for term in problem.delays[eq]:
@@ -310,16 +316,27 @@ def _system(problem: DDEProblem, n_max: int):
             block = slice(term.target * width, (term.target + 1) * width)
             A[rows, block][served] -= term.beta * T
             G[rows][~served] += term.beta * known
-        A[own.stop - 1, own] = (-1.0) ** np.arange(width)  # T_k(-1) at t = 0
-        G[own.stop - 1] = problem.phi[eq]
+        A[rows.stop, own] = (-1.0) ** np.arange(width)  # T_k(-1) at t = 0
+        G[rows.stop] = problem.phi[eq]
         term = problem.nonlinear[eq]
         if term is not None:
             served, T, known = delayed(term.target, term.tau)
-            u = np.full(n_max, problem.phi[term.target] if history is None
+            u = np.full(m, problem.phi[term.target] if history is None
                         else history.value(term.target, history.end))
             u[~served] = known
             feedback.append((rows, term, served, T, u))
     return A, G, feedback
+
+
+def _feedback(feedback, chebyshev: Optional[np.ndarray], G: np.ndarray):
+    """G plus f(u_m(t - tau)) for each nonlinear term of ``_system``, u read
+    through its T_k rows from ``chebyshev`` (None keeps the first iterate)."""
+    forcing = G.copy()
+    for rows, term, served, T, u in feedback:
+        if chebyshev is not None:
+            u[served] = T @ chebyshev[term.target]
+        forcing[rows] += [term.f(x) for x in u.tolist()]
+    return forcing
 
 
 def _invert(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -341,6 +358,9 @@ def _solve(problem: DDEProblem, A: np.ndarray, G: np.ndarray,
     explicit inverse is not backward stable (its error scales with
     ||A^-1|| ||G||, not with the solution), so one residual correction
     through the same inverse follows it."""
+    if not all(map(math.isfinite, G.tolist())):  # cheaper than numpy here
+        raise FloatingPointError("the right-hand side is not finite: g, the "
+                                 "history or f gave an inf or a nan")
     c = inverse @ G
     c += inverse @ (G - A @ c)
     return SpectralSolution(chebyshev=c.reshape(problem.n_equations, -1),
@@ -351,7 +371,8 @@ def solve_linear(problem: DDEProblem, n_max: int) -> SpectralSolution:
     """Solve a linear problem by collocation at truncation ``n_max``."""
     if problem.has_nonlinearity:
         raise ValueError("problem has a nonlinear delay term; use solve_nonlinear")
-    A, G, _ = _system(problem, n_max)
+    A, G, _ = _system(problem, n_max,
+                      collocation_points(n_max, problem.b).points[:-1])
     return _solve(problem, A, G, *_invert(A))
 
 
@@ -392,16 +413,14 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
-    A, G, feedback = _system(problem, n_max)
+    A, G, feedback = _system(problem, n_max,
+                             collocation_points(n_max, problem.b).points[:-1])
     inverse, condition = _invert(A)
     previous: Optional[SpectralSolution] = None
     last_delta = math.inf
     for iteration in range(1, max_iter + 1):
-        forcing = G.copy()
-        for rows, term, served, T, u in feedback:
-            if previous is not None:
-                u[served] = T @ previous.chebyshev[term.target]
-            forcing[rows] += [term.f(x) for x in u.tolist()]
+        forcing = _feedback(feedback, None if previous is None
+                            else previous.chebyshev, G)
         solution = _solve(problem, A, forcing, inverse, condition)
         if previous is not None:
             # relative to the coefficient scale, as the solution's magnitude

@@ -138,7 +138,8 @@ def _compile(text, variable):
 
 class Expression:
     """A compiled expression over a single named variable (see ``_compile``);
-    a call is one call of a Python lambda."""
+    a call is one call of a Python lambda. A math domain error, sin(inf),
+    is raised as an ArithmeticError, as an overflow is."""
 
     def __init__(self, source: str, variable: str = "t"):
         self.source = source.strip()
@@ -146,7 +147,11 @@ class Expression:
         self._fn = _compile(self.source, variable)
 
     def __call__(self, value: float) -> float:
-        return self._fn(value)
+        try:
+            return self._fn(value)
+        except ValueError as err:  # "math domain error", e.g. sin(inf)
+            raise ArithmeticError(f"{self.source!r} at {self.variable} = "
+                                  f"{value}: {err}") from err
 
     def __eq__(self, other):
         return (isinstance(other, Expression)

@@ -46,19 +46,6 @@ class Trajectory:
                         self.u[k], self.right_du.get(k, self.du[k]),
                         self.u[k + 1], self.du[k + 1])
 
-    def component(self, eq: int) -> Callable[[float], float]:
-        return lambda t: float(self(t)[eq])
-
-    def to_csv(self, path) -> None:
-        """Write columns t, u_1 ... u_l."""
-        l = self.u.shape[1]
-        header = "t," + ",".join(f"u_{i + 1}" for i in range(l))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for k in range(len(self.t)):
-                cells = [f"{self.t[k]:.17g}"] + [f"{v:.17g}" for v in self.u[k]]
-                fh.write(",".join(cells) + "\n")
-
 
 def _hermite(t, t0, t1, u0, du0, u1, du1):
     """Cubic Hermite interpolant on [t0, t1] at t from the values and slopes

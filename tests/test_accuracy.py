@@ -1,10 +1,13 @@
 """Tests for the residual defect, error norms, and convergence studies."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from lagdde import accuracy as accuracy_mod
+from lagdde import collocation as collocation_mod
 from lagdde.accuracy import (
     convergence_study,
     error_norms,
@@ -19,8 +22,11 @@ from lagdde.collocation import (
     NonlinearDelayTerm,
     SpectralSolution,
     collocation_points,
+    evaluate,
+    evaluate_derivative,
     single_equation,
     solve_linear,
+    solve_nonlinear,
 )
 
 
@@ -54,10 +60,68 @@ def test_residual_of_linear_solution_without_forcing():
 
 
 def test_residual_small_at_retained_collocation_points():
-    problem = single_equation(0.7, 1.2, 0.5, math.cos, 0.3, 2.0)
-    solution = solve_linear(problem, 8)
-    for t in collocation_points(8, 2.0).points[:-1]:
-        assert residual(problem, solution, t)[0] < 1e-8
+    # without a history, with one whose end is past 0 (so it serves part of
+    # the delayed points on [0, b]), and with a nonlinear term; read at each
+    # point and at all of them as one array
+    sine = History(functions=(math.sin,), end=0.5)
+    exp = NonlinearDelayTerm(f=lambda u: math.exp(-u), target=0, tau=0.5)
+    for problem in (single_equation(0.7, 1.2, 0.5, math.cos, 0.3, 2.0),
+                    single_equation(0.7, 1.2, 0.75, math.cos, 0.3, 2.0, history=sine),
+                    single_equation(0.4, 0.3, 0.75, math.cos, 0.0, 2.0, history=sine,
+                                    nonlinear=exp)):
+        solution = solve_nonlinear(problem, 8)
+        points = collocation_points(8, 2.0).points[:-1]
+        defect = residual(problem, solution, points)
+        assert defect.shape == (1, 8)
+        assert defect.max() < 1e-8
+        for t in points:
+            assert residual(problem, solution, t)[0] < 1e-8
+        # between the nodes the defect is not zero
+        assert residual(problem, solution, points + 0.125).max() > 1e-6
+
+
+def _defect_point_by_point(problem, solution, t):
+    """The defect at one point from its definition, with each delayed value
+    read from the history where it covers the argument, else by Clenshaw."""
+    u = evaluate(solution, t)
+    du = evaluate_derivative(solution, t)
+
+    def delayed(eq, s):
+        if problem.history is not None and problem.history.covers(s):
+            return problem.history.value(eq, s)
+        return evaluate(solution, s)[eq]
+
+    out = []
+    for eq in range(problem.n_equations):
+        value = du[eq] + problem.gamma[eq] * u[eq] - problem.g[eq](t)
+        for term in problem.delays[eq]:
+            value -= term.beta * delayed(term.target, t - term.tau)
+        nl = problem.nonlinear[eq]
+        if nl is not None:
+            value -= nl.f(delayed(nl.target, t - nl.tau))
+        out.append(abs(value))
+    return np.array(out)
+
+
+def test_residual_matches_the_defect_read_point_by_point():
+    # coupled, with delays the history serves at some points and the series
+    # at others, an end past 0 and a nonlinear term; between the nodes too
+    history = History(functions=(math.cos, math.sin), end=0.25)
+    problem = DDEProblem(
+        gamma=[0.5, -0.3],
+        delays=[[DelayTerm(1, 0.7, 0.5)],
+                [DelayTerm(0, -0.4, 1.5), DelayTerm(1, 0.2, 0.0)]],
+        g=[math.sin, lambda t: 1.0], phi=[1.0, 0.0], b=3.0, history=history,
+        nonlinear=[None, NonlinearDelayTerm(f=lambda u: math.exp(-u),
+                                            target=0, tau=0.75)])
+    for n in (4, 10):
+        solution = solve_nonlinear(problem, n)
+        points = sample_points(problem.b)
+        expected = np.column_stack([_defect_point_by_point(problem, solution, t)
+                                    for t in points])
+        scale = max(1.0, np.abs(solution.chebyshev).max())
+        np.testing.assert_allclose(residual(problem, solution, points), expected,
+                                   rtol=0.0, atol=1e-12 * scale)
 
 
 def test_residual_uses_history_for_early_points():
@@ -123,6 +187,35 @@ def test_error_report_residual_only():
     assert report.reference == "none"
     np.testing.assert_allclose(report.errors, 1.0)
     assert report.linf[0] == pytest.approx(1.0)
+
+
+def test_error_report_reads_the_grid_in_one_call(monkeypatch):
+    # one Clenshaw pass against a reference and one system assembly for the
+    # residual, however many points the grid has
+    calls = Counter()
+
+    def count(module, name):
+        function = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    problem = single_equation(
+        0.4, 0.3, 0.75, math.cos, 0.0, 5.0,
+        history=History(functions=(math.sin,), end=0.5),
+        nonlinear=NonlinearDelayTerm(f=lambda u: math.exp(-u), target=0, tau=0.5))
+    solution = solve_nonlinear(problem, 8)
+    count(collocation_mod, "_clenshaw")
+    count(accuracy_mod, "_system")
+    for points in (None, np.linspace(0.0, 5.0, 3), np.linspace(0.0, 5.0, 400)):
+        calls.clear()
+        error_report(problem, solution, math.sin, points=points)
+        assert calls == {"_clenshaw": 1}
+        calls.clear()
+        error_report(problem, solution, points=points)
+        assert calls == {"_system": 1}
 
 
 def test_convergence_study_polynomial_exactness():

@@ -381,6 +381,31 @@ def test_division_by_zero_in_the_solve_exits_three(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("settings, lines, code, message", [
+    # 1e308*10 overflows to inf without an exception; the solve used to
+    # exit 0 with an all-NaN solution.csv, and an inf f(u) ran Picard to
+    # its iteration cap
+    ("", "forcing = 1e308*10*t\n", 3,
+     "solver error: FloatingPointError: the right-hand side is not finite"),
+    ("", "nonlinear = 1e308*10*u\nnonlinear_tau = 0.5\n", 3,
+     "solver error: FloatingPointError: the right-hand side is not finite"),
+    # sin(inf) is a math domain error, a ValueError that used to end in a
+    # traceback
+    ("", "forcing = sin(1e308*10*t)\n", 3,
+     "solver error: ArithmeticError: 'sin(1e308*10*t)' at t = "),
+    ("rk4_step = 0.001\n", "forcing = sin(1e308*10*t)\n", 4,
+     "oracle error: RK4 integration failed: ArithmeticError: "
+     "'sin(1e308*10*t)' at t = "),
+], ids=["inf_forcing", "inf_nonlinearity", "domain_error", "domain_error_oracle"])
+def test_non_finite_arithmetic_exits_with_a_typed_error(tmp_path, capsys, settings,
+                                                         lines, code, message):
+    cfg = _write(tmp_path, settings + ARITHMETIC_PROBLEM + lines)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_deeply_nested_expression_exits_two(tmp_path, capsys):
     cfg = _write(tmp_path, ARITHMETIC_PROBLEM
                  + "forcing = " + "(" * 300 + "t" + ")" * 300 + "\n")

@@ -52,7 +52,7 @@ def _laguerre_frame(problem, n):
     last, the initial-condition row.
     """
     S = _chebyshev_of_laguerre(n, problem.b)
-    A, G, _ = _system(problem, n)
+    A, G, _ = _system(problem, n, collocation_points(n, problem.b).points[:-1])
     return A @ np.kron(np.eye(problem.n_equations), S), G
 
 
@@ -485,6 +485,24 @@ def test_evaluate_derivative_matches_finite_difference():
         assert evaluate_derivative(solution, t)[0] == pytest.approx(fd, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [2, 8, 20])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_array_reads_equal_scalar_reads(l, n):
+    # each point of an array read equals the scalar read at that point,
+    # bit for bit, inside [0, b] and outside it
+    b = 3.0
+    rng = np.random.default_rng(10 * l + n)
+    solution = SpectralSolution(chebyshev=rng.uniform(-2.0, 2.0, (l, n + 1)), b=b)
+    points = np.concatenate([np.linspace(-1.5, b + 1.5, 19), rng.uniform(0.0, b, 6)])
+    for read in (evaluate, evaluate_derivative):
+        values = read(solution, points)
+        assert values.shape == (l, points.size)
+        for j, t in enumerate(points):  # numpy.float64 scalars
+            assert read(solution, t).shape == (l,)
+            assert (values[:, j] == read(solution, t)).all()
+            assert (values[:, j] == read(solution, float(t))).all()
+
+
 # ---------------------------------------------------------------------------
 # one assembly and one inverse per solve; the frame identity; singularity
 
@@ -528,8 +546,8 @@ def test_chebyshev_operator_times_change_of_basis_is_basis_frame_operator():
     for n in (4, 8, 12):
         S = _chebyshev_of_laguerre(n, problem.b)
         reference = _laguerre_frame_reference(problem, n)
-        np.testing.assert_allclose(_system(problem, n)[0] @ np.kron(np.eye(3), S),
-                                   reference,
+        A = _system(problem, n, collocation_points(n, problem.b).points[:-1])[0]
+        np.testing.assert_allclose(A @ np.kron(np.eye(3), S), reference,
                                    rtol=0.0, atol=1e-10 * np.abs(reference).max())
 
 

@@ -156,15 +156,6 @@ def test_rk4_rejects_non_positive_step():
         rk4_method_of_steps(problem, step=0.0)
 
 
-def test_trajectory_csv_export(tmp_path):
-    trajectory = rk4_method_of_steps(_coupled_problem(2.0), step=0.5)
-    path = tmp_path / "trajectory.csv"
-    trajectory.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,u_1,u_2"
-    assert len(lines) == len(trajectory.t) + 1
-
-
 def test_interpolation_accuracy_between_grid_points():
     gamma = 0.8
     problem = single_equation(gamma, 0.0, 1.0, lambda t: 0.0, 1.0, 2.0)
