@@ -1,0 +1,8 @@
+"""``python -m lagdde``: the command-line interface of ``lagdde.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -43,13 +43,17 @@ def error_norms(errors: Sequence[float]) -> tuple[float, float, float]:
     The RMS divisor is the sample count, so l2**2 == count * rms**2 holds
     exactly and rms <= linf.
     """
-    e = np.asarray(errors, dtype=float)
-    if e.size == 0:
+    return tuple(map(float, _norms(np.asarray(errors, dtype=float).ravel())))
+
+
+def _norms(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``error_norms`` of each row of e, in one reduction along its last axis
+    (for a C-contiguous e, the same pairwise sums as row by row)."""
+    if e.shape[-1] == 0:
         raise ValueError("error sample must be non-empty")
-    l2 = float(np.sqrt(np.sum(e**2)))
-    linf = float(np.abs(e).max())
-    rms = float(np.sqrt(np.sum(e**2) / e.size))
-    return l2, linf, rms
+    squares = np.sum(e**2, axis=-1)
+    return (np.sqrt(squares), np.abs(e).max(axis=-1),
+            np.sqrt(squares / e.shape[-1]))
 
 
 def sample_points(b: float, per_unit: int = SAMPLES_PER_UNIT) -> np.ndarray:
@@ -81,12 +85,11 @@ def error_report(problem: DDEProblem, solution: SpectralSolution,
     if reference is None:
         errors = residual(problem, solution, points)
     else:
-        ref = np.column_stack([reference(t) for t in points])
+        ref = np.array([reference(t) for t in points]).T
         errors = np.abs(evaluate(solution, points) - ref)
-    norms = np.array([error_norms(e) for e in errors])
+    l2, linf, rms = _norms(errors)
     return ErrorReport(
-        points=points, errors=errors,
-        l2=norms[:, 0], linf=norms[:, 1], rms=norms[:, 2],
+        points=points, errors=errors, l2=l2, linf=linf, rms=rms,
         reference="none" if reference is None else reference_label,
     )
 

@@ -6,9 +6,9 @@ The problem class is
               [+ f_l(u_m(t - tau_f))] + g_l(t),      0 <= t <= b,
     u_l(0) = phi_l,
 
-with prescribed history wherever a delayed argument falls before the
-computed range, that is at or below the history's ``end``. The computed
-range always starts at t = 0 from u(0) = phi: a history with end > 0
+with prescribed history wherever a delayed argument (tau > 0) falls
+before the computed range, that is at or below the history's ``end``. The
+computed range always starts at t = 0 from u(0) = phi: a history with end > 0
 serves delayed arguments on [0, end] while u there is computed, and the
 two need not agree (see History). The approximate solution is a degree-N
 polynomial per equation, the paper's truncated Laguerre series; it comes
@@ -80,7 +80,9 @@ class History:
     """Prescribed solution values for delayed arguments at or below ``end``.
 
     ``functions`` holds one callable per equation, queried at each delayed
-    argument t - tau <= end, so on [-tau, end] for a delay tau.
+    argument t - tau <= end, so on [-tau, end] for a delay tau > 0. A
+    coupling with tau = 0 is not delayed: it reads the computed u at every
+    t in [0, b], never the history.
 
     The DDE still runs from t = 0 with u(0) = phi whatever ``end`` is, so
     with end > 0 the solution on [0, end] is computed, not taken from the
@@ -220,57 +222,82 @@ class SpectralSolution:
         """
         points = np.linspace(0.0, self.b, self.n_max + 1)
         laguerre = np.array([_basis.basis_row(self.n_max, t) for t in points])
-        values = _chebyshev_rows(self.n_max, self.b, points)[0] @ self.chebyshev.T
+        rows = np.ascontiguousarray(_chebyshev_rows(self.n_max, self.b, points)[0].T)
+        values = rows @ self.chebyshev.T
         return np.linalg.solve(laguerre, values).T
 
 
-def _chebyshev_rows(n_max: int, b: float, t: np.ndarray):
-    """Rows [T_0, ..., T_N] of T_k(2t/b - 1) and of their t-derivatives at
-    the points ``t``, by T_{k+1} = 2x T_k - T_{k-1}, valid for any t."""
+def _chebyshev_rows(n_max: int, b: float, t: np.ndarray, m: int = 0):
+    """Rows T_k(2t/b - 1), k = 0..N, at the points ``t``, shape (N+1, len(t)),
+    and their t-derivatives at the first ``m`` points, shape (N+1, m), by
+    T_{k+1} = 2x T_k - T_{k-1}, valid for any t. Each k is one contiguous
+    row, which each step of the recurrence writes in place."""
     x = 2.0 * np.asarray(t, dtype=float) / b - 1.0
-    values = np.empty((x.size, n_max + 1))
-    slopes = np.empty_like(values)
-    values[:, 0], slopes[:, 0] = 1.0, 0.0
-    values[:, 1], slopes[:, 1] = x, 1.0
+    x2 = 2.0 * x
+    values = np.empty((n_max + 1, x.size))
+    slopes = np.empty((n_max + 1, m))
+    values[0], slopes[0] = 1.0, 0.0
+    values[1:2], slopes[1:2] = x, 1.0  # slices: no row 1 at N = 0
+    x2m, scratch = x2[:m], np.empty(m)
     for k in range(1, n_max):
-        values[:, k + 1] = 2.0 * x * values[:, k] - values[:, k - 1]
-        slopes[:, k + 1] = (2.0 * values[:, k] + 2.0 * x * slopes[:, k]
-                            - slopes[:, k - 1])
-    return values, slopes * (2.0 / b)
+        np.multiply(x2, values[k], out=values[k + 1])
+        values[k + 1] -= values[k - 1]
+        np.multiply(2.0, values[k, :m], out=slopes[k + 1])
+        slopes[k + 1] += np.multiply(x2m, slopes[k], out=scratch)
+        slopes[k + 1] -= slopes[k - 1]
+    slopes *= 2.0 / b
+    return values, slopes
 
 
-def _clenshaw(solution: SpectralSolution, t):
-    """Series values and t-derivatives per equation at t, for any t: shape
-    (l,) each for a number t, (l, m) for a numpy array of m points.
+def _clenshaw(solution: SpectralSolution, t, derivative: bool) -> np.ndarray:
+    """Series values, or with ``derivative`` their t-derivatives, per equation
+    at t, for any t: shape (l,) for a number t, (l,) + t.shape for a numpy
+    array.
 
     Clenshaw's recurrence b_k = c_k + 2x b_{k+1} - b_{k+2} gives u = c_0
     + x b_1 - b_2; differentiated in x, d_k = 2 b_{k+1} + 2x d_{k+1} - d_{k+2}
     gives du/dx = b_1 + x d_1 - d_2, and dx/dt = 2/b. A scalar t, numpy's
-    included, runs on Python floats; an array runs the same operations
-    elementwise, so each of its points reads bit-identically to a scalar.
+    included, runs on Python floats, one equation at a time; an array runs
+    every equation at once, each c_k a column against the points, and the
+    same operations elementwise, so each of its points reads bit-identically
+    to a scalar.
     """
-    t = np.asarray(t, dtype=float) if isinstance(t, np.ndarray) else float(t)
-    x = 2.0 * t / solution.b - 1.0
+    if not isinstance(t, np.ndarray):
+        x = 2.0 * float(t) / solution.b - 1.0
+        x2 = 2.0 * x
+        out = []
+        for c in solution.chebyshev.tolist():
+            b1 = b2 = d1 = d2 = 0.0
+            for ck in c[:0:-1]:
+                b1, b2, d1, d2 = ck + x2 * b1 - b2, b1, 2.0 * b1 + x2 * d1 - d2, d1
+            out.append(2.0 / solution.b * (b1 + x * d1 - d2) if derivative
+                       else c[0] + x * b1 - b2)
+        return np.array(out)
+    x = 2.0 * np.asarray(t, dtype=float) / solution.b - 1.0
     x2 = 2.0 * x
-    values, slopes = [], []
-    for c in solution.chebyshev.tolist():
-        b1 = b2 = d1 = d2 = 0.0
-        for ck in c[:0:-1]:
-            b1, b2, d1, d2 = ck + x2 * b1 - b2, b1, 2.0 * b1 + x2 * d1 - d2, d1
-        values.append(c[0] + x * b1 - b2)
-        slopes.append(2.0 / solution.b * (b1 + x * d1 - d2))
-    return np.array(values), np.array(slopes)
+    l, width = solution.chebyshev.shape
+    # c_k as an (l, 1, ...) column broadcast against the points
+    c = solution.chebyshev.T.reshape((width, l) + (1,) * x.ndim)
+    b1 = b2 = d1 = d2 = np.zeros((l,) + x.shape)
+    for ck in c[:0:-1]:
+        if derivative:
+            d1, d2 = 2.0 * b1 + x2 * d1 - d2, d1
+        b1, b2 = ck + x2 * b1 - b2, b1
+    if derivative:
+        return 2.0 / solution.b * (b1 + x * d1 - d2)
+    return c[0] + x * b1 - b2
 
 
 def evaluate(solution: SpectralSolution, t) -> np.ndarray:
     """Series value per equation at a number t, shape (l,), or at a numpy
-    array of m points, shape (l, m). Values outside [0, b] extrapolate."""
-    return _clenshaw(solution, t)[0]
+    array of points, shape (l,) + t.shape. Values outside [0, b]
+    extrapolate."""
+    return _clenshaw(solution, t, False)
 
 
 def evaluate_derivative(solution: SpectralSolution, t) -> np.ndarray:
     """Series derivative per equation at t, shaped as ``evaluate``'s."""
-    return _clenshaw(solution, t)[1]
+    return _clenshaw(solution, t, True)
 
 
 def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
@@ -283,48 +310,68 @@ def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
     equation's defect (see ``accuracy.residual``). A collocation row of A
     is T'(t) + gamma T(t), less beta T(t - tau) for each delay the series
     serves; its entry of G is g(t) plus beta u(t - tau) for each delay the
-    history serves. With S the Chebyshev coefficients of L_0..L_N,
+    history serves. The history serves a delayed argument at or below its
+    end, except for tau = 0: beta u(t) is the computed u at every t, so the
+    series serves it. With S the Chebyshev coefficients of L_0..L_N,
     A @ kron(I_l, S) is the paper's Laguerre-frame operator, in a far
     better conditioned basis. Each nonlinear term f(u_m(t - tau)) adds
     (rows, term, served, T, u) to the third result: its equation's rows,
     the mask of delayed points the series serves, the T_k rows there, and
     the first iterate's delayed values: the history where it serves, else
     the history at its end (phi without one).
+
+    The T_k rows of the points ``t`` and of every delayed point the series
+    serves come from one run of the recurrence; derivative rows only for
+    ``t``.
     """
-    b = problem.b
-    values, slopes = _chebyshev_rows(n_max, b, t)
     history = problem.history
     l = problem.n_equations
     m, width = t.size, n_max + 1
+    points = [t]  # then each term's delayed points that the series serves
 
-    def delayed(target, tau):
-        s = t - tau
-        served = np.ones(m, bool) if history is None else ~history.covers(s)
-        known = np.array([history.value(target, x) for x in s[~served]])
-        return served, _chebyshev_rows(n_max, b, s[served])[0], known
+    def delayed(term):
+        # the mask of points t - tau the series serves, the columns of their
+        # T_k rows, and the history's values at the others
+        s = t - term.tau
+        served = (np.ones(m, bool) if history is None or term.tau == 0
+                  else ~history.covers(s))
+        start = sum(map(len, points))
+        points.append(s[served])
+        return (served, slice(start, start + len(points[-1])),
+                np.array([history.value(term.target, x) for x in s[~served]]))
 
-    A = np.zeros((l * (m + 1), l * width))
     G = np.zeros(l * (m + 1))
-    feedback = []
+    linear, nonlinear = [], []
     for eq in range(l):
-        own = slice(eq * width, (eq + 1) * width)
         rows = slice(eq * (m + 1), eq * (m + 1) + m)
-        A[rows, own] = slopes + problem.gamma[eq] * values
         G[rows] = [float(problem.g[eq](x)) for x in t]
         for term in problem.delays[eq]:
-            served, T, known = delayed(term.target, term.tau)
-            block = slice(term.target * width, (term.target + 1) * width)
-            A[rows, block][served] -= term.beta * T
+            served, cols, known = delayed(term)
             G[rows][~served] += term.beta * known
-        A[rows.stop, own] = (-1.0) ** np.arange(width)  # T_k(-1) at t = 0
+            linear.append((rows, term, served, cols))
         G[rows.stop] = problem.phi[eq]
         term = problem.nonlinear[eq]
         if term is not None:
-            served, T, known = delayed(term.target, term.tau)
+            served, cols, known = delayed(term)
             u = np.full(m, problem.phi[term.target] if history is None
                         else history.value(term.target, history.end))
             u[~served] = known
-            feedback.append((rows, term, served, T, u))
+            nonlinear.append((rows, term, served, cols, u))
+
+    values, slopes = _chebyshev_rows(n_max, problem.b, np.concatenate(points), m)
+    T = values.T  # row j: T_0 .. T_N at point j
+    A = np.zeros((l * (m + 1), l * width))
+    for eq in range(l):
+        own = slice(eq * width, (eq + 1) * width)
+        rows = slice(eq * (m + 1), eq * (m + 1) + m)
+        A[rows, own] = slopes.T + problem.gamma[eq] * T[:m]
+        A[rows.stop, own] = (-1.0) ** np.arange(width)  # T_k(-1) at t = 0
+    for rows, term, served, cols in linear:
+        block = slice(term.target * width, (term.target + 1) * width)
+        A[rows, block][served] -= term.beta * T[cols]
+    # contiguous, so Picard's T @ c takes the BLAS path of a row-major matrix
+    feedback = [(rows, term, served, np.ascontiguousarray(T[cols]), u)
+                for rows, term, served, cols, u in nonlinear]
     return A, G, feedback
 
 

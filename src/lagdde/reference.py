@@ -145,7 +145,10 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
 
     Stepping runs on Python floats, and a delayed query is a bisection on
     the grid plus the Hermite formula of ``Trajectory.__call__`` for one
-    component, so it returns what the finished trajectory would.
+    component, so it returns what the finished trajectory would. Python
+    float arithmetic overflows to inf without raising, so the finished u
+    and u' are checked once: a value that is not finite raises
+    FloatingPointError naming the first grid time where it appears.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -250,9 +253,13 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
         du = rhs(end, u)
         u_buf.extend(u)
         du_buf.extend(du)
-    return Trajectory(np.asarray(grid, dtype=float),
-                      np.frombuffer(u_buf).reshape(len(grid), l),
-                      np.frombuffer(du_buf).reshape(len(grid), l),
+    u_all = np.frombuffer(u_buf).reshape(len(grid), l)
+    du_all = np.frombuffer(du_buf).reshape(len(grid), l)
+    finite = np.isfinite(u_all).all(axis=1) & np.isfinite(du_all).all(axis=1)
+    if not finite.all():
+        raise FloatingPointError(
+            f"the RK4 solution is not finite from t={grid[finite.argmin()]:g}")
+    return Trajectory(np.asarray(grid, dtype=float), u_all, du_all,
                       {k: np.asarray(v, dtype=float) for k, v in right_du.items()})
 
 

@@ -82,12 +82,14 @@ def test_residual_small_at_retained_collocation_points():
 
 def _defect_point_by_point(problem, solution, t):
     """The defect at one point from its definition, with each delayed value
-    read from the history where it covers the argument, else by Clenshaw."""
+    read from the history where it covers the argument and tau > 0, else by
+    Clenshaw."""
     u = evaluate(solution, t)
     du = evaluate_derivative(solution, t)
 
-    def delayed(eq, s):
-        if problem.history is not None and problem.history.covers(s):
+    def delayed(eq, tau):
+        s = t - tau
+        if tau > 0 and problem.history is not None and problem.history.covers(s):
             return problem.history.value(eq, s)
         return evaluate(solution, s)[eq]
 
@@ -95,10 +97,10 @@ def _defect_point_by_point(problem, solution, t):
     for eq in range(problem.n_equations):
         value = du[eq] + problem.gamma[eq] * u[eq] - problem.g[eq](t)
         for term in problem.delays[eq]:
-            value -= term.beta * delayed(term.target, t - term.tau)
+            value -= term.beta * delayed(term.target, term.tau)
         nl = problem.nonlinear[eq]
         if nl is not None:
-            value -= nl.f(delayed(nl.target, t - nl.tau))
+            value -= nl.f(delayed(nl.target, nl.tau))
         out.append(abs(value))
     return np.array(out)
 

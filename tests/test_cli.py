@@ -306,6 +306,13 @@ def test_validate_prints_identity_lines():
     assert any("delay_product_with_extra_diff_factor_differs" in l for l in lines)
 
 
+def test_package_runs_as_a_module():
+    result = subprocess.run([sys.executable, "-m", "lagdde", "--help"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "validate" in result.stdout
+
+
 def test_oracle_step_override_enables_rk4(tmp_path):
     cfg = _write(tmp_path, CONSTANT_PROBLEM)
     out = tmp_path / "out"
@@ -423,6 +430,21 @@ def test_overflow_in_the_oracle_exits_four(tmp_path, capsys):
     assert code == 4
     assert capsys.readouterr().err.startswith(
         "oracle error: RK4 integration failed: OverflowError")
+
+
+@pytest.mark.parametrize("verb", ["solve", "compare"])
+def test_rk4_overflow_without_an_exception_exits_four(tmp_path, capsys, verb):
+    # u' = 400 u: e^(400 t) passes the float range from t = 1.78 as a plain
+    # product, which gives inf without raising; both verbs used to exit 0
+    # and write inf
+    cfg = _write(tmp_path, "b = 2\nN_list = 6\nrk4_step = 0.001\n\n"
+                 "[equation 1]\ngamma = -400\nphi = 1\n")
+    out = tmp_path / "out"
+    assert cli.main([verb, "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "oracle error: RK4 integration failed: FloatingPointError: "
+        "the RK4 solution is not finite from t=1.7")
+    assert not out.exists()
 
 
 def test_division_by_zero_in_the_exact_solution_exits_four(tmp_path, capsys):

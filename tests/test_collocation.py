@@ -485,11 +485,12 @@ def test_evaluate_derivative_matches_finite_difference():
         assert evaluate_derivative(solution, t)[0] == pytest.approx(fd, abs=1e-6)
 
 
-@pytest.mark.parametrize("n", [2, 8, 20])
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 20])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_array_reads_equal_scalar_reads(l, n):
     # each point of an array read equals the scalar read at that point,
-    # bit for bit, inside [0, b] and outside it
+    # bit for bit, inside [0, b] and outside it; a read keeps the shape of
+    # its points, (l,) + np.shape(t)
     b = 3.0
     rng = np.random.default_rng(10 * l + n)
     solution = SpectralSolution(chebyshev=rng.uniform(-2.0, 2.0, (l, n + 1)), b=b)
@@ -501,6 +502,149 @@ def test_array_reads_equal_scalar_reads(l, n):
             assert read(solution, t).shape == (l,)
             assert (values[:, j] == read(solution, t)).all()
             assert (values[:, j] == read(solution, float(t))).all()
+        zero_d = read(solution, np.array(points[3]))
+        assert zero_d.shape == (l,)
+        assert (zero_d == values[:, 3]).all()
+        grid = read(solution, points.reshape(5, 5))
+        assert grid.shape == (l, 5, 5)
+        assert (grid.reshape(l, -1) == values).all()
+
+
+# ---------------------------------------------------------------------------
+# undelayed couplings
+
+@pytest.mark.parametrize("history", [None, History((lambda t: 7.0,), end=0.5),
+                                     History((lambda t: 3.0,), end=0.0)],
+                         ids=["none", "end_half", "end_zero"])
+def test_zero_delay_coupling_reads_the_computed_solution(history):
+    # u' = -u + 0.5 u(t), u(0) = 1, so u = exp(-t/2) whatever the history:
+    # beta u(t) is the state, never the history, even where t <= end
+    problem = single_equation(1.0, 0.5, 0.0, lambda t: 0.0, 1.0, 2.0,
+                              history=history)
+    solution = solve_linear(problem, 12)
+    points = np.linspace(0.0, 2.0, 21)
+    error = np.abs(evaluate(solution, points)[0] - np.exp(-points / 2)).max()
+    assert error < 1e-12
+    unserved = solve_linear(single_equation(1.0, 0.5, 0.0, lambda t: 0.0, 1.0,
+                                            2.0), 12)
+    np.testing.assert_array_equal(solution.chebyshev, unserved.chebyshev)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass assembly against the per-term one
+
+def _rows_per_call(n_max, b, t):
+    """T_k(2t/b - 1) and its t-derivative, one (len(t), N+1) block per call:
+    the per-term kernel the assembly used before it ran one recurrence."""
+    x = 2.0 * np.asarray(t, dtype=float) / b - 1.0
+    values = np.empty((x.size, n_max + 1))
+    slopes = np.empty_like(values)
+    values[:, 0], slopes[:, 0] = 1.0, 0.0
+    values[:, 1], slopes[:, 1] = x, 1.0
+    for k in range(1, n_max):
+        values[:, k + 1] = 2.0 * x * values[:, k] - values[:, k - 1]
+        slopes[:, k + 1] = (2.0 * values[:, k] + 2.0 * x * slopes[:, k]
+                            - slopes[:, k - 1])
+    return values, slopes * (2.0 / b)
+
+
+def _system_per_term(problem, n_max, t):
+    """``_system`` with one recurrence run per delay term, frozen as the
+    reference that the one-pass assembly must equal bit for bit."""
+    b = problem.b
+    values, slopes = _rows_per_call(n_max, b, t)
+    history = problem.history
+    l = problem.n_equations
+    m, width = t.size, n_max + 1
+
+    def delayed(target, tau):
+        s = t - tau
+        served = (np.ones(m, bool) if history is None or tau == 0
+                  else ~history.covers(s))
+        known = np.array([history.value(target, x) for x in s[~served]])
+        return served, _rows_per_call(n_max, b, s[served])[0], known
+
+    A = np.zeros((l * (m + 1), l * width))
+    G = np.zeros(l * (m + 1))
+    feedback = []
+    for eq in range(l):
+        own = slice(eq * width, (eq + 1) * width)
+        rows = slice(eq * (m + 1), eq * (m + 1) + m)
+        A[rows, own] = slopes + problem.gamma[eq] * values
+        G[rows] = [float(problem.g[eq](x)) for x in t]
+        for term in problem.delays[eq]:
+            served, T, known = delayed(term.target, term.tau)
+            block = slice(term.target * width, (term.target + 1) * width)
+            A[rows, block][served] -= term.beta * T
+            G[rows][~served] += term.beta * known
+        A[rows.stop, own] = (-1.0) ** np.arange(width)
+        G[rows.stop] = problem.phi[eq]
+        term = problem.nonlinear[eq]
+        if term is not None:
+            served, T, known = delayed(term.target, term.tau)
+            u = np.full(m, problem.phi[term.target] if history is None
+                        else history.value(term.target, history.end))
+            u[~served] = known
+            feedback.append((rows, term, served, T, u))
+    return A, G, feedback
+
+
+def _guard_problem(l, with_history, with_nonlinear):
+    """l coupled equations on [0, 2.5]: equation k delays its neighbour by
+    0.5 (k + 1) and, for k = 1, also couples undelayed; with
+    ``with_nonlinear`` each equation adds f(u_k(t - 0.3 (k + 1)))."""
+    rng = np.random.default_rng(7 * l + 2 * with_history + with_nonlinear)
+    gamma = rng.uniform(-1.0, 1.0, l).tolist()
+    beta = rng.uniform(-1.0, 1.0, l).tolist()
+    delays = [[DelayTerm((k + 1) % l, beta[k], 0.5 * (k + 1))] for k in range(l)]
+    if l > 1:
+        delays[1].append(DelayTerm(0, 0.25, 0.0))
+    nonlinear = ([NonlinearDelayTerm(f=math.tanh, target=k, tau=0.3 * (k + 1))
+                  for k in range(l)] if with_nonlinear else None)
+    history = (History(functions=(math.cos, math.sin, math.exp)[:l], end=0.4)
+               if with_history else None)
+    return DDEProblem(gamma=gamma, delays=delays,
+                      g=[math.sin, math.cos, lambda t: 0.5][:l],
+                      phi=rng.uniform(-1.0, 1.0, l).tolist(), b=2.5,
+                      history=history, nonlinear=nonlinear)
+
+
+@pytest.mark.parametrize("with_nonlinear", [False, True])
+@pytest.mark.parametrize("with_history", [False, True])
+@pytest.mark.parametrize("n", [2, 10, 20])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_one_pass_system_equals_per_term_assembly(l, n, with_history,
+                                                  with_nonlinear):
+    problem = _guard_problem(l, with_history, with_nonlinear)
+    for t in (collocation_points(n, problem.b).points[:-1],
+              np.linspace(0.0, problem.b, 26)):
+        A, G, feedback = _system(problem, n, t)
+        A_ref, G_ref, feedback_ref = _system_per_term(problem, n, t)
+        assert np.array_equal(A, A_ref)
+        assert np.array_equal(G, G_ref)
+        assert len(feedback) == len(feedback_ref) == l * with_nonlinear
+        for (rows, term, served, T, u), ref in zip(feedback, feedback_ref):
+            assert (rows, term) == ref[:2]
+            assert np.array_equal(served, ref[2])
+            assert T.flags.c_contiguous
+            assert np.array_equal(T, ref[3])
+            assert np.array_equal(u, ref[4])
+
+
+def test_one_recurrence_per_assembly(monkeypatch):
+    runs = []
+
+    def counting(*args):
+        runs.append(args)
+        return rows(*args)
+
+    rows = collocation_mod._chebyshev_rows
+    monkeypatch.setattr(collocation_mod, "_chebyshev_rows", counting)
+    problem = _guard_problem(3, with_history=True, with_nonlinear=True)
+    _system(problem, 10, collocation_points(10, problem.b).points[:-1])
+    assert len(runs) == 1
+    solve_nonlinear(problem, 8)
+    assert len(runs) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +654,8 @@ def _laguerre_frame_reference(problem, n):
     """The Laguerre-frame collocation operator assembled row by row from the
     definitions, frozen as the reference: L(t) @ C + gamma L(t) on the
     diagonal block, -beta L(t - tau) from the explicit sum (any sign of
-    t - tau) where the series serves a delay, and L(0) as each block's last,
-    initial-condition row."""
+    t - tau) where the series serves a delay (always for tau = 0), and L(0)
+    as each block's last, initial-condition row."""
     l = problem.n_equations
     width = n + 1
     C = basis_mod.laguerre_diff_matrix(n)
@@ -522,7 +666,7 @@ def _laguerre_frame_reference(problem, n):
             L = basis_mod.basis_row(n, t)
             W[r, eq * width:(eq + 1) * width] = L @ C + problem.gamma[eq] * L
             for term in problem.delays[eq]:
-                if problem.history.covers(t - term.tau):
+                if term.tau > 0 and problem.history.covers(t - term.tau):
                     continue
                 delayed = [basis_mod.laguerre_eval_sum(k, t - term.tau)
                            for k in range(width)]
