@@ -29,6 +29,7 @@ from .config import (
     build_problem,
     check_truncations,
     parse_config,
+    set_key,
     validate,
 )
 
@@ -91,10 +92,13 @@ def _make_oracle(cfg: ProblemConfig, problem):
 
         def exact(t):
             try:
-                return np.array([f(t) for f in exacts])
+                values = np.array([f(t) for f in exacts])
             except ArithmeticError as err:  # e.g. 1/(t-1) at t = 1
                 raise OracleError(f"exact solution failed at t={t}: "
                                   f"{type(err).__name__}: {err}") from err
+            if not np.isfinite(values).all():  # e.g. 1e308*10*t
+                raise OracleError(f"exact solution is not finite at t={t}")
+            return values
         return exact
     if cfg.rk4_step is None:
         raise OracleError("rk4 oracle requested but no rk4_step configured")
@@ -282,14 +286,10 @@ def main(argv=None) -> int:
         return run_validate()
     try:
         cfg = parse_config(args.config)
-        if args.tol is not None:
-            cfg.tol = args.tol
-        if args.max_iter is not None:
-            cfg.max_iter = args.max_iter
-        if args.oracle_step is not None:
-            cfg.rk4_step = args.oracle_step
-            if cfg.oracle == "none":
-                cfg.oracle = "rk4"
+        for key, value in (("tol", args.tol), ("max_iter", args.max_iter),
+                           ("rk4_step", args.oracle_step)):
+            if value is not None:
+                set_key(cfg, key, value)
         validate(cfg)
         out_dir = Path(args.out)
         if args.command == "solve":

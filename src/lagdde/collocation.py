@@ -170,16 +170,9 @@ def single_equation(gamma, beta, tau, g, phi, b, history=None,
     )
 
 
-@dataclass(frozen=True)
-class CollocationGrid:
-    """Equally spaced collocation points t_i = (b/N) i, i = 0..N."""
-
-    points: np.ndarray
-    h: float
-
-
-def collocation_points(n_max: int, b: float) -> CollocationGrid:
-    """The grid of truncation ``n_max``, which must lie in 2..MAX_TRUNCATION."""
+def collocation_points(n_max: int, b: float) -> np.ndarray:
+    """The equally spaced points t_i = (b/N) i, i = 0..N, of truncation
+    N = ``n_max``, which must lie in 2..MAX_TRUNCATION."""
     if n_max < 2:
         raise ValueError(f"truncation must be >= 2, got {n_max}")
     if n_max > _basis.MAX_TRUNCATION:
@@ -187,9 +180,7 @@ def collocation_points(n_max: int, b: float) -> CollocationGrid:
                          f"{_basis.MAX_TRUNCATION}")
     if b <= 0:
         raise ValueError(f"interval endpoint must be positive, got {b}")
-    h = b / n_max
-    points = np.linspace(0.0, b, n_max + 1)
-    return CollocationGrid(points=points, h=h)
+    return np.linspace(0.0, b, n_max + 1)
 
 
 @dataclass
@@ -418,8 +409,7 @@ def solve_linear(problem: DDEProblem, n_max: int) -> SpectralSolution:
     """Solve a linear problem by collocation at truncation ``n_max``."""
     if problem.has_nonlinearity:
         raise ValueError("problem has a nonlinear delay term; use solve_nonlinear")
-    A, G, _ = _system(problem, n_max,
-                      collocation_points(n_max, problem.b).points[:-1])
+    A, G, _ = _system(problem, n_max, collocation_points(n_max, problem.b)[:-1])
     return _solve(problem, A, G, *_invert(A))
 
 
@@ -461,7 +451,7 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     A, G, feedback = _system(problem, n_max,
-                             collocation_points(n_max, problem.b).points[:-1])
+                             collocation_points(n_max, problem.b)[:-1])
     inverse, condition = _invert(A)
     previous: Optional[SpectralSolution] = None
     last_delta = math.inf

@@ -63,8 +63,18 @@ _UNEXPECTED = re.compile(r"[^0-9A-Za-z_ ()+\-*/^.]|\*\*")
 # leading zeros of a number, which Python refuses in an integer ("007")
 _LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![\d.][eE][+-])0+(?=\d)")
 _LAMBDA = "lambda x: "
+
+
+def _real(power):
+    """``power`` if it is real; Python makes a negative base to a fractional
+    power complex, which is here a ValueError, as a math domain error is."""
+    if type(power) is complex:
+        raise ValueError("negative base to a fractional power")
+    return power
+
+
 # the only names a compiled expression can reach
-_NAMESPACE = {"__builtins__": {}, "float": float, **_FUNCTIONS}
+_NAMESPACE = {"__builtins__": {}, "float": float, "real": _real, **_FUNCTIONS}
 
 
 def _compile(text, variable):
@@ -75,9 +85,10 @@ def _compile(text, variable):
     ``lambda x: ...``, and the body is walked once under a whitelist: + - *
     / ** of two operands, unary minus (unary plus is dropped), exp, sin or
     cos of one argument, pi, e, the variable and number literals. Numbers
-    become the float of their text, pi and e constants, and the variable
-    ``float(x)`` (numpy scalars in, Python floats out). The lambda is then
-    compiled and evaluated with no builtins.
+    become the float of their text, pi and e constants, the variable
+    ``float(x)`` (numpy scalars in, Python floats out) and each power
+    ``real(a ** b)``. The lambda is then compiled and evaluated with no
+    builtins.
     """
     # each rewrite keeps the length, so columns hold, but for '^' -> '**':
     # spaces and digits to ASCII (float() reads any Unicode digit), then
@@ -97,7 +108,10 @@ def _compile(text, variable):
     def checked(node):
         if isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
             node.left, node.right = checked(node.left), checked(node.right)
-            return node
+            if not isinstance(node.op, ast.Pow):
+                return node
+            name = ast.copy_location(ast.Name("real", ast.Load()), node)
+            return ast.copy_location(ast.Call(name, [node], []), node)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             node.operand = checked(node.operand)
             return node.operand if isinstance(node.op, ast.UAdd) else node
@@ -139,7 +153,8 @@ def _compile(text, variable):
 class Expression:
     """A compiled expression over a single named variable (see ``_compile``);
     a call is one call of a Python lambda. A math domain error, sin(inf),
-    is raised as an ArithmeticError, as an overflow is."""
+    and a complex power, (-8)^(1/3), are raised as an ArithmeticError, as an
+    overflow is."""
 
     def __init__(self, source: str, variable: str = "t"):
         self.source = source.strip()
@@ -149,7 +164,7 @@ class Expression:
     def __call__(self, value: float) -> float:
         try:
             return self._fn(value)
-        except ValueError as err:  # "math domain error", e.g. sin(inf)
+        except ValueError as err:  # sin(inf), or a power from _real
             raise ArithmeticError(f"{self.source!r} at {self.variable} = "
                                   f"{value}: {err}") from err
 
@@ -198,10 +213,81 @@ class ProblemConfig:
     equations: tuple = ()
 
 
-_GLOBAL_KEYS = {"equations", "b", "N", "N_list", "tol", "max_iter",
-                "rk4_step", "oracle", "history_end"}
-_EQUATION_KEYS = {"gamma", "phi", "forcing", "history", "delay",
-                  "nonlinear", "nonlinear_tau", "nonlinear_target", "exact"}
+def _delay(value):
+    parts = value.split()
+    if len(parts) != 3:
+        raise ConfigError("delay takes three values: target beta tau", field="delay")
+    return int(parts[0]) - 1, float(parts[1]), float(parts[2])
+
+
+def _oracle(value):
+    if value not in ("none", "rk4", "exact"):
+        raise ConfigError(f"oracle must be none, rk4 or exact, got '{value}'",
+                          field="oracle")
+    return value
+
+
+# The one list of config keys: per section, in serialize's order, each key's
+# attribute, its reader (text or a number -> value) and its writer (value ->
+# text). A None or empty value is not written.
+_FLOAT = (float, repr)
+_INT = (int, str)
+_EXPRESSION = (Expression, lambda e: e.source)
+_KEYS = {
+    ProblemConfig: {
+        "equations": ("n_equations", *_INT),
+        "b": ("b", *_FLOAT),
+        "N": ("n_max", *_INT),
+        "N_list": ("n_list",
+                   lambda v: tuple(int(n) for n in re.split(r"[,\s]+", v) if n),
+                   lambda v: ", ".join(map(str, v))),
+        "tol": ("tol", *_FLOAT),
+        "max_iter": ("max_iter", *_INT),
+        "rk4_step": ("rk4_step", *_FLOAT),
+        "oracle": ("oracle", _oracle, str),
+        "history_end": ("history_end", *_FLOAT),
+    },
+    EquationConfig: {
+        "gamma": ("gamma", *_FLOAT),
+        "phi": ("phi", *_FLOAT),
+        "forcing": ("forcing", *_EXPRESSION),
+        "history": ("history", *_EXPRESSION),
+        "delay": ("delays", _delay,
+                  lambda d: f"{d[0] + 1} {d[1]!r} {d[2]!r}"),
+        "nonlinear": ("nonlinear", lambda v: Expression(v, variable="u"),
+                      lambda e: e.source),
+        "nonlinear_tau": ("nonlinear_tau", *_FLOAT),
+        "nonlinear_target": ("nonlinear_target", lambda v: int(v) - 1,
+                             lambda v: str(v + 1)),
+        "exact": ("exact", *_EXPRESSION),
+    },
+}
+
+
+def set_key(target, key, value) -> None:
+    """Set config ``key`` of ``target``, a ProblemConfig or an EquationConfig,
+    from ``value``, its text or a number. Each ``delay`` adds one delay, and
+    ``rk4_step`` makes the oracle rk4 while it is none."""
+    table = _KEYS[type(target)]
+    if key not in table:
+        raise ConfigError(f"unknown key '{key}'")
+    attribute, read, _ = table[key]
+    value = read(value)
+    if key == "delay":
+        value = target.delays + (value,)
+    elif key == "rk4_step" and target.oracle == "none":
+        target.oracle = "rk4"
+    setattr(target, attribute, value)
+
+
+def _lines(target):
+    """``key = value`` lines of ``target``'s keys in table order, one per
+    delay."""
+    for key, (attribute, _, write) in _KEYS[type(target)].items():
+        value = getattr(target, attribute)
+        for item in value if key == "delay" else (value,):
+            if item is not None and item != ():
+                yield f"{key} = {write(item)}"
 
 
 def parse_config(path) -> ProblemConfig:
@@ -215,10 +301,9 @@ def parse_config(path) -> ProblemConfig:
 
 
 def parse_config_text(text: str) -> ProblemConfig:
-    cfg = ProblemConfig()
-    section = None  # None = global, else 0-based equation index
+    cfg = ProblemConfig(n_equations=None)  # None until the text declares it
+    section = cfg  # the global section, or an EquationConfig
     equations: dict[int, EquationConfig] = {}
-    declared = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -229,23 +314,14 @@ def parse_config_text(text: str) -> ProblemConfig:
             index = int(m.group(1)) - 1
             if index < 0:
                 raise ConfigError("equation numbers start at 1", line=lineno)
-            section = index
-            equations.setdefault(index, EquationConfig())
+            section = equations.setdefault(index, EquationConfig())
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value'", line=lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         try:
-            if section is None:
-                if key not in _GLOBAL_KEYS:
-                    raise ConfigError(f"unknown key '{key}'", line=lineno)
-                declared = _apply_global(cfg, key, value, declared)
-            else:
-                if key not in _EQUATION_KEYS:
-                    raise ConfigError(f"unknown key '{key}'", line=lineno)
-                _apply_equation(equations[section], key, value)
+            set_key(section, key, value.strip())
         except ConfigError as err:
             if err.line is None:
                 raise ConfigError(str(err), line=lineno) from err
@@ -253,8 +329,9 @@ def parse_config_text(text: str) -> ProblemConfig:
         except ValueError as err:
             raise ConfigError(str(err), line=lineno, field=key) from err
 
-    n_eq = declared if declared is not None else (max(equations) + 1 if equations else 1)
-    cfg.n_equations = n_eq
+    if cfg.n_equations is None:
+        cfg.n_equations = max(equations) + 1 if equations else 1
+    n_eq = cfg.n_equations
     if equations and max(equations) + 1 > n_eq:
         raise ConfigError(
             f"section [equation {max(equations) + 1}] exceeds declared "
@@ -262,60 +339,6 @@ def parse_config_text(text: str) -> ProblemConfig:
     cfg.equations = tuple(equations.get(i, EquationConfig()) for i in range(n_eq))
     validate(cfg)
     return cfg
-
-
-def _apply_global(cfg, key, value, declared):
-    if key == "equations":
-        cfg.n_equations = int(value)
-        declared = cfg.n_equations
-    elif key == "b":
-        cfg.b = float(value)
-    elif key == "N":
-        cfg.n_max = int(value)
-    elif key == "N_list":
-        cfg.n_list = tuple(int(v) for v in re.split(r"[,\s]+", value) if v)
-    elif key == "tol":
-        cfg.tol = float(value)
-    elif key == "max_iter":
-        cfg.max_iter = int(value)
-    elif key == "rk4_step":
-        cfg.rk4_step = float(value)
-        if cfg.oracle == "none":
-            cfg.oracle = "rk4"
-    elif key == "oracle":
-        if value not in ("none", "rk4", "exact"):
-            raise ConfigError(f"oracle must be none, rk4 or exact, got '{value}'",
-                              field="oracle")
-        cfg.oracle = value
-    elif key == "history_end":
-        cfg.history_end = float(value)
-    return declared
-
-
-def _apply_equation(eq, key, value):
-    if key == "gamma":
-        eq.gamma = float(value)
-    elif key == "phi":
-        eq.phi = float(value)
-    elif key == "forcing":
-        eq.forcing = Expression(value)
-    elif key == "history":
-        eq.history = Expression(value)
-    elif key == "delay":
-        parts = value.split()
-        if len(parts) != 3:
-            raise ConfigError(
-                "delay takes three values: target beta tau", field="delay")
-        target, beta, tau = int(parts[0]), float(parts[1]), float(parts[2])
-        eq.delays = eq.delays + ((target - 1, beta, tau),)
-    elif key == "nonlinear":
-        eq.nonlinear = Expression(value, variable="u")
-    elif key == "nonlinear_tau":
-        eq.nonlinear_tau = float(value)
-    elif key == "nonlinear_target":
-        eq.nonlinear_target = int(value) - 1
-    elif key == "exact":
-        eq.exact = Expression(value)
 
 
 def validate(cfg: ProblemConfig) -> None:
@@ -397,34 +420,9 @@ def check_truncations(values, field_name):
 
 def serialize(cfg: ProblemConfig) -> str:
     """Emit configuration text that parses back to an equal config."""
-    lines = [f"equations = {cfg.n_equations}", f"b = {cfg.b!r}"]
-    if cfg.n_max is not None:
-        lines.append(f"N = {cfg.n_max}")
-    if cfg.n_list:
-        lines.append("N_list = " + ", ".join(str(n) for n in cfg.n_list))
-    lines.append(f"tol = {cfg.tol!r}")
-    lines.append(f"max_iter = {cfg.max_iter}")
-    if cfg.rk4_step is not None:
-        lines.append(f"rk4_step = {cfg.rk4_step!r}")
-    lines.append(f"oracle = {cfg.oracle}")
-    lines.append(f"history_end = {cfg.history_end!r}")
+    lines = list(_lines(cfg))
     for k, eq in enumerate(cfg.equations, start=1):
-        lines.append("")
-        lines.append(f"[equation {k}]")
-        lines.append(f"gamma = {eq.gamma!r}")
-        lines.append(f"phi = {eq.phi!r}")
-        lines.append(f"forcing = {eq.forcing.source}")
-        if eq.history is not None:
-            lines.append(f"history = {eq.history.source}")
-        for target, beta, tau in eq.delays:
-            lines.append(f"delay = {target + 1} {beta!r} {tau!r}")
-        if eq.nonlinear is not None:
-            lines.append(f"nonlinear = {eq.nonlinear.source}")
-            lines.append(f"nonlinear_tau = {eq.nonlinear_tau!r}")
-            if eq.nonlinear_target is not None:
-                lines.append(f"nonlinear_target = {eq.nonlinear_target + 1}")
-        if eq.exact is not None:
-            lines.append(f"exact = {eq.exact.source}")
+        lines += ["", f"[equation {k}]", *_lines(eq)]
     return "\n".join(lines) + "\n"
 
 

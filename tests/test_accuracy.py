@@ -70,7 +70,7 @@ def test_residual_small_at_retained_collocation_points():
                     single_equation(0.4, 0.3, 0.75, math.cos, 0.0, 2.0, history=sine,
                                     nonlinear=exp)):
         solution = solve_nonlinear(problem, 8)
-        points = collocation_points(8, 2.0).points[:-1]
+        points = collocation_points(8, 2.0)[:-1]
         defect = residual(problem, solution, points)
         assert defect.shape == (1, 8)
         assert defect.max() < 1e-8

@@ -1,5 +1,6 @@
 """The package's public surface: every exported name resolves."""
 
+import dataclasses
 import inspect
 
 import lagdde
@@ -27,3 +28,11 @@ def test_names_the_benchmark_tracer_wraps_exist():
         assert inspect.isfunction(function)
         assert function.__module__ == "lagdde.config"
     assert "value" in vars(collocation.History)
+
+
+def test_names_the_benchmark_workloads_read_exist():
+    # perfbench/workloads.py parses the shipped configs and reads these
+    # fields to set up its CLI jobs
+    assert inspect.isfunction(config.parse_config)
+    fields = {f.name for f in dataclasses.fields(config.ProblemConfig)}
+    assert {"n_list", "n_max", "oracle"} <= fields

@@ -117,7 +117,7 @@ def test_polynomial_basis_rejects_small_truncation():
     for n in (-1, 0, 1):
         with pytest.raises(ValueError, match="must be >= 2"):
             collocation_points(n, 1.0)
-    assert len(collocation_points(2, 1.0).points) == 3
+    assert len(collocation_points(2, 1.0)) == 3
 
 
 def test_row_vector_identities_random_points():

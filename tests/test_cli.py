@@ -196,6 +196,17 @@ def test_invalid_override_exits_two(tmp_path, capsys, verb, flag, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "abc"), ("--max-iter", "1.5"), ("--oracle-step", "x")])
+def test_malformed_override_exits_two(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["solve", "--config", str(CONFIG_DIR / "example1.cfg"),
+                  flag, value, "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exits_two(tmp_path, capsys):
     missing = str(tmp_path / "missing.cfg")
     assert cli.main(["solve", "--config", missing,
@@ -403,13 +414,38 @@ def test_division_by_zero_in_the_solve_exits_three(tmp_path, capsys):
     ("rk4_step = 0.001\n", "forcing = sin(1e308*10*t)\n", 4,
      "oracle error: RK4 integration failed: ArithmeticError: "
      "'sin(1e308*10*t)' at t = "),
-], ids=["inf_forcing", "inf_nonlinearity", "domain_error", "domain_error_oracle"])
+    # a negative base to a fractional power is complex in Python; it used
+    # to end in a TypeError traceback, or, in exact, in wrong norms
+    ("", "forcing = (t-1)^0.5\n", 3,
+     "solver error: ArithmeticError: '(t-1)^0.5' at t = 0.0: negative base"),
+    ("", "delay = 1 0.5 0.5\nhistory = (t-1)^0.5\n", 3,
+     "solver error: ArithmeticError: '(t-1)^0.5' at t = "),
+    ("", "nonlinear = (u-1)^0.5\nnonlinear_tau = 0.5\n", 3,
+     "solver error: ArithmeticError: '(u-1)^0.5' at u = "),
+    ("oracle = exact\n", "exact = (t-1)^0.5\n", 4,
+     "oracle error: exact solution failed at t=0.0: ArithmeticError"),
+], ids=["inf_forcing", "inf_nonlinearity", "domain_error", "domain_error_oracle",
+        "complex_forcing", "complex_history", "complex_nonlinearity",
+        "complex_exact"])
 def test_non_finite_arithmetic_exits_with_a_typed_error(tmp_path, capsys, settings,
                                                          lines, code, message):
     cfg = _write(tmp_path, settings + ARITHMETIC_PROBLEM + lines)
     out = tmp_path / "out"
     assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["solve", "compare", "converge"])
+def test_non_finite_exact_solution_exits_four(tmp_path, capsys, verb):
+    # 1e308*10 is inf, and inf*0 nan at t = 0; each verb used to write nan
+    # norms or columns and exit 0
+    cfg = _write(tmp_path, "oracle = exact\n" + ARITHMETIC_PROBLEM
+                 + "exact = 1e308*10*t\n")
+    out = tmp_path / "out"
+    assert cli.main([verb, "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "oracle error: exact solution is not finite at t=0.0")
     assert not out.exists()
 
 

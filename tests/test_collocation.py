@@ -52,7 +52,7 @@ def _laguerre_frame(problem, n):
     last, the initial-condition row.
     """
     S = _chebyshev_of_laguerre(n, problem.b)
-    A, G, _ = _system(problem, n, collocation_points(n, problem.b).points[:-1])
+    A, G, _ = _system(problem, n, collocation_points(n, problem.b)[:-1])
     return A @ np.kron(np.eye(problem.n_equations), S), G
 
 
@@ -60,10 +60,10 @@ def _laguerre_frame(problem, n):
 # grids
 
 def test_collocation_points_small():
-    np.testing.assert_allclose(collocation_points(2, 1.0).points, [0.0, 0.5, 1.0])
-    np.testing.assert_allclose(collocation_points(4, 2.0).points,
+    np.testing.assert_allclose(collocation_points(2, 1.0), [0.0, 0.5, 1.0])
+    np.testing.assert_allclose(collocation_points(4, 2.0),
                                [0.0, 0.5, 1.0, 1.5, 2.0])
-    np.testing.assert_allclose(collocation_points(3, 5.0).points,
+    np.testing.assert_allclose(collocation_points(3, 5.0),
                                [0.0, 5.0 / 3.0, 10.0 / 3.0, 5.0])
 
 
@@ -116,7 +116,7 @@ def test_assemble_system_derivative_rows():
     W, G = _laguerre_frame(problem, 2)
     assert W.shape == (3, 3)
     C = basis_mod.laguerre_diff_matrix(2)
-    for i, t in enumerate(collocation_points(2, 1.0).points[:-1]):
+    for i, t in enumerate(collocation_points(2, 1.0)[:-1]):
         np.testing.assert_allclose(W[i], basis_mod.basis_row(2, t) @ C,
                                    atol=1e-14)
     np.testing.assert_array_equal(G, np.zeros(3))
@@ -127,7 +127,7 @@ def test_delay_collapse_matches_ode_assembly():
     problem = single_equation(gamma, beta, 0.0, lambda t: math.sin(t), 0.2, 2.0)
     W, _ = _laguerre_frame(problem, 5)
     C = basis_mod.laguerre_diff_matrix(5)
-    for i, t in enumerate(collocation_points(5, 2.0).points[:-1]):
+    for i, t in enumerate(collocation_points(5, 2.0)[:-1]):
         L = basis_mod.basis_row(5, t)
         np.testing.assert_allclose(W[i], L @ C + (gamma - beta) * L,
                                    atol=1e-12)
@@ -421,7 +421,7 @@ def test_picard_evaluates_g_and_history_once_per_solve():
             assert solves > 3
         except NonConvergenceError:
             solves = max_iter
-        t = collocation_points(n, problem.b).points[:-1]
+        t = collocation_points(n, problem.b)[:-1]
         covered = history.covers(t - 1.0).sum() + history.covers(t - 0.5).sum()
         assert calls["g"] == n
         # the points the history serves, and its end for the first iterate
@@ -616,7 +616,7 @@ def _guard_problem(l, with_history, with_nonlinear):
 def test_one_pass_system_equals_per_term_assembly(l, n, with_history,
                                                   with_nonlinear):
     problem = _guard_problem(l, with_history, with_nonlinear)
-    for t in (collocation_points(n, problem.b).points[:-1],
+    for t in (collocation_points(n, problem.b)[:-1],
               np.linspace(0.0, problem.b, 26)):
         A, G, feedback = _system(problem, n, t)
         A_ref, G_ref, feedback_ref = _system_per_term(problem, n, t)
@@ -641,7 +641,7 @@ def test_one_recurrence_per_assembly(monkeypatch):
     rows = collocation_mod._chebyshev_rows
     monkeypatch.setattr(collocation_mod, "_chebyshev_rows", counting)
     problem = _guard_problem(3, with_history=True, with_nonlinear=True)
-    _system(problem, 10, collocation_points(10, problem.b).points[:-1])
+    _system(problem, 10, collocation_points(10, problem.b)[:-1])
     assert len(runs) == 1
     solve_nonlinear(problem, 8)
     assert len(runs) == 2
@@ -661,7 +661,7 @@ def _laguerre_frame_reference(problem, n):
     C = basis_mod.laguerre_diff_matrix(n)
     W = np.zeros((l * width, l * width))
     for eq in range(l):
-        for i, t in enumerate(collocation_points(n, problem.b).points[:-1]):
+        for i, t in enumerate(collocation_points(n, problem.b)[:-1]):
             r = eq * width + i
             L = basis_mod.basis_row(n, t)
             W[r, eq * width:(eq + 1) * width] = L @ C + problem.gamma[eq] * L
@@ -690,7 +690,7 @@ def test_chebyshev_operator_times_change_of_basis_is_basis_frame_operator():
     for n in (4, 8, 12):
         S = _chebyshev_of_laguerre(n, problem.b)
         reference = _laguerre_frame_reference(problem, n)
-        A = _system(problem, n, collocation_points(n, problem.b).points[:-1])[0]
+        A = _system(problem, n, collocation_points(n, problem.b)[:-1])[0]
         np.testing.assert_allclose(A @ np.kron(np.eye(3), S), reference,
                                    rtol=0.0, atol=1e-10 * np.abs(reference).max())
 
