@@ -4,10 +4,10 @@ and brute-force checkers for the row-vector matrix identities."""
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,32 +32,48 @@ class Trajectory:
     u: np.ndarray          # shape (len(t), l)
     du: np.ndarray         # shape (len(t), l)
     right_du: dict = field(default_factory=dict)
+    # the slope each interval starts from: du, or right_du at its index
+    slope: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.slope = self.du.copy()
+        for k, right in self.right_du.items():
+            self.slope[k] = right
 
     def __call__(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.t, t))
-        if idx < len(self.t) and self.t[idx] == t:
-            return self.u[idx].copy()
-        if t < self.t[0] or t > self.t[-1]:
-            raise ValueError(
-                f"query t={t} outside computed range [{self.t[0]}, {self.t[-1]}]"
-            )
-        k = idx - 1
-        return _hermite(t, self.t[k], self.t[k + 1],
-                        self.u[k], self.right_du.get(k, self.du[k]),
-                        self.u[k + 1], self.du[k + 1])
+        return _read(self.t, self.u, self.du, self.slope,
+                     np.array([t], dtype=float))[0]
 
 
-def _hermite(t, t0, t1, u0, du0, u1, du1):
-    """Cubic Hermite interpolant on [t0, t1] at t from the values and slopes
-    at both ends. It takes one component as floats or all components as
-    arrays, and does the same operations in the same order either way."""
-    h = t1 - t0
-    s = (t - t0) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s**2 * (3 - 2 * s)
-    h11 = s**2 * (s - 1)
-    return h00 * u0 + h * h10 * du0 + h01 * u1 + h * h11 * du1
+def _read(t, u, du, slope, q):
+    """u at the times ``q`` (a 1-D float array), one row per time, from the
+    points ``t``: the stored row at a point, and between two points the
+    cubic Hermite interpolant from u at both ends, the ``slope`` the
+    interval starts from and the left-limit ``du`` it ends with. A time
+    outside [t[0], t[-1]], NaN included, raises ValueError."""
+    inside = (q >= t[0]) & (q <= t[-1])
+    if not inside.all():
+        raise ValueError(f"query t={q[inside.argmin()]} outside computed "
+                         f"range [{t[0]}, {t[-1]}]")
+    i = t.searchsorted(q)
+    out = u[i]
+    miss = t[i] != q
+    if miss.any():
+        k = i[miss] - 1
+        t0 = t[k]
+        h = t[k + 1] - t0
+        s = (q[miss] - t0) / h
+        # float_power squares with the C pow, as Python's float ** does; the
+        # ** operator on arrays squares by a product, which can round
+        # differently in the last bit
+        r2, s2 = np.float_power(1 - s, 2), np.float_power(s, 2)
+        h00 = (1 + 2 * s) * r2
+        h10 = s * r2
+        h01 = s2 * (3 - 2 * s)
+        h11 = s2 * (s - 1)
+        out[miss] = (h00[:, None] * u[k] + (h * h10)[:, None] * slope[k]
+                     + h01[:, None] * u[k + 1] + (h * h11)[:, None] * du[k + 1])
+    return out
 
 
 def _float_gcd(values: Sequence[float]) -> float:
@@ -122,8 +138,8 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     history.end + k*tau is a grid point. Delays whose GCD would shrink the
     step below both step / 10 and the step the shortest delay alone needs
     (incommensurate delays such as 1 and sqrt(2)), or a history.end that
-    would shrink it below step / 10, raise ValueError. Off-grid delayed
-    queries use the trajectory's cubic Hermite interpolant.
+    would shrink it below step / 10, raise ValueError. A step that is not
+    finite and positive raises ValueError.
 
     At a grid point t with t - tau == history.end, delayed arguments leave
     the history for the trajectory; where the two disagree at history.end,
@@ -138,20 +154,29 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     distinct time: at the midpoint (shared by k2 and k3), at the step end
     (shared by k4 and the stored u'), and at a history edge once more as
     the right limit; that is 2 * steps + 1 + edges calls of each g, history
-    function and f. Each must therefore be a function of its argument
-    alone. Each stage then adds them to -gamma * u and the tau = 0
-    couplings in the order of the equation: -gamma * u + g, the delay
-    terms in list order, then the nonlinear term.
+    function and f, on Python floats and in increasing time. Each must
+    therefore be a function of its argument alone. Each stage then adds
+    them to -gamma * u and the tau = 0 couplings in the order of the
+    equation: -gamma * u + g, the delay terms in list order, then the
+    nonlinear term.
 
-    Stepping runs on Python floats, and a delayed query is a bisection on
-    the grid plus the Hermite formula of ``Trajectory.__call__`` for one
-    component, so it returns what the finished trajectory would. Python
-    float arithmetic overflows to inf without raising, so the finished u
-    and u' are checked once: a value that is not finite raises
-    FloatingPointError naming the first grid time where it appears.
+    The integrator steps in blocks, by the method of steps: with points
+    0..p stored, a block is the steps p+1..q whose delayed arguments all
+    lie at or before t_p, so every delayed value a block needs is known
+    before it starts. Step k's latest delayed argument is
+    min(t_k - tau_min, t_{k-1}), nondecreasing in k, so one search finds q;
+    a problem without delays is one block. Before stepping a block, the
+    forcing of all its stage times is computed, and the trajectory values
+    its delayed terms need come from one array read of the stored points,
+    the read ``Trajectory.__call__`` makes, so a delayed value is what the
+    finished trajectory returns. An argument up to 1e-12 past t_p reads
+    u(t_p). Stepping runs on Python floats, which overflow to inf without
+    raising, so the finished u and u' are checked once: a value that is not
+    finite raises FloatingPointError naming the first grid time where it
+    appears.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step}")
     history = problem.history
     taus = _problem_delays(problem)
     h = _aligned_step(taus, history, problem.b, step)
@@ -161,11 +186,9 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     grid = [k * h for k in range(n_full + 1)]
     if grid[-1] < problem.b - 1e-12:
         grid.append(problem.b)
-
-    # u and u' at the stored points, row-major by point, then equation; a
-    # point is stored once both are known
-    u_buf = array("d")
-    du_buf = array("d")
+    t_all = np.asarray(grid, dtype=float)
+    # u, u' and the slope each interval starts from, filled block by block
+    u_all, du_all, slope = (np.empty((len(grid), l)) for _ in range(3))
     right_du = {}
     # grid indices k with grid[k] - tau == history.end for some delay tau
     edges = set()
@@ -176,44 +199,79 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
                     and abs(grid[k] - tau - history.end) <= HISTORY_EDGE_TOL):
                 edges.add(k)
 
-    def delayed(eq, tq, right_limit=False):
-        if right_limit and abs(tq - history.end) <= HISTORY_EDGE_TOL:
-            tq = history.end  # past the edge u continues from the trajectory
-        elif history is not None and history.covers(tq):
-            return history.value(eq, tq)
-        front = len(du_buf) // l
-        if front == 0 or tq > grid[front - 1] + 1e-12:
-            raise ValueError(
-                f"delayed value at t={tq} not available; history does not "
-                "cover it and the trajectory has not reached it"
-            )
-        tq = min(tq, grid[front - 1])
-        i = bisect_left(grid, tq)
-        if grid[i] == tq:
-            return u_buf[i * l + eq]
-        if tq < grid[0]:
-            raise ValueError(f"query t={tq} outside computed range "
-                             f"[{grid[0]}, {grid[front - 1]}]")
-        k = i - 1
-        slope = right_du[k][eq] if k in right_du else du_buf[k * l + eq]
-        return _hermite(tq, grid[k], grid[i], u_buf[k * l + eq], slope,
-                        u_buf[i * l + eq], du_buf[i * l + eq])
+    # every delayed read, as (target, tau), in the order rhs adds them; per
+    # equation, per slot after g: None where tau = 0, else (read, beta, f)
+    # with one of beta and f
+    reads = []
+    parts = []
+    for terms, nl in zip(problem.delays, problem.nonlinear):
+        eq_parts = []
+        for term in terms:
+            if term.tau == 0:
+                eq_parts.append(None)
+            else:
+                eq_parts.append((len(reads), term.beta, None))
+                reads.append((term.target, term.tau))
+        if nl is not None:
+            eq_parts.append((len(reads), None, nl.f))
+            reads.append((nl.target, nl.tau))
+        parts.append(eq_parts)
+    read_targets = np.array([target for target, _ in reads], dtype=int)
+    read_taus = np.array([tau for _, tau in reads], dtype=float)
 
-    def forcing(t, right_limit=False):
-        # per equation, the terms at t that read no stage value, in the order
-        # rhs adds them: g(t), each delay term (None where tau = 0), then f
-        rows = []
-        for eq in range(l):
-            row = [problem.g[eq](t)]
-            for term in problem.delays[eq]:
-                row.append(None if term.tau == 0 else
-                           term.beta * delayed(term.target, t - term.tau,
-                                               right_limit))
-            nl = problem.nonlinear[eq]
-            if nl is not None:
-                row.append(nl.f(delayed(nl.target, t - nl.tau, right_limit)))
-            rows.append(row)
-        return rows
+    def forcing(times, right, front):
+        # per time in times, per equation the row rhs adds: g(t), each delay
+        # term (None where tau = 0), then f; right marks the right limits at
+        # edges. The trajectory values come from one read of the stored
+        # points 0..front-1; g, the history and f are called lazily, time by
+        # time and in the order of the row
+        m = len(times)
+        arg = np.subtract.outer(np.array(times), read_taus)
+        n_history = np.zeros(len(reads), dtype=int)
+        if history is not None:
+            # past the edge u continues from the trajectory
+            edge = (np.array(right)[:, None]
+                    & (np.abs(arg - history.end) <= HISTORY_EDGE_TOL))
+            arg[edge] = history.end
+            # arguments grow with time, so the history serves a leading run
+            # of each read and the trajectory the rest
+            n_history = (history.covers(arg) & ~edge).sum(axis=0)
+        q = arg.T[np.arange(m) >= n_history[:, None]]
+        values = []
+        if len(q):
+            # a block reads no later than its last stored point, up to the
+            # 1e-12 the clamp below forgives, so only t = 0 can find nothing
+            if front == 0:
+                raise ValueError(
+                    f"delayed value at t={q[0]} not available; history does "
+                    "not cover it and the trajectory has not reached it")
+            # u may pass the float range mid-run, as Python floats do without
+            # raising; the finished trajectory is checked once
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = _read(t_all[:front], u_all[:front], du_all[:front],
+                             slope[:front], np.minimum(q, grid[front - 1]))
+            values = rows[np.arange(len(q)),
+                          np.repeat(read_targets, m - n_history)].tolist()
+        columns = []
+        start = 0
+        for j, n in enumerate(n_history.tolist()):
+            stored = values[start:start + m - n]
+            start += m - n
+            columns.append(stored if n == 0 else chain(
+                map(history.value, repeat(reads[j][0]), arg[:n, j].tolist()),
+                stored))
+        equations = []
+        for g, eq_parts in zip(problem.g, parts):
+            row = [map(g, times)]
+            for part in eq_parts:
+                if part is None:
+                    row.append(repeat(None))
+                else:
+                    j, beta, f = part
+                    row.append(map(mul, repeat(beta), columns[j]) if f is None
+                               else map(f, columns[j]))
+            equations.append(zip(*row))
+        return list(zip(*equations))
 
     neg_gamma = [-gamma for gamma in problem.gamma]
     # per equation, the tau = 0 term in its slot of the forcing row and None
@@ -232,34 +290,55 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
         return out
 
     u = list(problem.phi)
-    du = rhs(forcing(0.0), u)
-    u_buf.extend(u)
-    du_buf.extend(du)
-    for k in range(1, len(grid)):
-        t0, t1 = grid[k - 1], grid[k]
-        hk = t1 - t0
-        half = hk / 2
-        k1 = du
-        if k - 1 in edges:
-            k1 = right_du[k - 1] = rhs(forcing(t0, right_limit=True), u)
-        mid = forcing(t0 + half)
-        k2 = rhs(mid, [a + half * d for a, d in zip(u, k1)])
-        k3 = rhs(mid, [a + half * d for a, d in zip(u, k2)])
-        end = forcing(t1)
-        k4 = rhs(end, [a + hk * d for a, d in zip(u, k3)])
-        sixth = hk / 6
-        u = [a + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
-             for a, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
-        du = rhs(end, u)
-        u_buf.extend(u)
-        du_buf.extend(du)
-    u_all = np.frombuffer(u_buf).reshape(len(grid), l)
-    du_all = np.frombuffer(du_buf).reshape(len(grid), l)
+    du = rhs(forcing([0.0], [False], 0)[0], u)
+    u_all[0] = u
+    du_all[0] = slope[0] = du
+    # step k (k >= 1) reads the trajectory at or before latest[k - 1]
+    latest = np.minimum(t_all[1:] - min(taus), t_all[:-1]) if taus else None
+    p = 0
+    while p < len(grid) - 1:
+        q = (len(grid) - 1 if latest is None
+             else int(np.searchsorted(latest, grid[p], side="right")))
+        # the block's stage times in increasing order
+        times, right = [], []
+        for k in range(p + 1, q + 1):
+            t0 = grid[k - 1]
+            if k - 1 in edges:
+                times.append(t0)
+                right.append(True)
+            times += [t0 + (grid[k] - t0) / 2, grid[k]]
+            right += [False, False]
+        rows_at = iter(forcing(times, right, p + 1))
+        block_u, block_du = [], []
+        for k in range(p + 1, q + 1):
+            t0, t1 = grid[k - 1], grid[k]
+            hk = t1 - t0
+            half = hk / 2
+            k1 = du
+            if k - 1 in edges:
+                k1 = right_du[k - 1] = rhs(next(rows_at), u)
+            mid = next(rows_at)
+            k2 = rhs(mid, [a + half * d for a, d in zip(u, k1)])
+            k3 = rhs(mid, [a + half * d for a, d in zip(u, k2)])
+            end = next(rows_at)
+            k4 = rhs(end, [a + hk * d for a, d in zip(u, k3)])
+            sixth = hk / 6
+            u = [a + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+                 for a, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
+            du = rhs(end, u)
+            block_u.append(u)
+            block_du.append(du)
+        u_all[p + 1:q + 1] = block_u
+        du_all[p + 1:q + 1] = slope[p + 1:q + 1] = block_du
+        for k in edges:
+            if p <= k < q:
+                slope[k] = right_du[k]
+        p = q
     finite = np.isfinite(u_all).all(axis=1) & np.isfinite(du_all).all(axis=1)
     if not finite.all():
         raise FloatingPointError(
             f"the RK4 solution is not finite from t={grid[finite.argmin()]:g}")
-    return Trajectory(np.asarray(grid, dtype=float), u_all, du_all,
+    return Trajectory(t_all, u_all, du_all,
                       {k: np.asarray(v, dtype=float) for k, v in right_du.items()})
 
 

@@ -483,6 +483,17 @@ def test_rk4_overflow_without_an_exception_exits_four(tmp_path, capsys, verb):
     assert not out.exists()
 
 
+def test_delayed_problem_without_history_exits_four(tmp_path, capsys):
+    # the RK4 oracle needs u(-0.5) at t = 0 and no history serves it
+    cfg = _write(tmp_path, "b = 2\nN_list = 6\nrk4_step = 0.001\n\n"
+                 "[equation 1]\ngamma = 1\nphi = 1\ndelay = 1 0.5 0.5\n")
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "oracle error: delayed value at t=-0.5 not available")
+    assert not out.exists()
+
+
 def test_division_by_zero_in_the_exact_solution_exits_four(tmp_path, capsys):
     # exact = 1/(t - 1) at the sample point t = 1, met in the error report
     cfg = _write(tmp_path, "oracle = exact\n" + ARITHMETIC_PROBLEM

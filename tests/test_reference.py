@@ -1,6 +1,7 @@
 """Tests for the RK4 method-of-steps oracle and brute-force identity checks."""
 
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from lagdde.collocation import (
 from lagdde.reference import (
     Trajectory,
     _aligned_step,
+    _read,
     brute_force_poly_identity,
     delay_product_mismatch,
     identity_suite,
@@ -144,16 +146,78 @@ def test_grid_queries_return_stored_values():
 def test_trajectory_query_outside_range():
     problem = single_equation(0.5, 0.0, 1.0, math.sin, 1.0, 1.0)
     trajectory = rk4_method_of_steps(problem, step=0.1)
-    with pytest.raises(ValueError):
-        trajectory(1.5)
-    with pytest.raises(ValueError):
-        trajectory(-0.2)
+    # NaN fails every comparison; it used to pass both range tests and
+    # raise IndexError from the grid
+    for t in (1.5, -0.2, math.nan):
+        with pytest.raises(ValueError, match=f"t={t} outside computed range"):
+            trajectory(t)
+    # the integrator's batch read rejects it among valid times as well
+    with pytest.raises(ValueError, match="t=nan outside computed range"):
+        _read(trajectory.t, trajectory.u, trajectory.du, trajectory.slope,
+              np.array([0.25, math.nan, 0.5]))
 
 
 def test_rk4_rejects_non_positive_step():
     problem = single_equation(0.5, 0.0, 1.0, math.sin, 1.0, 1.0)
     with pytest.raises(ValueError):
         rk4_method_of_steps(problem, step=0.0)
+
+
+@pytest.mark.parametrize("delayed", [False, True], ids=["no_delay", "delay"])
+@pytest.mark.parametrize("step", [math.inf, math.nan])
+def test_rk4_rejects_a_step_that_is_not_finite(step, delayed):
+    # inf used to divide by zero in _aligned_step, and nan to fail
+    # converting to an integer
+    history = History((math.sin,), end=0.0) if delayed else None
+    problem = single_equation(0.5, 0.3 if delayed else 0.0, 0.5, math.cos,
+                              1.0, 2.0, history)
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        rk4_method_of_steps(problem, step=step)
+
+
+def test_delayed_problem_without_history_names_the_first_argument():
+    problem = single_equation(0.5, 0.3, 0.5, math.cos, 1.0, 2.0)
+    with pytest.raises(ValueError,
+                       match=r"delayed value at t=-0\.5 not available"):
+        rk4_method_of_steps(problem, step=1e-2)
+
+
+def test_forcing_failing_at_two_times_names_the_earlier():
+    # both times are stage times of one block, (0, 0.5], whose forcing is
+    # computed before it is stepped; the earlier failure is reported
+    history = History((math.sin,), end=0.0)
+    times = []
+
+    def g(t):
+        times.append(t)
+        return math.cos(t)
+
+    rk4_method_of_steps(single_equation(0.5, 0.3, 0.5, g, 1.0, 2.0, history),
+                        step=1e-2)
+    failing = {times[40], times[60]}
+    assert times[40] < times[60] < 0.5
+
+    def failing_g(t):
+        if t in failing:
+            raise ArithmeticError(f"g failed at t={t!r}")
+        return math.cos(t)
+
+    problem = single_equation(0.5, 0.3, 0.5, failing_g, 1.0, 2.0, history)
+    with pytest.raises(ArithmeticError) as info:
+        rk4_method_of_steps(problem, step=1e-2)
+    assert str(info.value) == f"g failed at t={times[40]!r}"
+
+
+def test_rk4_overflow_with_delays_raises_without_warnings():
+    # u passes the float range at t = 1.76 and the next blocks read inf
+    # from the trajectory; only the final check reports it
+    problem = single_equation(-400.0, 1.0, 0.5, lambda t: 0.0, 1.0, 3.0,
+                              History((lambda t: 1.0,), end=0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match="not finite from t=1.756"):
+            rk4_method_of_steps(problem, step=1e-3)
 
 
 def test_interpolation_accuracy_between_grid_points():
@@ -314,7 +378,32 @@ def _bit_identity_cases():
     cases.append(pytest.param(_zero_delay_coupling_problem(), id="zero_delay"))
     cases.append(pytest.param(_delay_and_nonlinear_problem(),
                               id="delay_and_nonlinear"))
+    # block edges of the stepping: each block ends where its delayed
+    # arguments would pass the last stored point
+    sine = History((math.sin,), end=0.0)
+    cases.append(pytest.param(
+        single_equation(0.5, -0.4, 2e-3, math.cos, 1.0, 0.5, sine),
+        id="tau_equals_step"))
+    cases.append(pytest.param(
+        single_equation(0.5, -0.4, 0.25, math.cos, 1.0, 1.0007, sine),
+        id="short_last_step"))
+    cases.append(pytest.param(
+        DDEProblem(gamma=[0.6, 0.2], delays=[[DelayTerm(1, 0.5, 0.0)], []],
+                   g=[math.cos, math.sin], phi=[1.0, 0.5], b=1.5),
+        id="no_delay"))
+    cases.append(pytest.param(_edge_inside_a_block_problem(),
+                              id="edge_inside_a_block"))
     return cases
+
+
+def _edge_inside_a_block_problem():
+    # blocks are 0.5 long (the shortest delay); history.end = 0.25 is on the
+    # delay grid, and the edge end + 0.5 = 0.75 falls inside the block
+    # (0.5, 1.0], end + 0.75 = 1.0 at a block's start
+    history = History(functions=(math.sin,), end=0.25)
+    return DDEProblem(
+        gamma=[0.4], delays=[[DelayTerm(0, -0.3, 0.5), DelayTerm(0, 0.2, 0.75)]],
+        g=[math.cos], phi=[0.2], b=2.0, history=history)
 
 
 def _zero_delay_coupling_problem():
