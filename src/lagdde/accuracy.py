@@ -22,19 +22,19 @@ SAMPLES_PER_UNIT = 10  # 11 points per unit interval, integer t always included
 
 def residual(problem: DDEProblem, solution: SpectralSolution, t) -> np.ndarray:
     """Pointwise defect |u_N' + gamma u_N - sum beta u_N(t-tau) - f(...) - g|
-    per equation at a number t, shape (l,), or at an array of m points,
-    shape (l, m).
+    per equation at t, a number or any array-like of points, shape
+    (l,) + np.shape(t).
 
     It is |A(t) @ c - G(t) - f(u(t - tau))| over the collocation rows of
     ``_system`` at t, so delayed values come from the history or the series
     exactly as the solvers assemble them.
     """
-    points = np.atleast_1d(np.asarray(t, dtype=float))
-    A, G, feedback = _system(problem, solution.n_max, points)
+    q = np.asarray(t, dtype=float)
+    A, G, feedback = _system(problem, solution.n_max, q.ravel())
     c = solution.chebyshev
     defect = A @ c.ravel() - _feedback(feedback, c, G)
     out = np.abs(defect.reshape(problem.n_equations, -1)[:, :-1])
-    return out if np.ndim(t) else out[:, 0]
+    return out.reshape((problem.n_equations,) + q.shape)
 
 
 def error_norms(errors: Sequence[float]) -> tuple[float, float, float]:

@@ -136,8 +136,11 @@ class DDEProblem:
         if self.nonlinear is None:
             self.nonlinear = (None,) * l
         self.nonlinear = tuple(self.nonlinear)
-        for name, seq in (("delays", self.delays), ("g", self.g),
-                          ("phi", self.phi), ("nonlinear", self.nonlinear)):
+        counts = (("delays", self.delays), ("g", self.g),
+                  ("phi", self.phi), ("nonlinear", self.nonlinear))
+        if self.history is not None:
+            counts += (("history", self.history.functions),)
+        for name, seq in counts:
             if len(seq) != l:
                 raise ValueError(
                     f"{name} has {len(seq)} entries for {l} equations"
@@ -240,55 +243,35 @@ def _chebyshev_rows(n_max: int, b: float, t: np.ndarray, m: int = 0):
     return values, slopes
 
 
-def _clenshaw(solution: SpectralSolution, t, derivative: bool) -> np.ndarray:
-    """Series values, or with ``derivative`` their t-derivatives, per equation
-    at t, for any t: shape (l,) for a number t, (l,) + t.shape for a numpy
-    array.
+def evaluate(solution: SpectralSolution, t) -> np.ndarray:
+    """Series value per equation at t, a number or any array-like of points,
+    shape (l,) + np.shape(t). Values outside [0, b] extrapolate.
 
     Clenshaw's recurrence b_k = c_k + 2x b_{k+1} - b_{k+2} gives u = c_0
-    + x b_1 - b_2; differentiated in x, d_k = 2 b_{k+1} + 2x d_{k+1} - d_{k+2}
-    gives du/dx = b_1 + x d_1 - d_2, and dx/dt = 2/b. A scalar t, numpy's
-    included, runs on Python floats, one equation at a time; an array runs
-    every equation at once, each c_k a column against the points, and the
-    same operations elementwise, so each of its points reads bit-identically
-    to a scalar.
+    + x b_1 - b_2, in one pass for every equation and point, each c_k a
+    column against the points. The operations are elementwise, so a point
+    reads bit-identically whatever else is read with it.
     """
-    if not isinstance(t, np.ndarray):
-        x = 2.0 * float(t) / solution.b - 1.0
-        x2 = 2.0 * x
-        out = []
-        for c in solution.chebyshev.tolist():
-            b1 = b2 = d1 = d2 = 0.0
-            for ck in c[:0:-1]:
-                b1, b2, d1, d2 = ck + x2 * b1 - b2, b1, 2.0 * b1 + x2 * d1 - d2, d1
-            out.append(2.0 / solution.b * (b1 + x * d1 - d2) if derivative
-                       else c[0] + x * b1 - b2)
-        return np.array(out)
-    x = 2.0 * np.asarray(t, dtype=float) / solution.b - 1.0
+    q = np.asarray(t, dtype=float)
+    x = 2.0 * q.ravel() / solution.b - 1.0
     x2 = 2.0 * x
-    l, width = solution.chebyshev.shape
-    # c_k as an (l, 1, ...) column broadcast against the points
-    c = solution.chebyshev.T.reshape((width, l) + (1,) * x.ndim)
-    b1 = b2 = d1 = d2 = np.zeros((l,) + x.shape)
+    c = solution.chebyshev.T[:, :, None]  # (N+1, l, 1)
+    b1 = b2 = np.zeros((solution.n_equations, x.size))
     for ck in c[:0:-1]:
-        if derivative:
-            d1, d2 = 2.0 * b1 + x2 * d1 - d2, d1
         b1, b2 = ck + x2 * b1 - b2, b1
-    if derivative:
-        return 2.0 / solution.b * (b1 + x * d1 - d2)
-    return c[0] + x * b1 - b2
-
-
-def evaluate(solution: SpectralSolution, t) -> np.ndarray:
-    """Series value per equation at a number t, shape (l,), or at a numpy
-    array of points, shape (l,) + t.shape. Values outside [0, b]
-    extrapolate."""
-    return _clenshaw(solution, t, False)
+    return (c[0] + x * b1 - b2).reshape((solution.n_equations,) + q.shape)
 
 
 def evaluate_derivative(solution: SpectralSolution, t) -> np.ndarray:
-    """Series derivative per equation at t, shaped as ``evaluate``'s."""
-    return _clenshaw(solution, t, True)
+    """Series derivative per equation at t, shaped as ``evaluate``'s: the
+    sum over k, in k order, of c_k T_k'(t), with the T_k' rows of
+    ``_chebyshev_rows``."""
+    q = np.asarray(t, dtype=float)
+    _, slopes = _chebyshev_rows(solution.n_max, solution.b, q.ravel(), q.size)
+    out = np.zeros((solution.n_equations, q.size))
+    for ck, row in zip(solution.chebyshev.T, slopes):
+        out += ck[:, None] * row
+    return out.reshape((solution.n_equations,) + q.shape)
 
 
 def _system(problem: DDEProblem, n_max: int, t: np.ndarray):

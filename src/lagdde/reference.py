@@ -40,9 +40,12 @@ class Trajectory:
         for k, right in self.right_du.items():
             self.slope[k] = right
 
-    def __call__(self, t: float) -> np.ndarray:
-        return _read(self.t, self.u, self.du, self.slope,
-                     np.array([t], dtype=float))[0]
+    def __call__(self, t) -> np.ndarray:
+        """u per equation at t, a number or any array-like of times, shape
+        (l,) + np.shape(t), as ``evaluate`` reads a series."""
+        q = np.asarray(t, dtype=float)
+        rows = _read(self.t, self.u, self.du, self.slope, q.ravel())
+        return rows.T.reshape(self.u.shape[1:] + q.shape)
 
 
 def _read(t, u, du, slope, q):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from lagdde import accuracy as accuracy_mod
-from lagdde import collocation as collocation_mod
 from lagdde.accuracy import (
     convergence_study,
     error_norms,
@@ -126,6 +125,20 @@ def test_residual_matches_the_defect_read_point_by_point():
                                    rtol=0.0, atol=1e-12 * scale)
 
 
+def test_residual_keeps_the_shape_of_its_points():
+    # a 2-D array of points used to raise TypeError inside _system
+    problem = single_equation(0.5, 0.3, 0.5, math.cos, 1.0, 2.0)
+    solution = solve_linear(problem, 6)
+    points = np.linspace(0.0, 2.0, 6)
+    flat = residual(problem, solution, points)
+    grid = residual(problem, solution, points.reshape(2, 3))
+    assert grid.shape == (1, 2, 3)
+    assert (grid.reshape(1, -1) == flat).all()
+    assert residual(problem, solution, np.array([[0.1, 0.2]])).shape == (1, 1, 2)
+    assert residual(problem, solution, points[4]).shape == (1,)
+    assert (residual(problem, solution, points.tolist()) == flat).all()
+
+
 def test_residual_uses_history_for_early_points():
     history = History(functions=(lambda t: 5.0,), end=0.0)
     problem = DDEProblem(gamma=[0.0], delays=[[DelayTerm(0, 1.0, 1.0)]],
@@ -192,7 +205,7 @@ def test_error_report_residual_only():
 
 
 def test_error_report_reads_the_grid_in_one_call(monkeypatch):
-    # one Clenshaw pass against a reference and one system assembly for the
+    # one series read against a reference and one system assembly for the
     # residual, however many points the grid has
     calls = Counter()
 
@@ -209,12 +222,12 @@ def test_error_report_reads_the_grid_in_one_call(monkeypatch):
         history=History(functions=(math.sin,), end=0.5),
         nonlinear=NonlinearDelayTerm(f=lambda u: math.exp(-u), target=0, tau=0.5))
     solution = solve_nonlinear(problem, 8)
-    count(collocation_mod, "_clenshaw")
+    count(accuracy_mod, "evaluate")
     count(accuracy_mod, "_system")
     for points in (None, np.linspace(0.0, 5.0, 3), np.linspace(0.0, 5.0, 400)):
         calls.clear()
         error_report(problem, solution, math.sin, points=points)
-        assert calls == {"_clenshaw": 1}
+        assert calls == {"evaluate": 1}
         calls.clear()
         error_report(problem, solution, points=points)
         assert calls == {"_system": 1}

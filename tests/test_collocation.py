@@ -508,6 +508,8 @@ def test_array_reads_equal_scalar_reads(l, n):
         grid = read(solution, points.reshape(5, 5))
         assert grid.shape == (l, 5, 5)
         assert (grid.reshape(l, -1) == values).all()
+        for like in (list, tuple):  # a sequence of numbers reads as an array
+            assert (read(solution, like(points.tolist())) == values).all()
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +813,12 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         DDEProblem(gamma=[0.0, 0.0], delays=[[]],
                    g=[lambda t: 0.0], phi=[0.0], b=1.0)
+    # one history function per equation, or a delay on u_2 raises IndexError
+    # from the solver and the RK4 oracle
+    with pytest.raises(ValueError, match="history has 1 entries for 2 equations"):
+        DDEProblem(gamma=[0.0, 0.0], delays=[[], [DelayTerm(1, 1.0, 0.5)]],
+                   g=[math.cos, math.cos], phi=[0.0, 0.0], b=1.0,
+                   history=History(functions=(math.sin,)))
     for target in (1, -1):
         term = NonlinearDelayTerm(f=math.sin, target=target, tau=0.5)
         with pytest.raises(ValueError, match="nonlinear target"):

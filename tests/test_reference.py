@@ -143,6 +143,27 @@ def test_grid_queries_return_stored_values():
                                       trajectory.u[k])
 
 
+def test_trajectory_reads_keep_the_shape_of_their_times():
+    # (l,) + np.shape(t), as evaluate reads a series: an array of m times
+    # used to give (m, l) rows, which a difference with evaluate's (l, m)
+    # broadcast to (m, m) without an error
+    for problem in (single_equation(0.5, 0.3, 0.5, math.sin, 1.0, 1.0,
+                                    history=History(functions=(math.cos,))),
+                    _coupled_problem(1.0)):
+        trajectory = rk4_method_of_steps(problem, step=0.1)
+        l = problem.n_equations
+        times = np.array([0.5, 1.0, 0.25, 0.0, 0.73, 0.1])
+        rows = trajectory(times)
+        assert rows.shape == (l, 6)
+        for j, t in enumerate(times):
+            assert trajectory(t).shape == (l,)
+            assert (rows[:, j] == trajectory(t)).all()
+        grid = trajectory(times.reshape(2, 3))
+        assert grid.shape == (l, 2, 3)
+        assert (grid.reshape(l, -1) == rows).all()
+        assert (trajectory(times.tolist()) == rows).all()
+
+
 def test_trajectory_query_outside_range():
     problem = single_equation(0.5, 0.0, 1.0, math.sin, 1.0, 1.0)
     trajectory = rk4_method_of_steps(problem, step=0.1)
