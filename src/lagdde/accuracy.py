@@ -16,6 +16,7 @@ from .collocation import (
     evaluate,
     solve_nonlinear,
 )
+from .reference import Trajectory
 
 SAMPLES_PER_UNIT = 10  # 11 points per unit interval, integer t always included
 
@@ -74,19 +75,29 @@ class ErrorReport:
     reference: str  # "exact", "method_of_steps", or "none"
 
 
+def read_reference(reference: Callable[[float], np.ndarray],
+                   points: np.ndarray) -> np.ndarray:
+    """The reference at the 1-D ``points``, shape (l, len(points)): a
+    ``Trajectory`` in one read, any other callable one float at a time."""
+    if isinstance(reference, Trajectory):
+        return reference(points)
+    return np.array([reference(t) for t in points]).T
+
+
 def error_report(problem: DDEProblem, solution: SpectralSolution,
                  reference: Optional[Callable[[float], np.ndarray]] = None,
                  points: Optional[np.ndarray] = None,
                  reference_label: str = "exact") -> ErrorReport:
     """Errors against a reference callable, or residuals when none is given,
-    at ``points`` (the sample grid by default), with one read of the series."""
+    at ``points`` (the sample grid by default), with one read of the series.
+    Points of any shape are flattened to one row of points."""
     points = (sample_points(problem.b) if points is None
-              else np.asarray(points, dtype=float))
+              else np.asarray(points, dtype=float).ravel())
     if reference is None:
         errors = residual(problem, solution, points)
     else:
-        ref = np.array([reference(t) for t in points]).T
-        errors = np.abs(evaluate(solution, points) - ref)
+        errors = np.abs(evaluate(solution, points)
+                        - read_reference(reference, points))
     l2, linf, rms = _norms(errors)
     return ErrorReport(
         points=points, errors=errors, l2=l2, linf=linf, rms=rms,

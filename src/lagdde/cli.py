@@ -180,7 +180,7 @@ def run_compare(cfg: ProblemConfig, n_list, out_dir: Path,
     for n in n_list:
         header += [f"u_{i + 1}_N{n}" for i in range(l)]
         header += [f"absdiff_u_{i + 1}_N{n}" for i in range(l)]
-    ref = np.array([oracle(t) for t in points]).T
+    ref = accuracy.read_reference(oracle, points)
     columns = [points, *ref]
     for n in n_list:
         values = evaluate(solutions[n], points)

@@ -6,8 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, repeat
-from operator import mul
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -173,10 +174,16 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     its delayed terms need come from one array read of the stored points,
     the read ``Trajectory.__call__`` makes, so a delayed value is what the
     finished trajectory returns. An argument up to 1e-12 past t_p reads
-    u(t_p). Stepping runs on Python floats, which overflow to inf without
-    raising, so the finished u and u' are checked once: a value that is not
-    finite raises FloatingPointError naming the first grid time where it
-    appears.
+    u(t_p). With its forcing known, no equation of a block depends on
+    another, so each equation steps the whole block on its own, in one
+    loop over floats. Only a problem with a tau = 0 coupling, where a stage
+    of one equation reads the same stage of another, steps its equations
+    together, stage by stage. Both loops do the same float operations in
+    the same order, so they give the same trajectory bit for bit.
+
+    Stepping runs on Python floats, which overflow to inf without raising,
+    so the finished u and u' are checked once: a value that is not finite
+    raises FloatingPointError naming the first grid time where it appears.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
@@ -223,22 +230,25 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     read_taus = np.array([tau for _, tau in reads], dtype=float)
 
     def forcing(times, right, front):
-        # per time in times, per equation the row rhs adds: g(t), each delay
-        # term (None where tau = 0), then f; right marks the right limits at
-        # edges. The trajectory values come from one read of the stored
-        # points 0..front-1; g, the history and f are called lazily, time by
-        # time and in the order of the row
+        # per time in times, per equation the row a stage adds: g(t), each
+        # delay term (None where tau = 0), then f; right marks the right
+        # limits at edges. The trajectory values come from one read of the
+        # stored points 0..front-1; g, the history and f are called lazily,
+        # time by time and in the order of the row
         m = len(times)
         arg = np.subtract.outer(np.array(times), read_taus)
         n_history = np.zeros(len(reads), dtype=int)
         if history is not None:
-            # past the edge u continues from the trajectory
-            edge = (np.array(right)[:, None]
-                    & (np.abs(arg - history.end) <= HISTORY_EDGE_TOL))
-            arg[edge] = history.end
+            served = history.covers(arg)
+            if any(right):
+                # past the edge u continues from the trajectory
+                edge = (np.array(right)[:, None]
+                        & (np.abs(arg - history.end) <= HISTORY_EDGE_TOL))
+                arg[edge] = history.end
+                served &= ~edge
             # arguments grow with time, so the history serves a leading run
             # of each read and the trajectory the rest
-            n_history = (history.covers(arg) & ~edge).sum(axis=0)
+            n_history = served.sum(axis=0)
         q = arg.T[np.arange(m) >= n_history[:, None]]
         values = []
         if len(q):
@@ -248,11 +258,8 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
                 raise ValueError(
                     f"delayed value at t={q[0]} not available; history does "
                     "not cover it and the trajectory has not reached it")
-            # u may pass the float range mid-run, as Python floats do without
-            # raising; the finished trajectory is checked once
-            with np.errstate(over="ignore", invalid="ignore"):
-                rows = _read(t_all[:front], u_all[:front], du_all[:front],
-                             slope[:front], np.minimum(q, grid[front - 1]))
+            rows = _read(t_all[:front], u_all[:front], du_all[:front],
+                         slope[:front], np.minimum(q, grid[front - 1]))
             values = rows[np.arange(len(q)),
                           np.repeat(read_targets, m - n_history)].tolist()
         columns = []
@@ -277,66 +284,115 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
         return list(zip(*equations))
 
     neg_gamma = [-gamma for gamma in problem.gamma]
-    # per equation, the tau = 0 term in its slot of the forcing row and None
-    # in every other slot
-    slots = [[None, *(term if term.tau == 0 else None for term in terms),
-              *([None] if nl is not None else [])]
-             for terms, nl in zip(problem.delays, problem.nonlinear)]
+    if any(part is None for eq_parts in parts for part in eq_parts):
+        # a tau = 0 coupling: a stage of one equation reads the same stage
+        # of another, so the equations step together, stage by stage. Per
+        # equation, the tau = 0 term in its slot of the forcing row and None
+        # in every other slot
+        slots = [[None, *(term if term.tau == 0 else None for term in terms),
+                  *([None] if nl is not None else [])]
+                 for terms, nl in zip(problem.delays, problem.nonlinear)]
 
-    def rhs(rows, u):
-        out = []
-        for eq in range(l):
-            value = neg_gamma[eq] * u[eq]
-            for part, term in zip(rows[eq], slots[eq]):
-                value += part if term is None else term.beta * u[term.target]
-            out.append(value)
-        return out
+        def rhs(rows, u):
+            out = []
+            for eq in range(l):
+                value = neg_gamma[eq] * u[eq]
+                for part, term in zip(rows[eq], slots[eq]):
+                    value += part if term is None else term.beta * u[term.target]
+                out.append(value)
+            return out
 
-    u = list(problem.phi)
-    du = rhs(forcing([0.0], [False], 0)[0], u)
-    u_all[0] = u
+        def step_block(rows, steps, block, u, du):
+            rows_at = iter(rows)
+            block_u, block_du, rights = [], [], []
+            for hk, half, sixth, edge in steps:
+                k1 = du
+                if edge:
+                    k1 = rhs(next(rows_at), u)
+                    rights.append(k1)
+                mid = next(rows_at)
+                k2 = rhs(mid, [a + half * d for a, d in zip(u, k1)])
+                k3 = rhs(mid, [a + half * d for a, d in zip(u, k2)])
+                end = next(rows_at)
+                k4 = rhs(end, [a + hk * d for a, d in zip(u, k3)])
+                u = [a + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+                     for a, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
+                du = rhs(end, u)
+                block_u.append(u)
+                block_du.append(du)
+            u_all[block] = block_u
+            du_all[block] = block_du
+            return u, du, rights
+
+        du = rhs(forcing([0.0], [False], 0)[0], problem.phi)
+    else:
+        # every delayed value of a block is known before it starts, so the
+        # equations do not depend on each other within it: each steps the
+        # whole block on its own, from its column of the forcing rows. A
+        # stage is -gamma * x plus the row's parts, folded left to right as
+        # the stage-by-stage loop adds them
+        def step_equation(column, steps, x, d, ng):
+            rows_at = iter(column)
+            xs, ds, rights = [], [], []
+            for hk, half, sixth, edge in steps:
+                if edge:
+                    d = reduce(add, next(rows_at), ng * x)
+                    rights.append(d)
+                mid = next(rows_at)
+                k2 = reduce(add, mid, ng * (x + half * d))
+                k3 = reduce(add, mid, ng * (x + half * k2))
+                end = next(rows_at)
+                k4 = reduce(add, end, ng * (x + hk * k3))
+                x = x + sixth * (d + 2 * k2 + 2 * k3 + k4)
+                d = reduce(add, end, ng * x)
+                xs.append(x)
+                ds.append(d)
+            return xs, ds, rights
+
+        def step_block(rows, steps, block, u, du):
+            # per equation, its column of the block's points
+            xs, ds, rights = zip(*map(step_equation, zip(*rows), repeat(steps),
+                                      u, du, neg_gamma))
+            u_all[block].T[:] = xs
+            du_all[block].T[:] = ds
+            return ([x[-1] for x in xs], [d[-1] for d in ds],
+                    list(zip(*rights)))
+
+        du = [reduce(add, row, ng * x) for row, ng, x in
+              zip(forcing([0.0], [False], 0)[0], neg_gamma, problem.phi)]
+    u_all[0] = u = list(problem.phi)
     du_all[0] = slope[0] = du
     # step k (k >= 1) reads the trajectory at or before latest[k - 1]
     latest = np.minimum(t_all[1:] - min(taus), t_all[:-1]) if taus else None
-    p = 0
-    while p < len(grid) - 1:
-        q = (len(grid) - 1 if latest is None
-             else int(np.searchsorted(latest, grid[p], side="right")))
-        # the block's stage times in increasing order
-        times, right = [], []
-        for k in range(p + 1, q + 1):
-            t0 = grid[k - 1]
-            if k - 1 in edges:
-                times.append(t0)
-                right.append(True)
-            times += [t0 + (grid[k] - t0) / 2, grid[k]]
-            right += [False, False]
-        rows_at = iter(forcing(times, right, p + 1))
-        block_u, block_du = [], []
-        for k in range(p + 1, q + 1):
-            t0, t1 = grid[k - 1], grid[k]
-            hk = t1 - t0
-            half = hk / 2
-            k1 = du
-            if k - 1 in edges:
-                k1 = right_du[k - 1] = rhs(next(rows_at), u)
-            mid = next(rows_at)
-            k2 = rhs(mid, [a + half * d for a, d in zip(u, k1)])
-            k3 = rhs(mid, [a + half * d for a, d in zip(u, k2)])
-            end = next(rows_at)
-            k4 = rhs(end, [a + hk * d for a, d in zip(u, k3)])
-            sixth = hk / 6
-            u = [a + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
-                 for a, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
-            du = rhs(end, u)
-            block_u.append(u)
-            block_du.append(du)
-        u_all[p + 1:q + 1] = block_u
-        du_all[p + 1:q + 1] = slope[p + 1:q + 1] = block_du
-        for k in edges:
-            if p <= k < q:
-                slope[k] = right_du[k]
-        p = q
+    # u may pass the float range mid-run, as Python floats do without
+    # raising, and the delayed reads with it; the finished trajectory is
+    # checked once
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = 0
+        while p < len(grid) - 1:
+            q = (len(grid) - 1 if latest is None
+                 else int(np.searchsorted(latest, grid[p], side="right")))
+            # the block's stage times in increasing order, its edges, and per
+            # step its length, half and sixth and whether it starts at an edge
+            times, right, steps, block_edges = [], [], [], []
+            for k in range(p, q):
+                t0 = grid[k]
+                hk = grid[k + 1] - t0
+                edge = k in edges
+                if edge:
+                    times.append(t0)
+                    right.append(True)
+                    block_edges.append(k)
+                times += [t0 + hk / 2, grid[k + 1]]
+                right += [False, False]
+                steps.append((hk, hk / 2, hk / 6, edge))
+            block = slice(p + 1, q + 1)
+            u, du, rights = step_block(forcing(times, right, p + 1), steps,
+                                       block, u, du)
+            slope[block] = du_all[block]
+            for k, right_limit in zip(block_edges, rights):
+                right_du[k] = slope[k] = right_limit
+            p = q
     finite = np.isfinite(u_all).all(axis=1) & np.isfinite(du_all).all(axis=1)
     if not finite.all():
         raise FloatingPointError(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lagdde import accuracy as accuracy_mod
+from lagdde import reference as reference_mod
 from lagdde.accuracy import (
     convergence_study,
     error_norms,
@@ -14,6 +15,7 @@ from lagdde.accuracy import (
     residual,
     sample_points,
 )
+from lagdde.reference import rk4_method_of_steps
 from lagdde.collocation import (
     DDEProblem,
     DelayTerm,
@@ -205,8 +207,9 @@ def test_error_report_residual_only():
 
 
 def test_error_report_reads_the_grid_in_one_call(monkeypatch):
-    # one series read against a reference and one system assembly for the
-    # residual, however many points the grid has
+    # one series read against a reference, one trajectory read against an
+    # RK4 reference and one system assembly for the residual, however many
+    # points the grid has
     calls = Counter()
 
     def count(module, name):
@@ -222,15 +225,38 @@ def test_error_report_reads_the_grid_in_one_call(monkeypatch):
         history=History(functions=(math.sin,), end=0.5),
         nonlinear=NonlinearDelayTerm(f=lambda u: math.exp(-u), target=0, tau=0.5))
     solution = solve_nonlinear(problem, 8)
+    trajectory = rk4_method_of_steps(problem, step=1e-2)
     count(accuracy_mod, "evaluate")
     count(accuracy_mod, "_system")
+    count(reference_mod, "_read")
     for points in (None, np.linspace(0.0, 5.0, 3), np.linspace(0.0, 5.0, 400)):
         calls.clear()
         error_report(problem, solution, math.sin, points=points)
         assert calls == {"evaluate": 1}
         calls.clear()
+        error_report(problem, solution, trajectory, points=points)
+        assert calls == {"evaluate": 1, "_read": 1}
+        calls.clear()
         error_report(problem, solution, points=points)
         assert calls == {"_system": 1}
+
+
+@pytest.mark.parametrize("reference", [None, math.sin],
+                         ids=["residual", "reference"])
+def test_error_report_flattens_a_grid_of_points(reference):
+    # a 2 x 3 grid is six points: norms per equation, errors (l, 6); the
+    # residual path used to reduce over the wrong axis, the reference path
+    # raised TypeError
+    problem = single_equation(0.4, 0.3, 0.5, math.cos, 0.0, 3.0)
+    solution = solve_nonlinear(problem, 8)
+    grid = np.linspace(0.0, 3.0, 6).reshape(2, 3)
+    report = error_report(problem, solution, reference, points=grid)
+    flat = error_report(problem, solution, reference, points=grid.ravel())
+    assert report.points.shape == (6,)
+    assert report.errors.shape == (1, 6)
+    assert report.linf.shape == report.l2.shape == report.rms.shape == (1,)
+    assert np.array_equal(report.errors, flat.errors)
+    assert np.array_equal(report.linf, flat.linf)
 
 
 def test_convergence_study_polynomial_exactness():

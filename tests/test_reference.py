@@ -414,7 +414,37 @@ def _bit_identity_cases():
         id="no_delay"))
     cases.append(pytest.param(_edge_inside_a_block_problem(),
                               id="edge_inside_a_block"))
+    cases.append(pytest.param(_cross_delays_with_edges_problem(),
+                              id="cross_delays_with_edges"))
+    cases.append(pytest.param(_zero_delay_self_coupling_problem(),
+                              id="zero_delay_self_coupling"))
     return cases
+
+
+def _cross_delays_with_edges_problem():
+    # three equations, each reading another through a delay, one of them
+    # through a nonlinear term too; history.end = 0.25 puts right-limit
+    # edges at 0.75 and 1.25 inside the 0.5-long blocks and at 1.0 on a
+    # block's start, each with a right limit for every equation
+    history = History(functions=(math.sin, math.cos, lambda t: 0.5 * t),
+                      end=0.25)
+    return DDEProblem(
+        gamma=[0.4, 0.7, 0.2],
+        delays=[[DelayTerm(1, 0.4, 0.5)], [DelayTerm(2, -0.3, 0.75)],
+                [DelayTerm(0, 0.2, 1.0)]],
+        g=[math.cos, math.sin, lambda t: math.exp(-t)], phi=[0.2, -0.1, 0.3],
+        b=2.0, history=history,
+        nonlinear=[None, NonlinearDelayTerm(f=lambda u: math.exp(-u),
+                                            target=0, tau=0.5), None])
+
+
+def _zero_delay_self_coupling_problem():
+    # a tau = 0 coupling of the equation to itself, between two delay terms
+    history = History(functions=(math.sin,), end=0.0)
+    return DDEProblem(
+        gamma=[0.5], delays=[[DelayTerm(0, -0.4, 0.5), DelayTerm(0, 0.3, 0.0),
+                              DelayTerm(0, 0.2, 0.25)]],
+        g=[math.cos], phi=[1.0], b=1.5, history=history)
 
 
 def _edge_inside_a_block_problem():
