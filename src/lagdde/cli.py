@@ -313,6 +313,9 @@ def main(argv=None) -> int:
     except ArithmeticError as err:  # from a config expression in the solve
         print(f"solver error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as err:  # writing the outputs
+        print(f"output error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -181,8 +181,9 @@ def collocation_points(n_max: int, b: float) -> np.ndarray:
     if n_max > _basis.MAX_TRUNCATION:
         raise ValueError(f"truncation {n_max} exceeds supported maximum "
                          f"{_basis.MAX_TRUNCATION}")
-    if b <= 0:
-        raise ValueError(f"interval endpoint must be positive, got {b}")
+    if not 0 < b < math.inf:
+        raise ValueError(
+            f"interval endpoint must be finite and positive, got {b}")
     return np.linspace(0.0, b, n_max + 1)
 
 

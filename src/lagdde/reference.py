@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, repeat
-from operator import add, mul
+from itertools import repeat
+from operator import add
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -94,12 +94,6 @@ def _float_gcd(values: Sequence[float]) -> float:
     return float(Fraction(base).limit_denominator(10**9) * gcd)
 
 
-def _problem_delays(problem: DDEProblem) -> list[float]:
-    taus = [term.tau for terms in problem.delays for term in terms if term.tau > 0]
-    taus += [term.tau for term in problem.nonlinear if term is not None]
-    return taus
-
-
 def _aligned_step(taus: list[float], history: Optional[History], b: float,
                   step: float) -> float:
     """The RK4 step: ``step`` rounded down so every breaking point is on the
@@ -157,9 +151,10 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     f(u(t - tau_f)) do not depend on the stage. They are evaluated once per
     distinct time: at the midpoint (shared by k2 and k3), at the step end
     (shared by k4 and the stored u'), and at a history edge once more as
-    the right limit; that is 2 * steps + 1 + edges calls of each g, history
-    function and f, on Python floats and in increasing time. Each must
-    therefore be a function of its argument alone. Each stage then adds
+    the right limit; that is 2 * steps + 1 + edges calls of each g and f,
+    and a call of the history function at each of those times a delayed
+    term reads it, all on Python floats. Each must therefore be a function
+    of its argument alone. Each stage then adds
     them to -gamma * u and the tau = 0 couplings in the order of the
     equation: -gamma * u + g, the delay terms in list order, then the
     nonlinear term.
@@ -170,11 +165,17 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     before it starts. Step k's latest delayed argument is
     min(t_k - tau_min, t_{k-1}), nondecreasing in k, so one search finds q;
     a problem without delays is one block. Before stepping a block, the
-    forcing of all its stage times is computed, and the trajectory values
-    its delayed terms need come from one array read of the stored points,
-    the read ``Trajectory.__call__`` makes, so a delayed value is what the
-    finished trajectory returns. An argument up to 1e-12 past t_p reads
-    u(t_p). With its forcing known, no equation of a block depends on
+    forcing of all its stage times is computed: first the history at each
+    delayed argument it serves, delayed term by delayed term; then the
+    trajectory at every other delayed argument, in one array read of the
+    stored points, the read ``Trajectory.__call__`` makes, so a delayed
+    value is what the finished trajectory returns; then g and f, equation
+    by equation. An argument up to 1e-12 past t_p reads u(t_p). Each
+    function is called in increasing time, so of its own failures the
+    earliest is raised; when two functions fail in one block, the one
+    called first is. The forcing is, per equation, a list of the parts its
+    stages add at each stage time, (g, the delay terms, f), which both step
+    loops read as is. With it known, no equation of a block depends on
     another, so each equation steps the whole block on its own, in one
     loop over floats. Only a problem with a tau = 0 coupling, where a stage
     of one equation reads the same stage of another, steps its equations
@@ -187,8 +188,26 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
+    # every delayed read, as (target, tau), in the order a stage adds them;
+    # per equation, per slot after g: None where tau = 0, else (read, beta,
+    # f) with one of beta and f
+    reads = []
+    parts = []
+    for terms, nl in zip(problem.delays, problem.nonlinear):
+        eq_parts = []
+        for term in terms:
+            if term.tau == 0:
+                eq_parts.append(None)
+            else:
+                eq_parts.append((len(reads), term.beta, None))
+                reads.append((term.target, term.tau))
+        if nl is not None:
+            eq_parts.append((len(reads), None, nl.f))
+            reads.append((nl.target, nl.tau))
+        parts.append(eq_parts)
+    read_targets = np.array([target for target, _ in reads], dtype=int)
+    taus = [tau for _, tau in reads]
     history = problem.history
-    taus = _problem_delays(problem)
     h = _aligned_step(taus, history, problem.b, step)
 
     l = problem.n_equations
@@ -209,128 +228,100 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
                     and abs(grid[k] - tau - history.end) <= HISTORY_EDGE_TOL):
                 edges.add(k)
 
-    # every delayed read, as (target, tau), in the order rhs adds them; per
-    # equation, per slot after g: None where tau = 0, else (read, beta, f)
-    # with one of beta and f
-    reads = []
-    parts = []
-    for terms, nl in zip(problem.delays, problem.nonlinear):
-        eq_parts = []
-        for term in terms:
-            if term.tau == 0:
-                eq_parts.append(None)
-            else:
-                eq_parts.append((len(reads), term.beta, None))
-                reads.append((term.target, term.tau))
-        if nl is not None:
-            eq_parts.append((len(reads), None, nl.f))
-            reads.append((nl.target, nl.tau))
-        parts.append(eq_parts)
-    read_targets = np.array([target for target, _ in reads], dtype=int)
-    read_taus = np.array([tau for _, tau in reads], dtype=float)
-
     def forcing(times, right, front):
-        # per time in times, per equation the row a stage adds: g(t), each
+        # per equation, per time in times the parts a stage adds: g(t), each
         # delay term (None where tau = 0), then f; right marks the right
-        # limits at edges. The trajectory values come from one read of the
-        # stored points 0..front-1; g, the history and f are called lazily,
-        # time by time and in the order of the row
-        m = len(times)
-        arg = np.subtract.outer(np.array(times), read_taus)
-        n_history = np.zeros(len(reads), dtype=int)
+        # limits at edges, front the stored points the trajectory read sees.
+        # The history and the trajectory values fill one (times, reads) array
+        arg = np.subtract.outer(np.array(times), taus)
+        values = np.empty_like(arg)
+        stored = np.ones(arg.shape, dtype=bool)
         if history is not None:
-            served = history.covers(arg)
+            stored = ~history.covers(arg)
             if any(right):
                 # past the edge u continues from the trajectory
                 edge = (np.array(right)[:, None]
                         & (np.abs(arg - history.end) <= HISTORY_EDGE_TOL))
                 arg[edge] = history.end
-                served &= ~edge
-            # arguments grow with time, so the history serves a leading run
-            # of each read and the trajectory the rest
-            n_history = served.sum(axis=0)
-        q = arg.T[np.arange(m) >= n_history[:, None]]
-        values = []
-        if len(q):
+                stored |= edge
+            for j in np.flatnonzero(~stored.all(axis=0)).tolist():
+                served = ~stored[:, j]
+                values[served, j] = [history.value(reads[j][0], s)
+                                     for s in arg[served, j].tolist()]
+        i, j = stored.nonzero()
+        if len(i):
             # a block reads no later than its last stored point, up to the
             # 1e-12 the clamp below forgives, so only t = 0 can find nothing
             if front == 0:
                 raise ValueError(
-                    f"delayed value at t={q[0]} not available; history does "
-                    "not cover it and the trajectory has not reached it")
+                    f"delayed value at t={arg[i[0], j[0]]} not available; "
+                    "history does not cover it and the trajectory has not "
+                    "reached it")
+            q = np.minimum(arg[i, j], grid[front - 1])
             rows = _read(t_all[:front], u_all[:front], du_all[:front],
-                         slope[:front], np.minimum(q, grid[front - 1]))
-            values = rows[np.arange(len(q)),
-                          np.repeat(read_targets, m - n_history)].tolist()
-        columns = []
-        start = 0
-        for j, n in enumerate(n_history.tolist()):
-            stored = values[start:start + m - n]
-            start += m - n
-            columns.append(stored if n == 0 else chain(
-                map(history.value, repeat(reads[j][0]), arg[:n, j].tolist()),
-                stored))
+                         slope[:front], q)
+            values[i, j] = rows[np.arange(len(q)), read_targets[j]]
+        columns = values.T.tolist()
         equations = []
         for g, eq_parts in zip(problem.g, parts):
-            row = [map(g, times)]
+            row = [list(map(g, times))]
             for part in eq_parts:
                 if part is None:
                     row.append(repeat(None))
                 else:
                     j, beta, f = part
-                    row.append(map(mul, repeat(beta), columns[j]) if f is None
-                               else map(f, columns[j]))
-            equations.append(zip(*row))
-        return list(zip(*equations))
+                    row.append([beta * v for v in columns[j]] if f is None
+                               else list(map(f, columns[j])))
+            equations.append(list(zip(*row)))
+        return equations
 
     neg_gamma = [-gamma for gamma in problem.gamma]
+    # per equation, the tau = 0 term in its slot of a stage's parts and None
+    # in every other slot
+    slots = [[None, *(term if term.tau == 0 else None for term in terms),
+              *([None] if nl is not None else [])]
+             for terms, nl in zip(problem.delays, problem.nonlinear)]
+
+    def rhs(columns, i, u):
+        # u' per equation at stage time i of the forcing: -gamma * u plus
+        # the parts in their order, a tau = 0 term reading u at its slot
+        out = []
+        for eq in range(l):
+            value = neg_gamma[eq] * u[eq]
+            for part, term in zip(columns[eq][i], slots[eq]):
+                value += part if term is None else term.beta * u[term.target]
+            out.append(value)
+        return out
+
     if any(part is None for eq_parts in parts for part in eq_parts):
         # a tau = 0 coupling: a stage of one equation reads the same stage
-        # of another, so the equations step together, stage by stage. Per
-        # equation, the tau = 0 term in its slot of the forcing row and None
-        # in every other slot
-        slots = [[None, *(term if term.tau == 0 else None for term in terms),
-                  *([None] if nl is not None else [])]
-                 for terms, nl in zip(problem.delays, problem.nonlinear)]
-
-        def rhs(rows, u):
-            out = []
-            for eq in range(l):
-                value = neg_gamma[eq] * u[eq]
-                for part, term in zip(rows[eq], slots[eq]):
-                    value += part if term is None else term.beta * u[term.target]
-                out.append(value)
-            return out
-
-        def step_block(rows, steps, block, u, du):
-            rows_at = iter(rows)
+        # of another, so the equations step together, stage by stage
+        def step_block(columns, steps, block, u, du):
+            i = 0
             block_u, block_du, rights = [], [], []
             for hk, half, sixth, edge in steps:
                 k1 = du
                 if edge:
-                    k1 = rhs(next(rows_at), u)
+                    k1 = rhs(columns, i, u)
                     rights.append(k1)
-                mid = next(rows_at)
-                k2 = rhs(mid, [a + half * d for a, d in zip(u, k1)])
-                k3 = rhs(mid, [a + half * d for a, d in zip(u, k2)])
-                end = next(rows_at)
-                k4 = rhs(end, [a + hk * d for a, d in zip(u, k3)])
+                    i += 1
+                k2 = rhs(columns, i, [a + half * d for a, d in zip(u, k1)])
+                k3 = rhs(columns, i, [a + half * d for a, d in zip(u, k2)])
+                k4 = rhs(columns, i + 1, [a + hk * d for a, d in zip(u, k3)])
                 u = [a + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
                      for a, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
-                du = rhs(end, u)
+                du = rhs(columns, i + 1, u)
+                i += 2
                 block_u.append(u)
                 block_du.append(du)
             u_all[block] = block_u
             du_all[block] = block_du
             return u, du, rights
-
-        du = rhs(forcing([0.0], [False], 0)[0], problem.phi)
     else:
         # every delayed value of a block is known before it starts, so the
         # equations do not depend on each other within it: each steps the
-        # whole block on its own, from its column of the forcing rows. A
-        # stage is -gamma * x plus the row's parts, folded left to right as
-        # the stage-by-stage loop adds them
+        # whole block on its own, from its column of the forcing. A stage is
+        # -gamma * x plus the parts, folded left to right as rhs adds them
         def step_equation(column, steps, x, d, ng):
             rows_at = iter(column)
             xs, ds, rights = [], [], []
@@ -349,19 +340,16 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
                 ds.append(d)
             return xs, ds, rights
 
-        def step_block(rows, steps, block, u, du):
-            # per equation, its column of the block's points
-            xs, ds, rights = zip(*map(step_equation, zip(*rows), repeat(steps),
+        def step_block(columns, steps, block, u, du):
+            xs, ds, rights = zip(*map(step_equation, columns, repeat(steps),
                                       u, du, neg_gamma))
             u_all[block].T[:] = xs
             du_all[block].T[:] = ds
             return ([x[-1] for x in xs], [d[-1] for d in ds],
                     list(zip(*rights)))
 
-        du = [reduce(add, row, ng * x) for row, ng, x in
-              zip(forcing([0.0], [False], 0)[0], neg_gamma, problem.phi)]
     u_all[0] = u = list(problem.phi)
-    du_all[0] = slope[0] = du
+    du_all[0] = slope[0] = du = rhs(forcing([0.0], [False], 0), 0, u)
     # step k (k >= 1) reads the trajectory at or before latest[k - 1]
     latest = np.minimum(t_all[1:] - min(taus), t_all[:-1]) if taus else None
     # u may pass the float range mid-run, as Python floats do without

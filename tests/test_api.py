@@ -4,7 +4,7 @@ import dataclasses
 import inspect
 
 import lagdde
-from lagdde import collocation, config
+from lagdde import collocation, config, reference
 
 
 def test_every_exported_name_resolves():
@@ -28,6 +28,9 @@ def test_names_the_benchmark_tracer_wraps_exist():
         assert inspect.isfunction(function)
         assert function.__module__ == "lagdde.config"
     assert "value" in vars(collocation.History)
+    assert inspect.isfunction(reference.rk4_method_of_steps)
+    assert reference.rk4_method_of_steps.__module__ == "lagdde.reference"
+    assert "__call__" in vars(reference.Trajectory)
 
 
 def test_names_the_benchmark_workloads_read_exist():

@@ -118,6 +118,10 @@ def test_polynomial_basis_rejects_small_truncation():
         with pytest.raises(ValueError, match="must be >= 2"):
             collocation_points(n, 1.0)
     assert len(collocation_points(2, 1.0)) == 3
+    # and an interval end that is not finite and positive
+    for b in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            collocation_points(4, b)
 
 
 def test_row_vector_identities_random_points():

@@ -216,6 +216,19 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert missing in err
 
 
+@pytest.mark.parametrize("verb", ["solve", "compare", "converge"])
+def test_output_path_that_is_a_file_exits_two(tmp_path, capsys, verb):
+    cfg = _write(tmp_path, SMOOTH_EXACT)
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    assert cli.main([verb, "--config", cfg, "--N-list", "3", "4",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert str(out) in err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_missing_truncation_exits_two(tmp_path):
     cfg = _write(tmp_path, CONSTANT_PROBLEM.replace("N = 3\n", ""))
     assert cli.main(["solve", "--config", cfg,

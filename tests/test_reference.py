@@ -229,6 +229,25 @@ def test_forcing_failing_at_two_times_names_the_earlier():
     assert str(info.value) == f"g failed at t={times[40]!r}"
 
 
+def test_history_failing_in_the_block_of_a_failing_g_is_reported():
+    # in the block (0, 0.5] g fails from t = 0.195 and the history from
+    # t = 0.255; the history is called first, so its failure is raised
+    def failing_history(s):
+        if s > -0.25:
+            raise ArithmeticError(f"history failed at s={s!r}")
+        return math.sin(s)
+
+    def failing_g(t):
+        if t > 0.19:
+            raise ArithmeticError(f"g failed at t={t!r}")
+        return math.cos(t)
+
+    problem = single_equation(0.5, 0.3, 0.5, failing_g, 1.0, 2.0,
+                              History((failing_history,), end=0.0))
+    with pytest.raises(ArithmeticError, match="history failed at s=-0.24"):
+        rk4_method_of_steps(problem, step=1e-2)
+
+
 def test_rk4_overflow_with_delays_raises_without_warnings():
     # u passes the float range at t = 1.76 and the next blocks read inf
     # from the trajectory; only the final check reports it
@@ -541,18 +560,26 @@ def test_delay_shorter_than_the_step_sets_the_step():
 def test_forcing_is_called_once_per_distinct_stage_time():
     # midpoint once for k2 and k3, step end once for k4 and the stored u',
     # t = 0 once, and the history edge t = 0.75 once more as the right limit
-    calls = []
+    calls = {"g": [], "history": [], "f": []}
 
-    def g(t):
-        calls.append(t)
-        return math.cos(t)
+    def counted(name, function):
+        def call(x):
+            calls[name].append(x)
+            return function(x)
+        return call
 
-    problem = single_equation(0.5, 0.3, 0.5, g, 1.0, 2.0,
-                              History((math.sin,), end=0.25))
+    problem = single_equation(
+        0.5, 0.3, 0.5, counted("g", math.cos), 1.0, 2.0,
+        History((counted("history", math.sin),), end=0.25),
+        NonlinearDelayTerm(counted("f", math.tanh), 0, 0.5))
     trajectory = rk4_method_of_steps(problem, step=1e-2)
     steps, edges = len(trajectory.t) - 1, len(trajectory.right_du)
     assert (steps, edges) == (200, 1)
-    assert len(calls) == 2 * steps + 1 + edges == 402
+    assert len(calls["g"]) == len(calls["f"]) == 2 * steps + 1 + edges == 402
+    assert calls["g"] == sorted(calls["g"])
+    # the history once per delayed argument it serves: at t = 0 and the
+    # 2 * 75 stage times up to the edge, for the delay term and for f
+    assert len(calls["history"]) == 2 * (1 + 2 * 75)
 
 
 def test_history_end_not_commensurate_with_the_delays_raises():
