@@ -57,22 +57,22 @@ def _norms(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.sqrt(squares / e.shape[-1]))
 
 
-def sample_points(b: float, per_unit: int = SAMPLES_PER_UNIT) -> np.ndarray:
-    """Equally spaced norm-sampling grid: ``per_unit`` intervals per unit of t."""
-    count = max(1, int(round(b * per_unit)))
+def sample_points(b: float) -> np.ndarray:
+    """Equally spaced norm-sampling grid on [0, b]: ``SAMPLES_PER_UNIT``
+    intervals per unit of t."""
+    count = max(1, int(round(b * SAMPLES_PER_UNIT)))
     return np.linspace(0.0, b, count + 1)
 
 
 @dataclass
 class ErrorReport:
-    """Residuals or reference errors at sample points, with their norms."""
+    """Reference errors, or residuals, at sample points, with their norms."""
 
     points: np.ndarray
     errors: np.ndarray  # shape (l, len(points))
     l2: np.ndarray
     linf: np.ndarray
     rms: np.ndarray
-    reference: str  # "exact", "method_of_steps", or "none"
 
 
 def read_reference(reference: Callable[[float], np.ndarray],
@@ -86,11 +86,10 @@ def read_reference(reference: Callable[[float], np.ndarray],
 
 def error_report(problem: DDEProblem, solution: SpectralSolution,
                  reference: Optional[Callable[[float], np.ndarray]] = None,
-                 points: Optional[np.ndarray] = None,
-                 reference_label: str = "exact") -> ErrorReport:
-    """Errors against a reference callable, or residuals when none is given,
-    at ``points`` (the sample grid by default), with one read of the series.
-    Points of any shape are flattened to one row of points."""
+                 points: Optional[np.ndarray] = None) -> ErrorReport:
+    """Errors against a reference callable (an exact solution or an RK4
+    ``Trajectory``), or residuals when none is given, at ``points`` (the sample
+    grid by default, any shape flattened to one row), in one series read."""
     points = (sample_points(problem.b) if points is None
               else np.asarray(points, dtype=float).ravel())
     if reference is None:
@@ -99,10 +98,7 @@ def error_report(problem: DDEProblem, solution: SpectralSolution,
         errors = np.abs(evaluate(solution, points)
                         - read_reference(reference, points))
     l2, linf, rms = _norms(errors)
-    return ErrorReport(
-        points=points, errors=errors, l2=l2, linf=linf, rms=rms,
-        reference="none" if reference is None else reference_label,
-    )
+    return ErrorReport(points=points, errors=errors, l2=l2, linf=linf, rms=rms)
 
 
 @dataclass

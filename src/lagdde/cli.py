@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -47,14 +45,6 @@ class SolverError(Exception):
     """The run produced no solution at any requested truncation."""
 
 
-@dataclass
-class RunReport:
-    """Summary of a CLI run: per-truncation records and output files."""
-
-    records: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-
-
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
@@ -70,9 +60,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_manifest(out_dir: Path, command: str, config_path, settings: dict,
-                    outputs: list[Path]) -> Path:
-    path = out_dir / "manifest.txt"
-    with open(path, "w") as fh:
+                    outputs: list[Path]) -> None:
+    with open(out_dir / "manifest.txt", "w") as fh:
         fh.write(f"# generated {time.strftime('%Y-%m-%d %H:%M:%S')}\n")
         fh.write(f"command = {command}\n")
         fh.write(f"config = {config_path}\n")
@@ -80,7 +69,6 @@ def _write_manifest(out_dir: Path, command: str, config_path, settings: dict,
             fh.write(f"{key} = {value}\n")
         for out in outputs:
             fh.write(f"output = {out}\n")
-    return path
 
 
 def _make_oracle(cfg: ProblemConfig, problem):
@@ -112,59 +100,41 @@ def _make_oracle(cfg: ProblemConfig, problem):
 
 
 def run_solve(cfg: ProblemConfig, n_list, out_dir: Path,
-              config_path="<config>") -> RunReport:
-    """Solve at each truncation of ``n_list`` (or at one given as an int).
-    One truncation writes into ``out_dir``, several each into
-    ``out_dir/N<n>``. The problem and its oracle are built once."""
+              config_path="<config>") -> None:
+    """Solve at each truncation of ``n_list``. One truncation writes into
+    ``out_dir``, several each into ``out_dir/N<n>``. The problem, its oracle
+    and the sample points are built once."""
     problem = build_problem(cfg)
     oracle = _make_oracle(cfg, problem)
-    if isinstance(n_list, int):
-        n_list = [n_list]
-    run = RunReport()
-    for n in n_list:
-        _solve_one(run, cfg, problem, oracle, n, out_dir if len(n_list) == 1
-                   else out_dir / f"N{n}", config_path)
-    return run
-
-
-def _solve_one(run, cfg, problem, oracle, n_max, out_dir, config_path):
-    start = time.perf_counter()
-    solution = solve_nonlinear(problem, n_max, tol=cfg.tol,
-                               max_iter=cfg.max_iter)
-    cpu_time = time.perf_counter() - start
-
-    l = problem.n_equations
-    record = {
-        "N": n_max, "cpu_time": round(cpu_time, 3),
-        "condition": solution.condition, "iterations": solution.iterations,
-    }
-    if oracle is not None:
-        report = accuracy.error_report(problem, solution, oracle,
-                                       reference_label=cfg.oracle)
-        record.update(l2=report.l2, linf=report.linf, rms=report.rms)
-        for eq in range(l):
-            print(f"u_{eq + 1}: L2={report.l2[eq]:.3e} "
-                  f"Linf={report.linf[eq]:.3e} RMS={report.rms[eq]:.3e}")
-    print(f"N={n_max} cpu_time={record['cpu_time']:.3f}s "
-          f"condition={solution.condition:.3e}")
-
-    sol_path = out_dir / "solution.csv"
     points = accuracy.sample_points(problem.b)
-    _write_csv(sol_path, ["t"] + [f"u_{i + 1}" for i in range(l)],
-               np.column_stack([points, *evaluate(solution, points)]))
-    coeff_path = out_dir / "coefficients.csv"
-    coefficients = solution.coefficients
-    _write_csv(coeff_path, ["equation", "n", "a_n"],
-               [[eq + 1, n, coefficients[eq, n]]
-                for eq in range(l) for n in range(n_max + 1)])
-    manifest = _write_manifest(out_dir, "solve", config_path,
-                               {"N": n_max}, [sol_path, coeff_path])
-    run.records.append(record)
-    run.outputs += [sol_path, coeff_path, manifest]
+    l = problem.n_equations
+    for n in n_list:
+        start = time.perf_counter()
+        solution = solve_nonlinear(problem, n, tol=cfg.tol, max_iter=cfg.max_iter)
+        cpu_time = time.perf_counter() - start
+        if oracle is not None:
+            report = accuracy.error_report(problem, solution, oracle)
+            for eq in range(l):
+                print(f"u_{eq + 1}: L2={report.l2[eq]:.3e} "
+                      f"Linf={report.linf[eq]:.3e} RMS={report.rms[eq]:.3e}")
+        print(f"N={n} cpu_time={cpu_time:.3f}s "
+              f"condition={solution.condition:.3e}")
+
+        coefficients = solution.coefficients
+        n_dir = out_dir if len(n_list) == 1 else out_dir / f"N{n}"
+        sol_path = n_dir / "solution.csv"
+        _write_csv(sol_path, ["t"] + [f"u_{i + 1}" for i in range(l)],
+                   np.column_stack([points, *evaluate(solution, points)]))
+        coeff_path = n_dir / "coefficients.csv"
+        _write_csv(coeff_path, ["equation", "n", "a_n"],
+                   [[eq + 1, k, coefficients[eq, k]]
+                    for eq in range(l) for k in range(n + 1)])
+        _write_manifest(n_dir, "solve", config_path, {"N": n},
+                        [sol_path, coeff_path])
 
 
 def run_compare(cfg: ProblemConfig, n_list, out_dir: Path,
-                config_path="<config>") -> RunReport:
+                config_path="<config>") -> None:
     problem = build_problem(cfg)
     oracle = _make_oracle(cfg, problem)
     if oracle is None:
@@ -187,14 +157,12 @@ def run_compare(cfg: ProblemConfig, n_list, out_dir: Path,
         columns += [*values, *np.abs(values - ref)]
     cmp_path = out_dir / "comparison.csv"
     _write_csv(cmp_path, header, np.column_stack(columns))
-    manifest = _write_manifest(out_dir, "compare", config_path,
-                               {"N_list": list(n_list)}, [cmp_path])
-    return RunReport(records=[{"N_list": list(n_list)}],
-                     outputs=[cmp_path, manifest])
+    _write_manifest(out_dir, "compare", config_path,
+                    {"N_list": list(n_list)}, [cmp_path])
 
 
 def run_converge(cfg: ProblemConfig, n_list, out_dir: Path,
-                 config_path="<config>") -> RunReport:
+                 config_path="<config>") -> None:
     problem = build_problem(cfg)
     oracle = _make_oracle(cfg, problem)
     rows = accuracy.convergence_study(problem, n_list, oracle,
@@ -221,10 +189,8 @@ def run_converge(cfg: ProblemConfig, n_list, out_dir: Path,
                           f"{', '.join(str(r.n_max) for r in rows)})")
     conv_path = out_dir / "convergence.csv"
     _write_csv(conv_path, header, table)
-    manifest = _write_manifest(out_dir, "converge", config_path,
-                               {"N_list": list(n_list)}, [conv_path])
-    return RunReport(records=[vars(r) for r in rows],
-                     outputs=[conv_path, manifest])
+    _write_manifest(out_dir, "converge", config_path,
+                    {"N_list": list(n_list)}, [conv_path])
 
 
 def run_validate() -> int:
@@ -241,6 +207,9 @@ def run_validate() -> int:
           f"(deviation {mismatch:.3e}, expected > 1e-3)")
     failures += not expected_wrong
     return EXIT_OK if failures == 0 else EXIT_SOLVER
+
+
+RUNS = {"solve": run_solve, "compare": run_compare, "converge": run_converge}
 
 
 def _parse_n_list(args, cfg):
@@ -274,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--oracle-step", type=float,
                        help="RK4 oracle step override")
 
-    for verb in ("solve", "compare", "converge"):
+    for verb in RUNS:
         add_common(sub.add_parser(verb))
     sub.add_parser("validate", help="run the brute-force matrix identity suite")
     return parser
@@ -291,16 +260,8 @@ def main(argv=None) -> int:
             if value is not None:
                 set_key(cfg, key, value)
         validate(cfg)
-        out_dir = Path(args.out)
-        if args.command == "solve":
-            run_solve(cfg, _parse_n_list(args, cfg), out_dir,
-                      config_path=args.config)
-        elif args.command == "compare":
-            n_list = _parse_n_list(args, cfg)
-            run_compare(cfg, n_list, out_dir, config_path=args.config)
-        elif args.command == "converge":
-            n_list = _parse_n_list(args, cfg)
-            run_converge(cfg, n_list, out_dir, config_path=args.config)
+        RUNS[args.command](cfg, _parse_n_list(args, cfg), Path(args.out),
+                           config_path=args.config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -97,8 +97,8 @@ class History:
     end: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.end):
-            raise ValueError(f"history end must be finite, got {self.end}")
+        if not 0 <= self.end < math.inf:
+            raise ValueError(f"history end must be finite and >= 0, got {self.end}")
 
     def covers(self, t):
         """Whether the history serves t; elementwise for an array of t."""
@@ -213,13 +213,17 @@ class SpectralSolution:
 
         Interpolated with basis_row at N+1 equispaced points on each read.
         Their digits carry the Laguerre basis's own conditioning on [0, b];
-        evaluation never goes through them.
+        evaluation never goes through them. SingularSystemError when that
+        interpolation matrix is singular (b tiny against N).
         """
         points = np.linspace(0.0, self.b, self.n_max + 1)
         laguerre = np.array([_basis.basis_row(self.n_max, t) for t in points])
         rows = np.ascontiguousarray(_chebyshev_rows(self.n_max, self.b, points)[0].T)
         values = rows @ self.chebyshev.T
-        return np.linalg.solve(laguerre, values).T
+        try:
+            return np.linalg.solve(laguerre, values).T
+        except np.linalg.LinAlgError:
+            raise SingularSystemError(math.inf) from None
 
 
 def _chebyshev_rows(n_max: int, b: float, t: np.ndarray, m: int = 0):

@@ -357,6 +357,9 @@ def validate(cfg: ProblemConfig) -> None:
                           field="equations")
     if cfg.b <= 0:
         raise ConfigError(f"b must be positive, got {cfg.b}", field="b")
+    if cfg.history_end < 0:
+        raise ConfigError(f"history_end must be >= 0, got {cfg.history_end}",
+                          field="history_end")
     if cfg.tol <= 0:
         raise ConfigError(f"tol must be positive, got {cfg.tol}", field="tol")
     if cfg.max_iter < 1:
@@ -408,13 +411,15 @@ def validate(cfg: ProblemConfig) -> None:
 
 
 def check_truncations(values, field_name):
-    """The truncations as a list; one outside 2..MAX_TRUNCATION is a
-    ConfigError on ``field_name``."""
-    for n in values:
+    """The truncations as a list; one outside 2..MAX_TRUNCATION, or one
+    given twice, is a ConfigError on ``field_name``."""
+    for k, n in enumerate(values):
         if not 2 <= n <= MAX_TRUNCATION:
             raise ConfigError(
                 f"{field_name} must lie in 2..{MAX_TRUNCATION}, got {n}",
                 field=field_name)
+        if n in values[:k]:
+            raise ConfigError(f"{field_name} repeats {n}", field=field_name)
     return list(values)
 
 

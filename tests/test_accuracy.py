@@ -201,7 +201,6 @@ def test_error_report_residual_only():
     problem = single_equation(0.0, 0.0, 1.0, lambda t: 1.0, 0.0, 1.0)
     solution = _solution([0.0, 0.0, 0.0])
     report = error_report(problem, solution)
-    assert report.reference == "none"
     np.testing.assert_allclose(report.errors, 1.0)
     assert report.linf[0] == pytest.approx(1.0)
 

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: verbs, outputs, and exit codes."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 from lagdde import cli, reference
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 CONSTANT_PROBLEM = """\
 b = 2
@@ -246,6 +248,31 @@ def test_truncation_above_maximum_exits_two(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("verb", ["solve", "compare", "converge"])
+def test_repeated_truncation_exits_two(tmp_path, capsys, verb):
+    # each verb used to write N4 twice: a directory, a column name, a row
+    out = tmp_path / "out"
+    assert cli.main([verb, "--config", str(CONFIG_DIR / "example2.cfg"),
+                     "--N-list", "4", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: N_list repeats 4 (field 'N_list')")
+    assert not out.exists()
+    cfg = _write(tmp_path, CONSTANT_PROBLEM.replace("N = 3", "N_list = 3 4 3"))
+    assert cli.main([verb, "--config", cfg, "--out", str(out)]) == 2
+    assert "field 'N_list'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_singular_laguerre_coefficients_exit_three(tmp_path, capsys):
+    # the solve succeeds, but the Laguerre interpolation matrix on
+    # [0, 1e-9] is singular; this used to be a LinAlgError traceback
+    cfg = _write(tmp_path, "b = 1e-9\nN = 6\n\n[equation 1]\ngamma = 1\nphi = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("solver error: singular system")
+    assert not out.exists()
+
+
 def test_nonlinear_target_out_of_range_exits_two(tmp_path, capsys):
     cfg = _write(tmp_path, CONSTANT_PROBLEM + "nonlinear = sin(u)\n"
                  "nonlinear_tau = 0.5\nnonlinear_target = 3\n")
@@ -292,6 +319,18 @@ def test_non_finite_value_exits_two(tmp_path, capsys, line, replacement, field):
     assert not out.exists()
 
 
+def test_negative_history_end_exits_two(tmp_path, capsys):
+    # the rk4 oracle reported a false "query t=-0.5 outside computed range"
+    text = NON_FINITE_BASE.replace("history_end = 0", "history_end = -0.5")
+    cfg = _write(tmp_path, text.replace("N = 4", "N = 4\noracle = rk4"))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: history_end must be >= 0")
+    assert "field 'history_end'" in err
+    assert not out.exists()
+
+
 def test_converge_every_truncation_failing_reports_each(tmp_path, capsys):
     # without a history the delayed term extrapolates the series to t = -1,
     # and at N = 19 and 20 the condition number passes the singularity bound
@@ -319,10 +358,17 @@ def test_solve_keeps_the_truncations_that_finished(tmp_path, capsys):
     assert not (out / "N19").exists()
 
 
+def _run_module(*args):
+    """``python -m`` in a subprocess, with ``src/`` importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+
+
 def test_validate_prints_identity_lines():
-    result = subprocess.run(
-        [sys.executable, "-m", "lagdde.cli", "validate"],
-        capture_output=True, text=True)
+    result = _run_module("lagdde.cli", "validate")
     assert result.returncode == 0
     lines = [l for l in result.stdout.strip().splitlines() if l]
     assert all(l.startswith("PASS") for l in lines)
@@ -331,8 +377,7 @@ def test_validate_prints_identity_lines():
 
 
 def test_package_runs_as_a_module():
-    result = subprocess.run([sys.executable, "-m", "lagdde", "--help"],
-                            capture_output=True, text=True)
+    result = _run_module("lagdde", "--help")
     assert result.returncode == 0, result.stderr
     assert "validate" in result.stdout
 

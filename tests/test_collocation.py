@@ -736,6 +736,16 @@ def test_singular_monomial_operator_still_raises():
     assert info.value.condition > collocation_mod.SINGULAR_CONDITION
 
 
+def test_singular_laguerre_interpolation_raises_singular_system_error():
+    # at b = 1e-9 the system solves (condition 1.8e11), but L_0..L_6 at
+    # seven points of [0, 1e-9] are singular to LAPACK
+    problem = single_equation(1.0, 0.0, 1.0, lambda t: 0.0, 1.0, 1e-9)
+    solution = solve_linear(problem, 6)
+    assert solution.condition < collocation_mod.SINGULAR_CONDITION
+    with pytest.raises(SingularSystemError, match="singular system"):
+        solution.coefficients
+
+
 def _coupled_problem(b):
     """Three coupled equations whose delays b/5 the history serves early."""
     return DDEProblem(
@@ -842,11 +852,13 @@ def _scalar(**changes):
     lambda: DelayTerm(0, 0.5, math.inf),
     lambda: NonlinearDelayTerm(f=math.sin, target=0, tau=math.nan),
     lambda: History(functions=(math.sin,), end=math.nan),
+    lambda: History(functions=(math.sin,), end=-0.5),
     lambda: solve_nonlinear(_nonlinear_problem(math.sin), 6, tol=math.nan),
 ], ids=["b_nan", "b_inf", "gamma_nan", "phi_inf", "beta_nan", "tau_nan",
-        "tau_inf", "nonlinear_tau_nan", "history_end_nan", "tol_nan"])
+        "tau_inf", "nonlinear_tau_nan", "history_end_nan",
+        "history_end_negative", "tol_nan"])
 def test_non_finite_inputs_are_refused(build):
     # a NaN passes every "x <= 0" check; a NaN tol ended in a false
-    # NonConvergenceError
+    # NonConvergenceError; nothing defines u on (end, 0) for a negative end
     with pytest.raises(ValueError, match="finite|positive"):
         build()

@@ -433,6 +433,19 @@ def test_truncation_above_maximum_is_config_error():
     assert parse_config_text("b = 1\nN_list = 2 20\n").n_list == (2, 20)
 
 
+def test_negative_history_end_is_config_error():
+    with pytest.raises(ConfigError) as info:
+        parse_config_text("b = 1\nhistory_end = -0.5\n")
+    assert info.value.field == "history_end"
+    assert parse_config_text("b = 1\nhistory_end = 0.5\n").history_end == 0.5
+
+
+def test_repeated_truncation_is_config_error():
+    with pytest.raises(ConfigError, match="repeats 4") as info:
+        parse_config_text("b = 1\nN_list = 4 6 4\n")
+    assert info.value.field == "N_list"
+
+
 def test_nonlinear_target_out_of_range_is_config_error():
     text = ("b = 1\n[equation 1]\nnonlinear = sin(u)\nnonlinear_tau = 0.5\n"
             "nonlinear_target = {}\n")
