@@ -19,7 +19,7 @@ from .collocation import (
     solve_nonlinear,
 )
 from .accuracy import convergence_study, error_norms, error_report, residual
-from .reference import Trajectory, brute_force_poly_identity, rk4_method_of_steps
+from .reference import Trajectory, rk4_method_of_steps
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "SpectralSolution",
     "Trajectory",
     "basis_row",
-    "brute_force_poly_identity",
     "collocation_points",
     "convergence_study",
     "error_norms",

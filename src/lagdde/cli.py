@@ -88,8 +88,6 @@ def _make_oracle(cfg: ProblemConfig, problem):
                 raise OracleError(f"exact solution is not finite at t={t}")
             return values
         return exact
-    if cfg.rk4_step is None:
-        raise OracleError("rk4 oracle requested but no rk4_step configured")
     try:
         return reference.rk4_method_of_steps(problem, step=cfg.rk4_step)
     except ValueError as err:  # e.g. history_end off the delay grid
@@ -99,8 +97,7 @@ def _make_oracle(cfg: ProblemConfig, problem):
                           f"{type(err).__name__}: {err}") from err
 
 
-def run_solve(cfg: ProblemConfig, n_list, out_dir: Path,
-              config_path="<config>") -> None:
+def run_solve(cfg: ProblemConfig, n_list, out_dir: Path, config_path) -> None:
     """Solve at each truncation of ``n_list``. One truncation writes into
     ``out_dir``, several each into ``out_dir/N<n>``. The problem, its oracle
     and the sample points are built once."""
@@ -133,8 +130,7 @@ def run_solve(cfg: ProblemConfig, n_list, out_dir: Path,
                         [sol_path, coeff_path])
 
 
-def run_compare(cfg: ProblemConfig, n_list, out_dir: Path,
-                config_path="<config>") -> None:
+def run_compare(cfg: ProblemConfig, n_list, out_dir: Path, config_path) -> None:
     problem = build_problem(cfg)
     oracle = _make_oracle(cfg, problem)
     if oracle is None:
@@ -161,8 +157,7 @@ def run_compare(cfg: ProblemConfig, n_list, out_dir: Path,
                     {"N_list": list(n_list)}, [cmp_path])
 
 
-def run_converge(cfg: ProblemConfig, n_list, out_dir: Path,
-                 config_path="<config>") -> None:
+def run_converge(cfg: ProblemConfig, n_list, out_dir: Path, config_path) -> None:
     problem = build_problem(cfg)
     oracle = _make_oracle(cfg, problem)
     rows = accuracy.convergence_study(problem, n_list, oracle,
@@ -194,7 +189,7 @@ def run_converge(cfg: ProblemConfig, n_list, out_dir: Path,
 
 
 def run_validate() -> int:
-    """Brute-force identity suite; prints one line per check."""
+    """The matrix identity suite; prints one line per check."""
     failures = 0
     for name, check in reference.identity_suite():
         status = "PASS" if check.passed else "FAIL"
@@ -234,9 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="problem config file")
-        p.add_argument("--N", type=int, help="truncation degree")
-        p.add_argument("--N-list", dest="N_list", type=int, nargs="+",
-                       help="truncation degrees")
+        truncation = p.add_mutually_exclusive_group()
+        truncation.add_argument("--N", type=int, help="truncation degree")
+        truncation.add_argument("--N-list", dest="N_list", type=int, nargs="+",
+                                help="truncation degrees")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--tol", type=float, help="nonlinear iteration tolerance")
         p.add_argument("--max-iter", type=int, help="nonlinear iteration cap")
@@ -245,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for verb in RUNS:
         add_common(sub.add_parser(verb))
-    sub.add_parser("validate", help="run the brute-force matrix identity suite")
+    sub.add_parser("validate", help="check the paper's matrix identities")
     return parser
 
 
@@ -255,13 +251,16 @@ def main(argv=None) -> int:
         return run_validate()
     try:
         cfg = parse_config(args.config)
+        if args.oracle_step is not None and cfg.oracle == "exact":
+            raise ConfigError("--oracle-step sets the RK4 oracle's step, but "
+                              "the config's oracle is exact", field="rk4_step")
         for key, value in (("tol", args.tol), ("max_iter", args.max_iter),
                            ("rk4_step", args.oracle_step)):
             if value is not None:
                 set_key(cfg, key, value)
         validate(cfg)
         RUNS[args.command](cfg, _parse_n_list(args, cfg), Path(args.out),
-                           config_path=args.config)
+                           args.config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

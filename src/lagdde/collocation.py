@@ -35,12 +35,15 @@ SINGULAR_CONDITION = 1e-2 / np.finfo(float).eps
 
 class SingularSystemError(Exception):
     """The collocation system is singular to working precision; ``condition``
-    is its infinity-norm condition number (inf when exactly singular)."""
+    is its infinity-norm condition number (inf when exactly singular).
+    ``cause``, when given, says which matrix is singular and why, in place
+    of the condition number."""
 
-    def __init__(self, condition: float):
+    def __init__(self, condition: float, cause: str = ""):
         self.condition = condition
-        super().__init__(f"singular system: condition number {condition:.3e} "
-                         f"(bound {SINGULAR_CONDITION:.3e})")
+        super().__init__("singular system: " + (
+            cause or f"condition number {condition:.3e} "
+                     f"(bound {SINGULAR_CONDITION:.3e})"))
 
 
 @dataclass(frozen=True)
@@ -223,7 +226,10 @@ class SpectralSolution:
         try:
             return np.linalg.solve(laguerre, values).T
         except np.linalg.LinAlgError:
-            raise SingularSystemError(math.inf) from None
+            raise SingularSystemError(math.inf, (
+                f"the Laguerre interpolation matrix at N={self.n_max} on "
+                f"[0, b={self.b:g}] is singular: b is too small for "
+                f"L_0..L_{self.n_max} to separate on [0, b]")) from None
 
 
 def _chebyshev_rows(n_max: int, b: float, t: np.ndarray, m: int = 0):

@@ -62,7 +62,7 @@ def _delayed_feedback_problem():
 
 def test_acceptance_1_matrix_identity_suite():
     start = time.perf_counter()
-    results = identity_suite(n_list=range(2, 11), trials=100)
+    results = identity_suite()
     elapsed = time.perf_counter() - start
     worst = max(check.max_deviation for _, check in results)
     failed = [name for name, check in results if not check.passed]
@@ -195,7 +195,7 @@ def test_acceptance_7_structural_reproduction(tmp_path):
 
 def test_acceptance_8_documented_discrepancy():
     start = time.perf_counter()
-    mismatch = delay_product_mismatch(n_max=3, tau=1.0, t=1.0)
+    mismatch = delay_product_mismatch()
     elapsed = time.perf_counter() - start
     _report(8, "documented discrepancy", mismatch > 1e-3 and elapsed < 1.0,
             f"factored-product deviation {mismatch:.2e}, {elapsed:.2f}s")

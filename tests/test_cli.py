@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagdde import cli, reference
+from lagdde import basis, cli, reference
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -263,6 +263,38 @@ def test_repeated_truncation_exits_two(tmp_path, capsys, verb):
     assert not out.exists()
 
 
+def test_singular_laguerre_coefficients_name_the_matrix(tmp_path, capsys):
+    cfg = _write(tmp_path, "b = 1e-9\nN = 6\n\n[equation 1]\ngamma = 1\nphi = 1\n")
+    assert cli.main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "solver error: singular system: the Laguerre interpolation matrix at "
+        "N=6 on [0, b=1e-09] is singular: b is too small for L_0..L_6 to "
+        "separate on [0, b]\n")
+
+
+def test_truncation_and_truncation_list_together_exit_two(tmp_path, capsys):
+    # --N 6 --N-list 4 used to solve N = 4 alone
+    with pytest.raises(SystemExit) as info:
+        cli.main(["solve", "--config", str(CONFIG_DIR / "example2.cfg"),
+                  "--N", "6", "--N-list", "4", "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_step_with_exact_oracle_exits_two(tmp_path, capsys):
+    # the exact oracle has no step; the override used to be ignored
+    cfg = _write(tmp_path, SMOOTH_EXACT)
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", cfg, "--N-list", "3",
+                     "--oracle-step", "0.01", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --oracle-step")
+    assert "field 'rk4_step'" in err
+    assert not out.exists()
+
+
 def test_singular_laguerre_coefficients_exit_three(tmp_path, capsys):
     # the solve succeeds, but the Laguerre interpolation matrix on
     # [0, 1e-9] is singular; this used to be a LinAlgError traceback
@@ -367,13 +399,37 @@ def _run_module(*args):
                           capture_output=True, text=True)
 
 
+def _identity_names():
+    """The 64 check names ``lagdde validate`` prints, in order."""
+    names = []
+    for n in range(2, 11):
+        names += [f"laguerre_from_monomials[N={n}]", f"monomial_derivative[N={n}]",
+                  f"laguerre_derivative[N={n}]"]
+        names += [f"delay_shift[N={n},tau={tau}]" for tau in (0.5, 1.0, 2.0)]
+        names.append(f"diff_consistency_BH_eq_HC[N={n}]")
+    return names + ["delay_product_with_extra_diff_factor_differs"]
+
+
 def test_validate_prints_identity_lines():
     result = _run_module("lagdde.cli", "validate")
     assert result.returncode == 0
-    lines = [l for l in result.stdout.strip().splitlines() if l]
-    assert all(l.startswith("PASS") for l in lines)
-    assert any("laguerre_from_monomials" in l for l in lines)
-    assert any("delay_product_with_extra_diff_factor_differs" in l for l in lines)
+    lines = result.stdout.splitlines()
+    assert [l.split()[:2] for l in lines] == [["PASS", name]
+                                              for name in _identity_names()]
+
+
+def test_validate_with_a_wrong_matrix_prints_fail_and_exits_three(monkeypatch,
+                                                                  capsys):
+    # B in place of C: L(t) B is not the derivative of the Laguerre row, and
+    # BH = HC fails with it
+    monkeypatch.setattr(basis, "laguerre_diff_matrix", basis.monomial_diff_matrix)
+    assert cli.main(["validate"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    failed = [l.split()[1] for l in lines if l.startswith("FAIL")]
+    assert failed == [name for name in _identity_names()
+                      if name.startswith(("laguerre_derivative",
+                                          "diff_consistency"))]
+    assert len(lines) == 64
 
 
 def test_package_runs_as_a_module():

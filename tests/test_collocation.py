@@ -746,6 +746,19 @@ def test_singular_laguerre_interpolation_raises_singular_system_error():
         solution.coefficients
 
 
+def test_singular_laguerre_interpolation_names_the_matrix_and_its_cause():
+    # the message used to read "condition number inf", which seemed to
+    # contradict the solve's finite condition number
+    problem = single_equation(1.0, 0.0, 1.0, lambda t: 0.0, 1.0, 1e-9)
+    with pytest.raises(SingularSystemError) as info:
+        solve_linear(problem, 6).coefficients
+    assert info.value.condition == math.inf
+    assert str(info.value) == (
+        "singular system: the Laguerre interpolation matrix at N=6 on "
+        "[0, b=1e-09] is singular: b is too small for L_0..L_6 to separate "
+        "on [0, b]")
+
+
 def _coupled_problem(b):
     """Three coupled equations whose delays b/5 the history serves early."""
     return DDEProblem(
