@@ -28,7 +28,6 @@ from .config import (
     check_truncations,
     parse_config,
     set_key,
-    validate,
 )
 
 EXIT_OK = 0
@@ -258,7 +257,6 @@ def main(argv=None) -> int:
                            ("rk4_step", args.oracle_step)):
             if value is not None:
                 set_key(cfg, key, value)
-        validate(cfg)
         RUNS[args.command](cfg, _parse_n_list(args, cfg), Path(args.out),
                            args.config)
     except ConfigError as err:

@@ -29,13 +29,11 @@ from .collocation import (
 
 
 class ConfigError(Exception):
-    """Invalid configuration text.
-
-    ``line``/``column`` locate syntax errors; ``field`` names the offending
-    key for semantic errors.
-    """
+    """Invalid configuration text: ``line`` and ``column`` locate the error,
+    ``field`` names the offending key."""
 
     def __init__(self, message, line=None, column=None, field=None):
+        self.message = message
         self.line = line
         self.column = column
         self.field = field
@@ -48,6 +46,11 @@ class ConfigError(Exception):
             where.append(f"field '{field}'")
         suffix = f" ({', '.join(where)})" if where else ""
         super().__init__(message + suffix)
+
+    def located(self, line=None, field=None):
+        """This error at ``line`` or on ``field``, where either is given."""
+        return ConfigError(self.message, line or self.line, self.column,
+                           field or self.field)
 
 
 # ---------------------------------------------------------------------------
@@ -213,50 +216,69 @@ class ProblemConfig:
     equations: tuple = ()
 
 
+def _number(name, ok=None, rule="", kind=float):
+    """Reader of a finite ``kind``, called ``name`` in its messages, for
+    which ``ok`` holds; ``rule`` says what ``ok`` demands."""
+    def read(value):
+        x = kind(value)
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+        if ok is not None and not ok(x):
+            raise ValueError(f"{name} must be {rule}, got {x}")
+        return x
+    return read
+
+
+_POSITIVE = (lambda x: x > 0, "positive")
+_BETA = _number("delay")
+_TAU = _number("delay", lambda x: x >= 0, "non-negative")
+
+
 def _delay(value):
     parts = value.split()
     if len(parts) != 3:
-        raise ConfigError("delay takes three values: target beta tau", field="delay")
-    return int(parts[0]) - 1, float(parts[1]), float(parts[2])
+        raise ValueError("delay takes three values: target beta tau")
+    return int(parts[0]) - 1, _BETA(parts[1]), _TAU(parts[2])
 
 
 def _oracle(value):
     if value not in ("none", "rk4", "exact"):
-        raise ConfigError(f"oracle must be none, rk4 or exact, got '{value}'",
-                          field="oracle")
+        raise ValueError(f"oracle must be none, rk4 or exact, got '{value}'")
     return value
 
 
 # The one list of config keys: per section, in serialize's order, each key's
-# attribute, its reader (text or a number -> value) and its writer (value ->
-# text). A None or empty value is not written.
-_FLOAT = (float, repr)
-_INT = (int, str)
+# attribute, its reader (text or a number -> value, checked against the key's
+# own rule) and its writer (value -> text). A None or empty value is not written.
 _EXPRESSION = (Expression, lambda e: e.source)
 _KEYS = {
     ProblemConfig: {
-        "equations": ("n_equations", *_INT),
-        "b": ("b", *_FLOAT),
-        "N": ("n_max", *_INT),
+        "equations": ("n_equations", _number("equation count", lambda n: 1 <= n <= 3,
+                                             "1-3", int), str),
+        "b": ("b", _number("b", *_POSITIVE), repr),
+        "N": ("n_max", lambda v: check_truncations((int(v),), "N")[0], str),
         "N_list": ("n_list",
-                   lambda v: tuple(int(n) for n in re.split(r"[,\s]+", v) if n),
+                   lambda v: check_truncations(
+                       tuple(int(n) for n in re.split(r"[,\s]+", v) if n), "N_list"),
                    lambda v: ", ".join(map(str, v))),
-        "tol": ("tol", *_FLOAT),
-        "max_iter": ("max_iter", *_INT),
-        "rk4_step": ("rk4_step", *_FLOAT),
+        "tol": ("tol", _number("tol", *_POSITIVE), repr),
+        "max_iter": ("max_iter", _number("max_iter", lambda n: n >= 1, ">= 1", int),
+                     str),
+        "rk4_step": ("rk4_step", _number("rk4_step", *_POSITIVE), repr),
         "oracle": ("oracle", _oracle, str),
-        "history_end": ("history_end", *_FLOAT),
+        "history_end": ("history_end",
+                        _number("history_end", lambda x: x >= 0, ">= 0"), repr),
     },
     EquationConfig: {
-        "gamma": ("gamma", *_FLOAT),
-        "phi": ("phi", *_FLOAT),
+        "gamma": ("gamma", _number("gamma"), repr),
+        "phi": ("phi", _number("phi"), repr),
         "forcing": ("forcing", *_EXPRESSION),
         "history": ("history", *_EXPRESSION),
         "delay": ("delays", _delay,
                   lambda d: f"{d[0] + 1} {d[1]!r} {d[2]!r}"),
         "nonlinear": ("nonlinear", lambda v: Expression(v, variable="u"),
                       lambda e: e.source),
-        "nonlinear_tau": ("nonlinear_tau", *_FLOAT),
+        "nonlinear_tau": ("nonlinear_tau", _number("nonlinear_tau", *_POSITIVE), repr),
         "nonlinear_target": ("nonlinear_target", lambda v: int(v) - 1,
                              lambda v: str(v + 1)),
         "exact": ("exact", *_EXPRESSION),
@@ -266,13 +288,19 @@ _KEYS = {
 
 def set_key(target, key, value) -> None:
     """Set config ``key`` of ``target``, a ProblemConfig or an EquationConfig,
-    from ``value``, its text or a number. Each ``delay`` adds one delay, and
-    ``rk4_step`` makes the oracle rk4 while it is none."""
+    from ``value``, its text or a number; a value its reader refuses is a
+    ConfigError on ``key``. Each ``delay`` adds one delay, and ``rk4_step``
+    makes the oracle rk4 while it is none."""
     table = _KEYS[type(target)]
     if key not in table:
         raise ConfigError(f"unknown key '{key}'")
     attribute, read, _ = table[key]
-    value = read(value)
+    try:
+        value = read(value)
+    except ValueError as err:
+        raise ConfigError(str(err), field=key) from err
+    except ConfigError as err:
+        raise err.located(field=key) from err
     if key == "delay":
         value = target.delays + (value,)
     elif key == "rk4_step" and target.oracle == "none":
@@ -301,9 +329,12 @@ def parse_config(path) -> ProblemConfig:
 
 
 def parse_config_text(text: str) -> ProblemConfig:
+    """Parse configuration text. A section or a key given twice in one
+    section, ``delay`` aside, is a ConfigError."""
     cfg = ProblemConfig(n_equations=None)  # None until the text declares it
     section = cfg  # the global section, or an EquationConfig
     equations: dict[int, EquationConfig] = {}
+    seen = set()  # the keys of this section so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -314,23 +345,27 @@ def parse_config_text(text: str) -> ProblemConfig:
             index = int(m.group(1)) - 1
             if index < 0:
                 raise ConfigError("equation numbers start at 1", line=lineno)
-            section = equations.setdefault(index, EquationConfig())
+            if index in equations:
+                raise ConfigError(f"section [equation {index + 1}] repeated",
+                                  line=lineno)
+            section = equations[index] = EquationConfig()
+            seen = set()
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value'", line=lineno)
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in seen and key != "delay":
+            raise ConfigError(f"{key} repeated in its section", line=lineno,
+                              field=key)
+        seen.add(key)
         try:
             set_key(section, key, value.strip())
         except ConfigError as err:
-            if err.line is None:
-                raise ConfigError(str(err), line=lineno) from err
-            raise
-        except ValueError as err:
-            raise ConfigError(str(err), line=lineno, field=key) from err
+            raise err.located(line=lineno) from err
 
     if cfg.n_equations is None:
-        cfg.n_equations = max(equations) + 1 if equations else 1
+        set_key(cfg, "equations", max(equations) + 1 if equations else 1)
     n_eq = cfg.n_equations
     if equations and max(equations) + 1 > n_eq:
         raise ConfigError(
@@ -342,40 +377,10 @@ def parse_config_text(text: str) -> ProblemConfig:
 
 
 def validate(cfg: ProblemConfig) -> None:
-    """Raise ConfigError on the first invalid setting of ``cfg``."""
-    numbers = [("b", cfg.b), ("tol", cfg.tol), ("rk4_step", cfg.rk4_step),
-               ("history_end", cfg.history_end)]
-    for eq in cfg.equations:
-        numbers += [("gamma", eq.gamma), ("phi", eq.phi),
-                    ("nonlinear_tau", eq.nonlinear_tau)]
-        numbers += [("delay", x) for _, beta, tau in eq.delays for x in (beta, tau)]
-    for name, value in numbers:
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}", field=name)
-    if not 1 <= cfg.n_equations <= 3:
-        raise ConfigError(f"equation count must be 1-3, got {cfg.n_equations}",
-                          field="equations")
-    if cfg.b <= 0:
-        raise ConfigError(f"b must be positive, got {cfg.b}", field="b")
-    if cfg.history_end < 0:
-        raise ConfigError(f"history_end must be >= 0, got {cfg.history_end}",
-                          field="history_end")
-    if cfg.tol <= 0:
-        raise ConfigError(f"tol must be positive, got {cfg.tol}", field="tol")
-    if cfg.max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {cfg.max_iter}",
-                          field="max_iter")
-    if cfg.rk4_step is not None and cfg.rk4_step <= 0:
-        raise ConfigError(f"rk4_step must be positive, got {cfg.rk4_step}",
-                          field="rk4_step")
-    if cfg.n_max is not None:
-        check_truncations([cfg.n_max], "N")
-    check_truncations(cfg.n_list, "N_list")
+    """Raise ConfigError on the first setting of ``cfg`` that conflicts with
+    another; each key's own rule is in its reader."""
     for k, eq in enumerate(cfg.equations, start=1):
-        for target, beta, tau in eq.delays:
-            if tau < 0:
-                raise ConfigError(f"delay must be non-negative, got {tau}",
-                                  field="tau")
+        for target, _, _ in eq.delays:
             if not 0 <= target < cfg.n_equations:
                 raise ConfigError(
                     f"delay target {target + 1} out of range in equation {k}",
@@ -391,28 +396,24 @@ def validate(cfg: ProblemConfig) -> None:
                     raise ConfigError(
                         f"equation {k} sets {key} without a nonlinear expression",
                         field=key)
-        else:
-            if eq.nonlinear_tau is None:
-                raise ConfigError(
-                    f"equation {k} declares a nonlinearity without nonlinear_tau",
-                    field="nonlinear_tau")
-            if eq.nonlinear_tau <= 0:
-                raise ConfigError(
-                    f"nonlinear_tau must be positive, got {eq.nonlinear_tau}",
-                    field="nonlinear_tau")
+        elif eq.nonlinear_tau is None:
+            raise ConfigError(
+                f"equation {k} declares a nonlinearity without nonlinear_tau",
+                field="nonlinear_tau")
+        if cfg.oracle == "exact" and eq.exact is None:
+            raise ConfigError(
+                f"oracle 'exact' requires an exact expression in equation {k}",
+                field="exact")
+    if cfg.history_end and all(eq.history is None for eq in cfg.equations):
+        raise ConfigError("history_end is set without a history expression",
+                          field="history_end")
     if cfg.oracle == "rk4" and cfg.rk4_step is None:
         raise ConfigError("oracle 'rk4' requires rk4_step", field="rk4_step")
-    if cfg.oracle == "exact":
-        for k, eq in enumerate(cfg.equations, start=1):
-            if eq.exact is None:
-                raise ConfigError(
-                    f"oracle 'exact' requires an exact expression in equation {k}",
-                    field="exact")
 
 
 def check_truncations(values, field_name):
-    """The truncations as a list; one outside 2..MAX_TRUNCATION, or one
-    given twice, is a ConfigError on ``field_name``."""
+    """The truncations ``values`` as given; one outside 2..MAX_TRUNCATION, or
+    one given twice, is a ConfigError on ``field_name``."""
     for k, n in enumerate(values):
         if not 2 <= n <= MAX_TRUNCATION:
             raise ConfigError(
@@ -420,7 +421,7 @@ def check_truncations(values, field_name):
                 field=field_name)
         if n in values[:k]:
             raise ConfigError(f"{field_name} repeats {n}", field=field_name)
-    return list(values)
+    return values
 
 
 def serialize(cfg: ProblemConfig) -> str:

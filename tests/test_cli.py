@@ -363,6 +363,27 @@ def test_negative_history_end_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_history_end_without_a_history_exits_two(tmp_path, capsys):
+    # it was ignored: the output matched that of history_end = 0
+    cfg = _write(tmp_path, CONSTANT_PROBLEM.replace("N = 3", "N = 3\nhistory_end = 0.5"))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: history_end is set without a history")
+    assert "field 'history_end'" in err
+    assert not out.exists()
+
+
+def test_repeated_key_exits_two(tmp_path, capsys):
+    # b = 7 used to replace b = 2 silently
+    cfg = _write(tmp_path, CONSTANT_PROBLEM.replace("N = 3", "N = 3\nb = 7"))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: b repeated in its section (line 3, field 'b')\n")
+    assert not out.exists()
+
+
 def test_converge_every_truncation_failing_reports_each(tmp_path, capsys):
     # without a history the delayed term extrapolates the series to t = -1,
     # and at N = 19 and 20 the condition number passes the singularity bound

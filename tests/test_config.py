@@ -393,7 +393,7 @@ def test_negative_delay_is_semantic_error():
     text = "b = 1\n[equation 1]\ndelay = 1 1.0 -1\n"
     with pytest.raises(ConfigError) as info:
         parse_config_text(text)
-    assert info.value.field == "tau"
+    assert info.value.field == "delay"
 
 
 def test_unknown_keys_are_rejected_with_line():
@@ -437,7 +437,76 @@ def test_negative_history_end_is_config_error():
     with pytest.raises(ConfigError) as info:
         parse_config_text("b = 1\nhistory_end = -0.5\n")
     assert info.value.field == "history_end"
-    assert parse_config_text("b = 1\nhistory_end = 0.5\n").history_end == 0.5
+    text = "b = 1\nhistory_end = 0.5\n[equation 1]\nhistory = 1\n"
+    assert parse_config_text(text).history_end == 0.5
+
+
+# a bad value of each key with a rule of its own, and the message it gives
+KEY_RULES = [
+    ("", "equations = 4", "equation count must be 1-3, got 4"),
+    ("", "b = -1", "b must be positive, got -1.0"),
+    ("", "b = inf", "b must be finite, got inf"),
+    ("", "N = 21", "N must lie in 2..20, got 21"),
+    ("", "N_list = 4 6 4", "N_list repeats 4"),
+    ("", "tol = nan", "tol must be finite, got nan"),
+    ("", "tol = 0", "tol must be positive, got 0.0"),
+    ("", "max_iter = 0", "max_iter must be >= 1, got 0"),
+    ("", "rk4_step = -0.1", "rk4_step must be positive, got -0.1"),
+    ("", "oracle = bogus", "oracle must be none, rk4 or exact, got 'bogus'"),
+    ("", "history_end = -0.5", "history_end must be >= 0, got -0.5"),
+    ("", "history_end = nan", "history_end must be finite, got nan"),
+    ("[equation 1]", "gamma = nan", "gamma must be finite, got nan"),
+    ("[equation 1]", "phi = -inf", "phi must be finite, got -inf"),
+    ("[equation 1]", "delay = 1 nan 1", "delay must be finite, got nan"),
+    ("[equation 1]", "delay = 1 1.0 -1", "delay must be non-negative, got -1.0"),
+    ("[equation 1]", "delay = 1 2", "delay takes three values: target beta tau"),
+    ("[equation 1]", "nonlinear_tau = inf", "nonlinear_tau must be finite, got inf"),
+    ("[equation 1]", "nonlinear_tau = 0", "nonlinear_tau must be positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("section, line, message", KEY_RULES,
+                         ids=[line for _, line, _ in KEY_RULES])
+def test_each_key_rule_names_its_line_and_field(section, line, message):
+    # the rule is the key's own, so the error points at the line that broke it
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(f"# one bad value, on line 3\n{section}\n{line}\n")
+    assert (info.value.line, info.value.field) == (3, key)
+    assert str(info.value) == f"{message} (line 3, field '{key}')"
+
+
+def test_expression_error_keeps_its_column_beside_line_and_field():
+    with pytest.raises(ConfigError) as info:
+        parse_config_text("b = 1\n[equation 1]\nforcing = 2*foo\n")
+    assert (info.value.line, info.value.column, info.value.field) == (3, 3, "forcing")
+    assert str(info.value) == "unknown name 'foo' (line 3, column 3, field 'forcing')"
+
+
+def test_inferred_equation_count_follows_the_equations_rule():
+    with pytest.raises(ConfigError, match="equation count must be 1-3, got 4") as info:
+        parse_config_text("b = 1\n[equation 4]\nphi = 1\n")
+    assert info.value.field == "equations"
+
+
+@pytest.mark.parametrize("text, line, field", [
+    ("b = 1\nb = 7\n", 2, "b"),
+    ("b = 1\n[equation 1]\ngamma = 1\nphi = 0\ngamma = 2\n", 5, "gamma"),
+    ("equations = 2\n[equation 1]\ngamma = 1\n[equation 1]\ngamma = 2\n", 4, None),
+], ids=["global_key", "equation_key", "section"])
+def test_repeated_key_or_section_is_config_error(text, line, field):
+    # each used to be merged silently, the last value winning
+    with pytest.raises(ConfigError, match="repeated") as info:
+        parse_config_text(text)
+    assert (info.value.line, info.value.field) == (line, field)
+
+
+def test_history_end_needs_a_history():
+    # build_problem reads history_end only beside a history expression
+    with pytest.raises(ConfigError, match="without a history") as info:
+        parse_config_text("b = 1\nhistory_end = 0.5\n[equation 1]\nphi = 1\n")
+    assert info.value.field == "history_end"
+    assert parse_config_text("b = 1\nhistory_end = 0\n").history_end == 0.0
 
 
 def test_repeated_truncation_is_config_error():
