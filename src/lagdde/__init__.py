@@ -13,12 +13,11 @@ from .collocation import (
     SpectralSolution,
     collocation_points,
     evaluate,
-    evaluate_derivative,
     single_equation,
     solve_linear,
     solve_nonlinear,
 )
-from .accuracy import convergence_study, error_norms, error_report, residual
+from .accuracy import convergence_study, error_report, residual
 from .reference import Trajectory, rk4_method_of_steps
 
 __version__ = "0.1.0"
@@ -35,10 +34,8 @@ __all__ = [
     "basis_row",
     "collocation_points",
     "convergence_study",
-    "error_norms",
     "error_report",
     "evaluate",
-    "evaluate_derivative",
     "residual",
     "rk4_method_of_steps",
     "single_equation",

@@ -38,18 +38,11 @@ def residual(problem: DDEProblem, solution: SpectralSolution, t) -> np.ndarray:
     return out.reshape((problem.n_equations,) + q.shape)
 
 
-def error_norms(errors: Sequence[float]) -> tuple[float, float, float]:
-    """(l2, linf, rms) of a sample of pointwise errors.
-
-    The RMS divisor is the sample count, so l2**2 == count * rms**2 holds
-    exactly and rms <= linf.
-    """
-    return tuple(map(float, _norms(np.asarray(errors, dtype=float).ravel())))
-
-
 def _norms(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``error_norms`` of each row of e, in one reduction along its last axis
-    (for a C-contiguous e, the same pairwise sums as row by row)."""
+    """(l2, linf, rms) of each row of pointwise errors e, in one reduction
+    along its last axis (for a C-contiguous e, the same pairwise sums as row
+    by row). The RMS divisor is the sample count, so l2**2 == count * rms**2
+    and rms <= linf."""
     if e.shape[-1] == 0:
         raise ValueError("error sample must be non-empty")
     squares = np.sum(e**2, axis=-1)

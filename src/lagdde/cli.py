@@ -96,12 +96,11 @@ def _make_oracle(cfg: ProblemConfig, problem):
                           f"{type(err).__name__}: {err}") from err
 
 
-def run_solve(cfg: ProblemConfig, n_list, out_dir: Path, config_path) -> None:
+def run_solve(cfg: ProblemConfig, problem, oracle, n_list, out_dir: Path,
+              config_path) -> None:
     """Solve at each truncation of ``n_list``. One truncation writes into
-    ``out_dir``, several each into ``out_dir/N<n>``. The problem, its oracle
-    and the sample points are built once."""
-    problem = build_problem(cfg)
-    oracle = _make_oracle(cfg, problem)
+    ``out_dir``, several each into ``out_dir/N<n>``. The sample points are
+    built once."""
     points = accuracy.sample_points(problem.b)
     l = problem.n_equations
     for n in n_list:
@@ -129,9 +128,8 @@ def run_solve(cfg: ProblemConfig, n_list, out_dir: Path, config_path) -> None:
                         [sol_path, coeff_path])
 
 
-def run_compare(cfg: ProblemConfig, n_list, out_dir: Path, config_path) -> None:
-    problem = build_problem(cfg)
-    oracle = _make_oracle(cfg, problem)
+def run_compare(cfg: ProblemConfig, problem, oracle, n_list, out_dir: Path,
+                config_path) -> None:
     if oracle is None:
         raise OracleError(
             "compare needs a reference; set oracle = rk4 (with rk4_step) "
@@ -156,9 +154,8 @@ def run_compare(cfg: ProblemConfig, n_list, out_dir: Path, config_path) -> None:
                     {"N_list": list(n_list)}, [cmp_path])
 
 
-def run_converge(cfg: ProblemConfig, n_list, out_dir: Path, config_path) -> None:
-    problem = build_problem(cfg)
-    oracle = _make_oracle(cfg, problem)
+def run_converge(cfg: ProblemConfig, problem, oracle, n_list, out_dir: Path,
+                 config_path) -> None:
     rows = accuracy.convergence_study(problem, n_list, oracle,
                                       tol=cfg.tol, max_iter=cfg.max_iter)
 
@@ -257,8 +254,10 @@ def main(argv=None) -> int:
                            ("rk4_step", args.oracle_step)):
             if value is not None:
                 set_key(cfg, key, value)
-        RUNS[args.command](cfg, _parse_n_list(args, cfg), Path(args.out),
-                           args.config)
+        n_list = _parse_n_list(args, cfg)
+        problem = build_problem(cfg)
+        RUNS[args.command](cfg, problem, _make_oracle(cfg, problem), n_list,
+                           Path(args.out), args.config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

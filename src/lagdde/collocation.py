@@ -273,18 +273,6 @@ def evaluate(solution: SpectralSolution, t) -> np.ndarray:
     return (c[0] + x * b1 - b2).reshape((solution.n_equations,) + q.shape)
 
 
-def evaluate_derivative(solution: SpectralSolution, t) -> np.ndarray:
-    """Series derivative per equation at t, shaped as ``evaluate``'s: the
-    sum over k, in k order, of c_k T_k'(t), with the T_k' rows of
-    ``_chebyshev_rows``."""
-    q = np.asarray(t, dtype=float)
-    _, slopes = _chebyshev_rows(solution.n_max, solution.b, q.ravel(), q.size)
-    out = np.zeros((solution.n_equations, q.size))
-    for ck, row in zip(solution.chebyshev.T, slopes):
-        out += ck[:, None] * row
-    return out.reshape((solution.n_equations,) + q.shape)
-
-
 def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
     """The rows A @ c = G of the collocation system in Chebyshev coefficients
     at the m points ``t``, and the delayed points of each nonlinear term.

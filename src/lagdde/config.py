@@ -176,12 +176,6 @@ class Expression:
                 and self.source == other.source
                 and self.variable == other.variable)
 
-    def __hash__(self):
-        return hash((self.source, self.variable))
-
-    def __reduce__(self):
-        return Expression, (self.source, self.variable)
-
     def __repr__(self):
         return f"Expression({self.source!r})"
 
@@ -247,41 +241,34 @@ def _oracle(value):
     return value
 
 
-# The one list of config keys: per section, in serialize's order, each key's
-# attribute, its reader (text or a number -> value, checked against the key's
-# own rule) and its writer (value -> text). A None or empty value is not written.
-_EXPRESSION = (Expression, lambda e: e.source)
+# The one list of config keys: per section, each key's attribute and its
+# reader (text or a number -> value, checked against the key's own rule).
 _KEYS = {
     ProblemConfig: {
         "equations": ("n_equations", _number("equation count", lambda n: 1 <= n <= 3,
-                                             "1-3", int), str),
-        "b": ("b", _number("b", *_POSITIVE), repr),
-        "N": ("n_max", lambda v: check_truncations((int(v),), "N")[0], str),
+                                             "1-3", int)),
+        "b": ("b", _number("b", *_POSITIVE)),
+        "N": ("n_max", lambda v: check_truncations((int(v),), "N")[0]),
         "N_list": ("n_list",
                    lambda v: check_truncations(
-                       tuple(int(n) for n in re.split(r"[,\s]+", v) if n), "N_list"),
-                   lambda v: ", ".join(map(str, v))),
-        "tol": ("tol", _number("tol", *_POSITIVE), repr),
-        "max_iter": ("max_iter", _number("max_iter", lambda n: n >= 1, ">= 1", int),
-                     str),
-        "rk4_step": ("rk4_step", _number("rk4_step", *_POSITIVE), repr),
-        "oracle": ("oracle", _oracle, str),
+                       tuple(int(n) for n in re.split(r"[,\s]+", v) if n), "N_list")),
+        "tol": ("tol", _number("tol", *_POSITIVE)),
+        "max_iter": ("max_iter", _number("max_iter", lambda n: n >= 1, ">= 1", int)),
+        "rk4_step": ("rk4_step", _number("rk4_step", *_POSITIVE)),
+        "oracle": ("oracle", _oracle),
         "history_end": ("history_end",
-                        _number("history_end", lambda x: x >= 0, ">= 0"), repr),
+                        _number("history_end", lambda x: x >= 0, ">= 0")),
     },
     EquationConfig: {
-        "gamma": ("gamma", _number("gamma"), repr),
-        "phi": ("phi", _number("phi"), repr),
-        "forcing": ("forcing", *_EXPRESSION),
-        "history": ("history", *_EXPRESSION),
-        "delay": ("delays", _delay,
-                  lambda d: f"{d[0] + 1} {d[1]!r} {d[2]!r}"),
-        "nonlinear": ("nonlinear", lambda v: Expression(v, variable="u"),
-                      lambda e: e.source),
-        "nonlinear_tau": ("nonlinear_tau", _number("nonlinear_tau", *_POSITIVE), repr),
-        "nonlinear_target": ("nonlinear_target", lambda v: int(v) - 1,
-                             lambda v: str(v + 1)),
-        "exact": ("exact", *_EXPRESSION),
+        "gamma": ("gamma", _number("gamma")),
+        "phi": ("phi", _number("phi")),
+        "forcing": ("forcing", Expression),
+        "history": ("history", Expression),
+        "delay": ("delays", _delay),
+        "nonlinear": ("nonlinear", lambda v: Expression(v, variable="u")),
+        "nonlinear_tau": ("nonlinear_tau", _number("nonlinear_tau", *_POSITIVE)),
+        "nonlinear_target": ("nonlinear_target", lambda v: int(v) - 1),
+        "exact": ("exact", Expression),
     },
 }
 
@@ -294,7 +281,7 @@ def set_key(target, key, value) -> None:
     table = _KEYS[type(target)]
     if key not in table:
         raise ConfigError(f"unknown key '{key}'")
-    attribute, read, _ = table[key]
+    attribute, read = table[key]
     try:
         value = read(value)
     except ValueError as err:
@@ -306,16 +293,6 @@ def set_key(target, key, value) -> None:
     elif key == "rk4_step" and target.oracle == "none":
         target.oracle = "rk4"
     setattr(target, attribute, value)
-
-
-def _lines(target):
-    """``key = value`` lines of ``target``'s keys in table order, one per
-    delay."""
-    for key, (attribute, _, write) in _KEYS[type(target)].items():
-        value = getattr(target, attribute)
-        for item in value if key == "delay" else (value,):
-            if item is not None and item != ():
-                yield f"{key} = {write(item)}"
 
 
 def parse_config(path) -> ProblemConfig:
@@ -409,6 +386,12 @@ def validate(cfg: ProblemConfig) -> None:
                           field="history_end")
     if cfg.oracle == "rk4" and cfg.rk4_step is None:
         raise ConfigError("oracle 'rk4' requires rk4_step", field="rk4_step")
+    if cfg.oracle != "rk4" and cfg.rk4_step is not None:
+        raise ConfigError(f"rk4_step sets the RK4 oracle's step, but the "
+                          f"oracle is {cfg.oracle}", field="rk4_step")
+    if cfg.n_max is not None and cfg.n_list:
+        raise ConfigError("N and N_list exclude each other; set one of them",
+                          field="N")
 
 
 def check_truncations(values, field_name):
@@ -422,14 +405,6 @@ def check_truncations(values, field_name):
         if n in values[:k]:
             raise ConfigError(f"{field_name} repeats {n}", field=field_name)
     return values
-
-
-def serialize(cfg: ProblemConfig) -> str:
-    """Emit configuration text that parses back to an equal config."""
-    lines = list(_lines(cfg))
-    for k, eq in enumerate(cfg.equations, start=1):
-        lines += ["", f"[equation {k}]", *_lines(eq)]
-    return "\n".join(lines) + "\n"
 
 
 def build_problem(cfg: ProblemConfig) -> DDEProblem:

@@ -23,18 +23,15 @@ class Trajectory:
 
     Values between grid points are cubic Hermite interpolants built from the
     stored derivatives; queries at grid points return stored values exactly.
-    ``du`` holds the derivative as the left limit. ``right_du`` maps the
-    index of each grid point where a delayed argument leaves the history,
-    and u' may jump, to the right limit: the slope the interval after that
-    point starts from.
+    ``du`` holds the derivative as the left limit. ``slope`` holds the slope
+    each interval starts from: ``du``, but at a grid point where a delayed
+    argument leaves the history, and u' may jump, the right limit.
     """
 
     t: np.ndarray          # strictly increasing grid
     u: np.ndarray          # shape (len(t), l)
     du: np.ndarray         # shape (len(t), l)
-    # the slope each interval starts from: du, or right_du at its index
-    slope: np.ndarray = field(repr=False)
-    right_du: dict
+    slope: np.ndarray = field(repr=False)  # shape (len(t), l)
 
     def __call__(self, t) -> np.ndarray:
         """u per equation at t, a number or any array-like of times, shape
@@ -138,7 +135,7 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     the history for the trajectory; where the two disagree at history.end,
     u' jumps at t. The step from t then starts from the right-limit
     derivative, which reads u(history.end) from the trajectory, and keeps it
-    as the trajectory's right_du there; every other step reuses the
+    as the trajectory's slope there; every other step reuses the
     derivative stored at its left end.
 
     Every delay is at least one step, so at a stage time t the forcing
@@ -213,7 +210,6 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     t_all = np.asarray(grid, dtype=float)
     # u, u' and the slope each interval starts from, filled block by block
     u_all, du_all, slope = (np.empty((len(grid), l)) for _ in range(3))
-    right_du = {}
     # grid indices k with grid[k] - tau == history.end for some delay tau
     edges = set()
     if history is not None:
@@ -374,14 +370,13 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
                                        block, u, du)
             slope[block] = du_all[block]
             for k, right_limit in zip(block_edges, rights):
-                right_du[k] = slope[k] = right_limit
+                slope[k] = right_limit
             p = q
     finite = np.isfinite(u_all).all(axis=1) & np.isfinite(du_all).all(axis=1)
     if not finite.all():
         raise FloatingPointError(
             f"the RK4 solution is not finite from t={grid[finite.argmin()]:g}")
-    return Trajectory(t_all, u_all, du_all, slope,
-                      {k: np.asarray(v, dtype=float) for k, v in right_du.items()})
+    return Trajectory(t_all, u_all, du_all, slope)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import dataclasses
 import inspect
 
 import lagdde
-from lagdde import collocation, config, reference
+from lagdde import cli, collocation, config, reference
 
 
 def test_every_exported_name_resolves():
@@ -34,8 +34,14 @@ def test_names_the_benchmark_tracer_wraps_exist():
 
 
 def test_names_the_benchmark_workloads_read_exist():
-    # perfbench/workloads.py parses the shipped configs and reads these
-    # fields to set up its CLI jobs
+    # perfbench/workloads.py builds its jobs from these names, parses the
+    # shipped configs and reads these fields to set up its CLI jobs
+    for name in ("DDEProblem", "DelayTerm", "History", "NonlinearDelayTerm"):
+        assert inspect.isclass(getattr(lagdde, name)), name
+    for name in ("solve_linear", "solve_nonlinear", "error_report", "evaluate",
+                 "rk4_method_of_steps"):
+        assert inspect.isfunction(getattr(lagdde, name)), name
+    assert inspect.isfunction(cli.main)
     assert inspect.isfunction(config.parse_config)
     fields = {f.name for f in dataclasses.fields(config.ProblemConfig)}
     assert {"n_list", "n_max", "oracle"} <= fields

@@ -283,6 +283,17 @@ def test_truncation_and_truncation_list_together_exit_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_with_n_and_n_list_exits_two(tmp_path, capsys):
+    # N = 6 used to be dropped, solving N = 4 and 5 with exit 0
+    cfg = _write(tmp_path, CONSTANT_PROBLEM.replace("N = 3", "N = 6\nN_list = 4 5"))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: N and N_list exclude each other; set one of them "
+        "(field 'N')\n")
+    assert not out.exists()
+
+
 def test_oracle_step_with_exact_oracle_exits_two(tmp_path, capsys):
     # the exact oracle has no step; the override used to be ignored
     cfg = _write(tmp_path, SMOOTH_EXACT)

@@ -21,7 +21,6 @@ from lagdde.collocation import (
     _system,
     collocation_points,
     evaluate,
-    evaluate_derivative,
     single_equation,
     solve_linear,
     solve_nonlinear,
@@ -328,10 +327,11 @@ def test_nonlinear_solution_satisfies_equation():
     problem = _nonlinear_problem(lambda u: math.exp(-u))
     solution = solve_nonlinear(problem, 10)
     assert solution.iterations <= 50
+    derivative = Chebyshev(solution.chebyshev[0], domain=[0, solution.b]).deriv()
     # check the defect at a few interior points away from the seam
     for t in (1.5, 2.5, 3.5):
         u = evaluate(solution, t)[0]
-        du = evaluate_derivative(solution, t)[0]
+        du = derivative(t)
         u_delayed = evaluate(solution, t - 0.5)[0]
         defect = abs(du + 0.4 * u - math.exp(-u_delayed))
         assert defect < 5e-2
@@ -469,22 +469,6 @@ def test_evaluate_extrapolates_below_zero():
     assert evaluate(solution, -0.5)[0] == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_evaluate_derivative_cases():
-    assert evaluate_derivative(_solution([1.0, 0.0, 0.0]), 0.9)[0] == 0.0
-    assert evaluate_derivative(_solution([1.0, -1.0, 0.0]), 0.4)[0] == pytest.approx(1.0)
-    # L_2'(t) = t - 2
-    assert evaluate_derivative(_solution([0.0, 0.0, 1.0]), 0.0)[0] == pytest.approx(-2.0)
-
-
-def test_evaluate_derivative_matches_finite_difference():
-    rng = np.random.default_rng(53)
-    solution = _solution(rng.uniform(-1.0, 1.0, 7), b=3.0)
-    h = 1e-6
-    for t in (0.5, 1.2, 2.8):
-        fd = (evaluate(solution, t + h)[0] - evaluate(solution, t - h)[0]) / (2 * h)
-        assert evaluate_derivative(solution, t)[0] == pytest.approx(fd, abs=1e-6)
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 8, 20])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_array_reads_equal_scalar_reads(l, n):
@@ -495,21 +479,20 @@ def test_array_reads_equal_scalar_reads(l, n):
     rng = np.random.default_rng(10 * l + n)
     solution = SpectralSolution(chebyshev=rng.uniform(-2.0, 2.0, (l, n + 1)), b=b)
     points = np.concatenate([np.linspace(-1.5, b + 1.5, 19), rng.uniform(0.0, b, 6)])
-    for read in (evaluate, evaluate_derivative):
-        values = read(solution, points)
-        assert values.shape == (l, points.size)
-        for j, t in enumerate(points):  # numpy.float64 scalars
-            assert read(solution, t).shape == (l,)
-            assert (values[:, j] == read(solution, t)).all()
-            assert (values[:, j] == read(solution, float(t))).all()
-        zero_d = read(solution, np.array(points[3]))
-        assert zero_d.shape == (l,)
-        assert (zero_d == values[:, 3]).all()
-        grid = read(solution, points.reshape(5, 5))
-        assert grid.shape == (l, 5, 5)
-        assert (grid.reshape(l, -1) == values).all()
-        for like in (list, tuple):  # a sequence of numbers reads as an array
-            assert (read(solution, like(points.tolist())) == values).all()
+    values = evaluate(solution, points)
+    assert values.shape == (l, points.size)
+    for j, t in enumerate(points):  # numpy.float64 scalars
+        assert evaluate(solution, t).shape == (l,)
+        assert (values[:, j] == evaluate(solution, t)).all()
+        assert (values[:, j] == evaluate(solution, float(t))).all()
+    zero_d = evaluate(solution, np.array(points[3]))
+    assert zero_d.shape == (l,)
+    assert (zero_d == values[:, 3]).all()
+    grid = evaluate(solution, points.reshape(5, 5))
+    assert grid.shape == (l, 5, 5)
+    assert (grid.reshape(l, -1) == values).all()
+    for like in (list, tuple):  # a sequence of numbers reads as an array
+        assert (evaluate(solution, like(points.tolist())) == values).all()
 
 
 # ---------------------------------------------------------------------------

@@ -85,15 +85,26 @@ def test_delayed_feedback_trajectory_bounded():
     assert np.abs(trajectory.u).max() < 10.0
 
 
+def _history_edges(problem, t):
+    """Indices of the inner points of the grid ``t`` where t - tau ==
+    history.end for a delay tau > 0 of ``problem``: where a delayed argument
+    leaves the history and u' may jump."""
+    taus = [term.tau for terms in problem.delays for term in terms if term.tau > 0]
+    taus += [term.tau for term in problem.nonlinear if term is not None]
+    return [k for k in range(1, len(t) - 1)
+            if any(abs(t[k] - tau - problem.history.end) <= HISTORY_EDGE_TOL
+                   for tau in taus)]
+
+
 def test_step_halving_across_a_history_jump():
     # the step from t = 1 starts from the right-limit derivative; starting
     # it from the stored left limit made RK4 first order (4.7e-6 here)
     problem = _overlapping_history_problem()
     coarse = rk4_method_of_steps(problem, step=1e-3)
     fine = rk4_method_of_steps(problem, step=5e-4)
-    (k, right), = coarse.right_du.items()
+    k, = _history_edges(problem, coarse.t)
     assert coarse.t[k] == 1.0
-    assert abs(right[0] - coarse.du[k][0]) > 0.05
+    assert abs(coarse.slope[k][0] - coarse.du[k][0]) > 0.05
     diff = max(abs(coarse(t)[0] - fine(t)[0]) for t in np.linspace(0.5, 3.0, 251))
     assert diff < 1e-7
 
@@ -101,10 +112,12 @@ def test_step_halving_across_a_history_jump():
 def test_continuous_history_keeps_the_stored_derivative():
     # where the history meets the trajectory, the right limit at each edge
     # t = history.end + tau equals the stored derivative bit for bit
-    trajectory = rk4_method_of_steps(_coupled_problem(4.0), step=1e-3)
-    assert sorted(trajectory.t[k] for k in trajectory.right_du) == [0.5, 2.0]
-    for k, right in trajectory.right_du.items():
-        np.testing.assert_array_equal(right, trajectory.du[k])
+    problem = _coupled_problem(4.0)
+    trajectory = rk4_method_of_steps(problem, step=1e-3)
+    edges = _history_edges(problem, trajectory.t)
+    assert [trajectory.t[k] for k in edges] == [0.5, 2.0]
+    for k in edges:
+        np.testing.assert_array_equal(trajectory.slope[k], trajectory.du[k])
 
 
 def test_rk4_order_on_smooth_reduction():
@@ -280,7 +293,7 @@ def _float_gcd_reference(values):
     return float(gcd)
 
 
-def _hermite_reference(t_grid, u, du, right_du, t):
+def _hermite_reference(t_grid, u, du, right_limits, t):
     """The trajectory query as it was: searchsorted, then Hermite weights."""
     idx = int(np.searchsorted(t_grid, t))
     if idx < len(t_grid) and t_grid[idx] == t:
@@ -294,7 +307,7 @@ def _hermite_reference(t_grid, u, du, right_du, t):
     h10 = s * (1 - s) ** 2
     h01 = s**2 * (3 - 2 * s)
     h11 = s**2 * (s - 1)
-    return (h00 * u[k] + h * h10 * right_du.get(k, du[k])
+    return (h00 * u[k] + h * h10 * right_limits.get(k, du[k])
             + h01 * u[k + 1] + h * h11 * du[k + 1])
 
 
@@ -302,7 +315,7 @@ def _rk4_reference(problem, step):
     """The RK4 method of steps frozen as it was before it stepped on Python
     floats: numpy rows for states and stages, and a fresh trajectory view
     plus searchsorted for every delayed query. The step divides the GCD of
-    the delays only. Returns (t, u, du, right_du)."""
+    the delays only. Returns (t, u, du, right_limits)."""
     history = problem.history
     taus = [term.tau for terms in problem.delays for term in terms if term.tau > 0]
     taus += [term.tau for term in problem.nonlinear if term is not None]
@@ -321,7 +334,7 @@ def _rk4_reference(problem, step):
     u_arr = np.empty((len(grid), l))
     du_arr = np.empty((len(grid), l))
     front = 0
-    right_du = {}
+    right_limits = {}
     edges = set()
     if history is not None:
         for tau in taus:
@@ -338,7 +351,7 @@ def _rk4_reference(problem, step):
         if front == 0 or tq > t_arr[front - 1] + 1e-12:
             raise ValueError(f"delayed value at t={tq} not available")
         return float(_hermite_reference(
-            t_arr[:front], u_arr[:front], du_arr[:front], right_du,
+            t_arr[:front], u_arr[:front], du_arr[:front], right_limits,
             min(tq, t_arr[front - 1]))[eq])
 
     def rhs(t, u, right_limit=False):
@@ -367,7 +380,7 @@ def _rk4_reference(problem, step):
         hk = t1 - t0
         k1 = du_arr[k - 1]
         if k - 1 in edges:
-            k1 = right_du[k - 1] = rhs(t0, u, right_limit=True)
+            k1 = right_limits[k - 1] = rhs(t0, u, right_limit=True)
         k2 = rhs(t0 + hk / 2, u + hk / 2 * k1)
         k3 = rhs(t0 + hk / 2, u + hk / 2 * k2)
         k4 = rhs(t1, u + hk * k3)
@@ -376,7 +389,7 @@ def _rk4_reference(problem, step):
         u_arr[k] = u
         du_arr[k] = rhs(t1, u)
         front = k + 1
-    return t_arr, u_arr, du_arr, right_du
+    return t_arr, u_arr, du_arr, right_limits
 
 
 def _manufactured_config(rng, equations, b):
@@ -502,18 +515,18 @@ def _delay_and_nonlinear_problem():
 
 @pytest.mark.parametrize("problem", _bit_identity_cases())
 def test_rk4_bit_identical_to_frozen_reference(problem):
-    t, u, du, right_du = _rk4_reference(problem, 2e-3)
+    t, u, du, right_limits = _rk4_reference(problem, 2e-3)
     trajectory = rk4_method_of_steps(problem, step=2e-3)
     assert np.array_equal(trajectory.t, t)
     assert np.array_equal(trajectory.u, u)
     assert np.array_equal(trajectory.du, du)
-    assert trajectory.right_du.keys() == right_du.keys()
-    for k in right_du:
-        assert np.array_equal(trajectory.right_du[k], right_du[k])
+    # each interval starts from the right limit at a history edge, else du
+    for k in range(len(t)):
+        assert np.array_equal(trajectory.slope[k], right_limits.get(k, du[k]))
     # the public query is the frozen one, on and off the grid
     for q in np.linspace(0.0, problem.b, 97):
         assert np.array_equal(trajectory(q),
-                              _hermite_reference(t, u, du, right_du, q))
+                              _hermite_reference(t, u, du, right_limits, q))
 
 
 def test_step_halving_with_history_end_off_the_delay_grid():
@@ -524,7 +537,7 @@ def test_step_halving_with_history_end_off_the_delay_grid():
     coarse = rk4_method_of_steps(problem, step=4e-4)
     fine = rk4_method_of_steps(problem, step=2e-4)
     assert len(fine.t) == 2 * len(coarse.t) - 1
-    (k, _), = coarse.right_du.items()
+    k, = _history_edges(problem, coarse.t)
     assert coarse.t[k] == pytest.approx(1.0004, abs=1e-12)
     diff = max(abs(coarse(t)[0] - fine(t)[0]) for t in np.linspace(0.5, 3.0, 251))
     assert diff < 1e-7
@@ -572,7 +585,8 @@ def test_forcing_is_called_once_per_distinct_stage_time():
         History((counted("history", math.sin),), end=0.25),
         NonlinearDelayTerm(counted("f", math.tanh), 0, 0.5))
     trajectory = rk4_method_of_steps(problem, step=1e-2)
-    steps, edges = len(trajectory.t) - 1, len(trajectory.right_du)
+    steps = len(trajectory.t) - 1
+    edges = len(_history_edges(problem, trajectory.t))
     assert (steps, edges) == (200, 1)
     assert len(calls["g"]) == len(calls["f"]) == 2 * steps + 1 + edges == 402
     assert calls["g"] == sorted(calls["g"])
