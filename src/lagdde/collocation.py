@@ -273,6 +273,12 @@ def evaluate(solution: SpectralSolution, t) -> np.ndarray:
     return (c[0] + x * b1 - b2).reshape((solution.n_equations,) + q.shape)
 
 
+def _each(f, xs) -> list:
+    """f at each point of ``xs``, in order: one call of ``f.each`` where f
+    has it (a config ``Expression``), else one call of f per point."""
+    return f.each(xs) if hasattr(f, "each") else [f(x) for x in xs]
+
+
 def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
     """The rows A @ c = G of the collocation system in Chebyshev coefficients
     at the m points ``t``, and the delayed points of each nonlinear term.
@@ -306,18 +312,20 @@ def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
         # the mask of points t - tau the series serves, the columns of their
         # T_k rows, and the history's values at the others
         s = t - term.tau
-        served = (np.ones(m, bool) if history is None or term.tau == 0
-                  else ~history.covers(s))
+        served, known = np.ones(m, bool), []
+        if history is not None and term.tau != 0:
+            served = ~history.covers(s)
+            known = list(map(float, _each(history.functions[term.target],
+                                          s[~served])))
         start = sum(map(len, points))
         points.append(s[served])
-        return (served, slice(start, start + len(points[-1])),
-                np.array([history.value(term.target, x) for x in s[~served]]))
+        return served, slice(start, start + len(points[-1])), np.array(known)
 
     G = np.zeros(l * (m + 1))
     linear, nonlinear = [], []
     for eq in range(l):
         rows = slice(eq * (m + 1), eq * (m + 1) + m)
-        G[rows] = [float(problem.g[eq](x)) for x in t]
+        G[rows] = list(map(float, _each(problem.g[eq], t)))
         for term in problem.delays[eq]:
             served, cols, known = delayed(term)
             G[rows][~served] += term.beta * known
@@ -355,7 +363,7 @@ def _feedback(feedback, chebyshev: Optional[np.ndarray], G: np.ndarray):
     for rows, term, served, T, u in feedback:
         if chebyshev is not None:
             u[served] = T @ chebyshev[term.target]
-        forcing[rows] += [term.f(x) for x in u.tolist()]
+        forcing[rows] += _each(term.f, u.tolist())
     return forcing
 
 

@@ -77,21 +77,23 @@ def _real(power):
 
 
 # the only names a compiled expression can reach
-_NAMESPACE = {"__builtins__": {}, "float": float, "real": _real, **_FUNCTIONS}
+_NAMESPACE = {"__builtins__": {}, "float": float, "map": map, "real": _real,
+              **_FUNCTIONS}
 
 
 def _compile(text, variable):
-    """One-argument function computing ``text`` as an expression over
-    ``variable``; a ConfigError, with a column where one exists, if it is not.
+    """Function listing ``text``, an expression over ``variable``, at each
+    point of a sequence; a ConfigError, with a column where one exists, if
+    it is not.
 
     ``ast`` parses the text, with ``^`` read as ``**``, as the body of
     ``lambda x: ...``, and the body is walked once under a whitelist: + - *
     / ** of two operands, unary minus (unary plus is dropped), exp, sin or
     cos of one argument, pi, e, the variable and number literals. Numbers
-    become the float of their text, pi and e constants, the variable
-    ``float(x)`` (numpy scalars in, Python floats out) and each power
-    ``real(a ** b)``. The lambda is then compiled and evaluated with no
-    builtins.
+    become the float of their text, pi and e constants, the variable ``x``
+    and each power ``real(a ** b)``. The body then becomes ``lambda xs:
+    [... for x in map(float, xs)]`` (numpy scalars in, Python floats out),
+    compiled and evaluated with no builtins.
     """
     # each rewrite keeps the length, so columns hold, but for '^' -> '**':
     # spaces and digits to ASCII (float() reads any Unicode digit), then
@@ -128,8 +130,7 @@ def _compile(text, variable):
         if (isinstance(node, ast.Name) and node.id == variable
                 and node.id not in _FUNCTIONS):
             node.id = "x"
-            name = ast.copy_location(ast.Name("float", ast.Load()), node)
-            return ast.copy_location(ast.Call(name, [node], []), node)
+            return node
         literal = python[node.col_offset:node.end_col_offset]
         if isinstance(node, ast.Constant) and _NUMBER.fullmatch(literal):
             node.value = float(literal)
@@ -143,8 +144,9 @@ def _compile(text, variable):
             warnings.simplefilter("error")  # "invalid decimal literal" in 1or 2
             function = ast.parse(python, mode="eval")
         # without commas the text cannot end the lambda, so this is its body
-        function.body.body = checked(function.body.body)
-        code = compile(function, "<expression>", "eval")
+        batch = ast.parse("lambda xs: [_ for x in map(float, xs)]", mode="eval")
+        batch.body.body.elt = checked(function.body.body)
+        code = compile(batch, "<expression>", "eval")
     except SyntaxError as err:  # offset 0 is the end of the text
         raise ConfigError(err.msg, column=None if err.offset is None
                           else column((err.offset or len(python) + 1) - 1)) from None
@@ -155,9 +157,9 @@ def _compile(text, variable):
 
 class Expression:
     """A compiled expression over a single named variable (see ``_compile``);
-    a call is one call of a Python lambda. A math domain error, sin(inf),
-    and a complex power, (-8)^(1/3), are raised as an ArithmeticError, as an
-    overflow is."""
+    ``each`` reads many points in one call of it and a call reads one. A
+    math domain error, sin(inf), and a complex power, (-8)^(1/3), are
+    raised as an ArithmeticError, as an overflow is."""
 
     def __init__(self, source: str, variable: str = "t"):
         self.source = source.strip()
@@ -166,10 +168,20 @@ class Expression:
 
     def __call__(self, value: float) -> float:
         try:
-            return self._fn(value)
+            return self._fn((value,))[0]
         except ValueError as err:  # sin(inf), or a power from _real
             raise ArithmeticError(f"{self.source!r} at {self.variable} = "
                                   f"{value}: {err}") from err
+
+    def each(self, values) -> list:
+        """The floats at the points of the sequence ``values``, in order; a
+        failure is the one the earliest failing point raises on its own."""
+        try:
+            return self._fn(values)
+        except ValueError:  # read one by one, to name the failing point
+            for value in values:
+                self(value)
+            raise
 
     def __eq__(self, other):
         return (isinstance(other, Expression)

@@ -6,15 +6,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache
 from itertools import repeat
-from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import basis as _basis
-from .collocation import HISTORY_EDGE_TOL, DDEProblem, History
+from .collocation import HISTORY_EDGE_TOL, DDEProblem, History, _each
 
 
 @dataclass
@@ -143,10 +142,11 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     f(u(t - tau_f)) do not depend on the stage. They are evaluated once per
     distinct time: at the midpoint (shared by k2 and k3), at the step end
     (shared by k4 and the stored u'), and at a history edge once more as
-    the right limit; that is 2 * steps + 1 + edges calls of each g and f,
-    and a call of the history function at each of those times a delayed
-    term reads it, all on Python floats. Each must therefore be a function
-    of its argument alone. Each stage then adds
+    the right limit; that is 2 * steps + 1 + edges values of each g and f,
+    and a value of the history function at each of those times a delayed
+    term reads it, all on Python floats, a block's times in one call of
+    ``each`` where the function has it (a config ``Expression``). Each
+    must therefore be a function of its argument alone. Each stage then adds
     them to -gamma * u and the tau = 0 couplings in the order of the
     equation: -gamma * u + g, the delay terms in list order, then the
     nonlinear term.
@@ -169,10 +169,11 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     stages add at each stage time, (g, the delay terms, f), which both step
     loops read as is. With it known, no equation of a block depends on
     another, so each equation steps the whole block on its own, in one
-    loop over floats. Only a problem with a tau = 0 coupling, where a stage
-    of one equation reads the same stage of another, steps its equations
-    together, stage by stage. Both loops do the same float operations in
-    the same order, so they give the same trajectory bit for bit.
+    loop over floats that writes each stage's sum out. Only a problem with
+    a tau = 0 coupling, where a stage of one equation reads the same stage
+    of another, steps its equations together, stage by stage. Both loops
+    do the same float operations in the same order, so they give the same
+    trajectory bit for bit.
 
     Stepping runs on Python floats, which overflow to inf without raising,
     so the finished u and u' are checked once: a value that is not finite
@@ -237,8 +238,8 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
                 stored |= edge
             for j in np.flatnonzero(~stored.all(axis=0)).tolist():
                 served = ~stored[:, j]
-                values[served, j] = [history.value(reads[j][0], s)
-                                     for s in arg[served, j].tolist()]
+                values[served, j] = list(map(float, _each(
+                    history.functions[reads[j][0]], arg[served, j].tolist())))
         i, j = stored.nonzero()
         if len(i):
             # a block reads no later than its last stored point, up to the
@@ -255,14 +256,14 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
         columns = values.T.tolist()
         equations = []
         for g, eq_parts in zip(problem.g, parts):
-            row = [list(map(g, times))]
+            row = [_each(g, times)]
             for part in eq_parts:
                 if part is None:
                     row.append(repeat(None))
                 else:
                     j, beta, f = part
                     row.append([beta * v for v in columns[j]] if f is None
-                               else list(map(f, columns[j])))
+                               else _each(f, columns[j]))
             equations.append(list(zip(*row)))
         return equations
 
@@ -311,29 +312,13 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     else:
         # every delayed value of a block is known before it starts, so the
         # equations do not depend on each other within it: each steps the
-        # whole block on its own, from its column of the forcing. A stage is
-        # -gamma * x plus the parts, folded left to right as rhs adds them
-        def step_equation(column, steps, x, d, ng):
-            rows_at = iter(column)
-            xs, ds, rights = [], [], []
-            for hk, half, sixth, edge in steps:
-                if edge:
-                    d = reduce(add, next(rows_at), ng * x)
-                    rights.append(d)
-                mid = next(rows_at)
-                k2 = reduce(add, mid, ng * (x + half * d))
-                k3 = reduce(add, mid, ng * (x + half * k2))
-                end = next(rows_at)
-                k4 = reduce(add, end, ng * (x + hk * k3))
-                x = x + sixth * (d + 2 * k2 + 2 * k3 + k4)
-                d = reduce(add, end, ng * x)
-                xs.append(x)
-                ds.append(d)
-            return xs, ds, rights
+        # whole block on its own, from its column of the forcing
+        steppers = [_step_equation(len(row)) for row in slots]
 
         def step_block(columns, steps, block, u, du):
-            xs, ds, rights = zip(*map(step_equation, columns, repeat(steps),
-                                      u, du, neg_gamma))
+            xs, ds, rights = zip(*[
+                step(column, steps, x, d, ng) for step, column, x, d, ng
+                in zip(steppers, columns, u, du, neg_gamma)])
             u_all[block].T[:] = xs
             du_all[block].T[:] = ds
             return ([x[-1] for x in xs], [d[-1] for d in ds],
@@ -377,6 +362,40 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
         raise FloatingPointError(
             f"the RK4 solution is not finite from t={grid[finite.argmin()]:g}")
     return Trajectory(t_all, u_all, du_all, slope)
+
+
+_STEP_EQUATION = """\
+def step_equation(column, steps, x, d, ng):
+    rows_at = iter(column)
+    xs, ds, rights = [], [], []
+    for hk, half, sixth, edge in steps:
+        if edge:
+            {parts}, = next(rows_at)
+            d = ng * x + {sum}
+            rights.append(d)
+        {parts}, = next(rows_at)  # the midpoint
+        k2 = ng * (x + half * d) + {sum}
+        k3 = ng * (x + half * k2) + {sum}
+        {parts}, = next(rows_at)  # the step end
+        k4 = ng * (x + hk * k3) + {sum}
+        x = x + sixth * (d + 2 * k2 + 2 * k3 + k4)
+        d = ng * x + {sum}
+        xs.append(x)
+        ds.append(d)
+    return xs, ds, rights
+"""
+
+
+@cache
+def _step_equation(width: int):
+    """The block loop of one equation whose stages add ``width`` parts:
+    each stage is -gamma * x plus the parts, written out as one sum that
+    Python adds left to right, as ``rhs`` adds them."""
+    parts = [f"p{i}" for i in range(width)]
+    namespace = {}
+    exec(_STEP_EQUATION.format(parts=", ".join(parts), sum=" + ".join(parts)),
+         namespace)
+    return namespace["step_equation"]
 
 
 @dataclass(frozen=True)

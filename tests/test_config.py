@@ -309,7 +309,8 @@ def test_compiled_expression_numpy_input_and_u_variable():
     assert _assert_matches_tree_walk("0.5*exp(-u)", -0.25, "u")[0] is float
 
 
-def test_compiled_expression_matches_tree_walk_on_random_sources():
+def _random_sources():
+    """400 random expressions over t, nested up to depth 5, from one seed."""
     rng = random.Random(3)
 
     def source(depth):
@@ -324,10 +325,50 @@ def test_compiled_expression_matches_tree_walk_on_random_sources():
             return f"({source(depth - 1)})"
         return source(depth - 1) + rng.choice("+-*/^") + source(depth - 1)
 
-    for _ in range(400):
-        text = source(5)
+    return [source(5) for _ in range(400)]
+
+
+def test_compiled_expression_matches_tree_walk_on_random_sources():
+    for text in _random_sources():
         for x in (0.0, 1.0, -1.3, np.float64(0.7)):
             _assert_matches_tree_walk(text, x)
+
+
+def test_each_reads_as_calls_at_each_point_on_random_sources():
+    # float, numpy float64 and int points; a batch that fails raises what
+    # the earliest failing point raises on its own
+    points = [0.0, 1.0, -1.3, np.float64(0.7), 2, np.float64(-0.25), -3]
+    for text in _random_sources():
+        expression = Expression(text)
+        expected = []
+        for x in points:
+            try:
+                expected.append(expression(x))
+            except Exception as err:
+                with pytest.raises(type(err)) as info:
+                    expression.each(points)
+                assert str(info.value) == str(err), text
+                break
+        else:
+            values = expression.each(points)
+            assert [type(v) for v in values] == [float] * len(points)
+            assert list(map(repr, values)) == list(map(repr, expected)), text
+
+
+def test_each_of_no_points_is_empty():
+    assert Expression("t^2").each([]) == []
+    assert Expression("2").each(np.array([])) == []
+
+
+def test_each_names_the_earliest_failing_point():
+    # the 2nd and the 4th point fail
+    expression = Expression("(t-1)^0.5")
+    with pytest.raises(ArithmeticError) as scalar:
+        expression(0.5)
+    with pytest.raises(ArithmeticError) as batch:
+        expression.each([2.0, 0.5, 1.25, 0.75])
+    assert str(batch.value) == str(scalar.value)
+    assert "at t = 0.5:" in str(batch.value)
 
 
 def test_long_expression_compiles():

@@ -392,6 +392,23 @@ def _rk4_reference(problem, step):
     return t_arr, u_arr, du_arr, right_limits
 
 
+def test_expression_forcing_failing_inside_a_block_names_the_earliest_time():
+    # the forcing fails from t = 1.2 on, inside the block (1.0, 1.5]; the
+    # first failing stage time comes from the step grid
+    problem = build_problem(parse_config_text(
+        "b = 2\n[equation 1]\ngamma = 0.5\nforcing = (1.2 - t)^0.5\n"
+        "history = sin(t)\ndelay = 1 0.3 0.5\n"))
+    h = _aligned_step([0.5], problem.history, 2.0, 1e-2)
+    grid = [k * h for k in range(round(2.0 / h) + 1)]
+    first = next(t for t0, t1 in zip(grid, grid[1:])
+                 for t in (t0 + (t1 - t0) / 2, t1) if 1.2 - t < 0)
+    assert 1.0 < first < 1.5
+    with pytest.raises(ArithmeticError) as info:
+        rk4_method_of_steps(problem, step=1e-2)
+    assert str(info.value) == (f"'(1.2 - t)^0.5' at t = {first}: negative "
+                               f"base to a fractional power")
+
+
 def _manufactured_config(rng, equations, b):
     """Config text with solutions A exp(-c t) + B sin(w t), coupled through
     delays 0.5, 0.25 and 1, in expression forcing and history."""
@@ -449,7 +466,38 @@ def _bit_identity_cases():
                               id="cross_delays_with_edges"))
     cases.append(pytest.param(_zero_delay_self_coupling_problem(),
                               id="zero_delay_self_coupling"))
+    cases.append(pytest.param(_forcing_only_problem(), id="forcing_only"))
+    cases.append(pytest.param(
+        build_problem(parse_config_text(THREE_DELAYS_AND_NONLINEAR)),
+        id="three_delays_and_nonlinear"))
     return cases
+
+
+def _forcing_only_problem():
+    # the first equation's stages add g alone, one part per stage; the
+    # second's add g and a delayed read of the first, stepped in 0.5 blocks
+    history = History(functions=(math.sin, math.cos), end=0.0)
+    return DDEProblem(
+        gamma=[0.6, 0.3], delays=[[], [DelayTerm(0, 0.4, 0.5)]],
+        g=[math.cos, math.sin], phi=[1.0, 0.5], b=1.5, history=history)
+
+
+# five parts per stage: g, three commensurate delay terms and f, all config
+# expressions; history_end = 0.25 adds right-limit edges inside the blocks
+THREE_DELAYS_AND_NONLINEAR = """\
+b = 2
+history_end = 0.25
+[equation 1]
+gamma = 0.4
+phi = 0.2
+forcing = cos(t) + 0.1*t
+history = sin(t)
+delay = 1 -0.3 0.25
+delay = 1 0.2 0.5
+delay = 1 0.1 0.75
+nonlinear = exp(-u)
+nonlinear_tau = 0.5
+"""
 
 
 def _cross_delays_with_edges_problem():
