@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -165,15 +164,16 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     by equation. An argument up to 1e-12 past t_p reads u(t_p). Each
     function is called in increasing time, so of its own failures the
     earliest is raised; when two functions fail in one block, the one
-    called first is. The forcing is, per equation, a list of the parts its
-    stages add at each stage time, (g, the delay terms, f), which both step
-    loops read as is. With it known, no equation of a block depends on
-    another, so each equation steps the whole block on its own, in one
-    loop over floats that writes each stage's sum out. Only a problem with
-    a tau = 0 coupling, where a stage of one equation reads the same stage
-    of another, steps its equations together, stage by stage. Both loops
-    do the same float operations in the same order, so they give the same
-    trajectory bit for bit.
+    called first is. The forcing is one row per stage time of the parts
+    every equation's stages add there, equation after equation: g, the
+    delay terms with tau > 0 in list order, then f. All equations of a
+    block step together from these rows, in one loop over floats generated
+    once per problem shape (per equation, which of its terms are forcing
+    parts and which are tau = 0 couplings, in order). Each stage of each
+    equation is written out as one sum, -gamma * y + g + the other terms
+    in the equation's order, y the stage's argument and a tau = 0 coupling
+    beta times the same stage's argument of its target, which Python adds
+    left to right; the derivative at t = 0 is the same sum.
 
     Stepping runs on Python floats, which overflow to inf without raising,
     so the finished u and u' are checked once: a value that is not finite
@@ -182,22 +182,26 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
     # every delayed read, as (target, tau), in the order a stage adds them;
-    # per equation, per slot after g: None where tau = 0, else (read, beta,
-    # f) with one of beta and f
-    reads = []
-    parts = []
-    for terms, nl in zip(problem.delays, problem.nonlinear):
-        eq_parts = []
+    # the forcing's parts, as (read, beta, f): g with read None, then per
+    # delayed term one of beta and f; per equation its terms after g, None
+    # for a part or the target of a tau = 0 coupling, whose beta is in betas
+    reads, parts, shape, betas = [], [], [], []
+    for g, terms, nl in zip(problem.g, problem.delays, problem.nonlinear):
+        parts.append((None, None, g))
+        eq_shape = []
         for term in terms:
             if term.tau == 0:
-                eq_parts.append(None)
+                eq_shape.append(term.target)
+                betas.append(term.beta)
             else:
-                eq_parts.append((len(reads), term.beta, None))
+                eq_shape.append(None)
+                parts.append((len(reads), term.beta, None))
                 reads.append((term.target, term.tau))
         if nl is not None:
-            eq_parts.append((len(reads), None, nl.f))
+            eq_shape.append(None)
+            parts.append((len(reads), None, nl.f))
             reads.append((nl.target, nl.tau))
-        parts.append(eq_parts)
+        shape.append(tuple(eq_shape))
     read_targets = np.array([target for target, _ in reads], dtype=int)
     taus = [tau for _, tau in reads]
     history = problem.history
@@ -221,10 +225,10 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
                 edges.add(k)
 
     def forcing(times, right, front):
-        # per equation, per time in times the parts a stage adds: g(t), each
-        # delay term (None where tau = 0), then f; right marks the right
-        # limits at edges, front the stored points the trajectory read sees.
-        # The history and the trajectory values fill one (times, reads) array
+        # per time in times, a row of the parts: every equation's g(t),
+        # delay terms with tau > 0, then f; right marks the right limits at
+        # edges, front the stored points the trajectory read sees. The
+        # history and the trajectory values fill one (times, reads) array
         arg = np.subtract.outer(np.array(times), taus)
         values = np.empty_like(arg)
         stored = np.ones(arg.shape, dtype=bool)
@@ -254,78 +258,16 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
                          slope[:front], q)
             values[i, j] = rows[np.arange(len(q)), read_targets[j]]
         columns = values.T.tolist()
-        equations = []
-        for g, eq_parts in zip(problem.g, parts):
-            row = [_each(g, times)]
-            for part in eq_parts:
-                if part is None:
-                    row.append(repeat(None))
-                else:
-                    j, beta, f = part
-                    row.append([beta * v for v in columns[j]] if f is None
-                               else _each(f, columns[j]))
-            equations.append(list(zip(*row)))
-        return equations
+        return zip(*[[beta * v for v in columns[j]] if f is None
+                     else _each(f, times if j is None else columns[j])
+                     for j, beta, f in parts])
 
+    step_block = _block_stepper(tuple(shape))
     neg_gamma = [-gamma for gamma in problem.gamma]
-    # per equation, the tau = 0 term in its slot of a stage's parts and None
-    # in every other slot
-    slots = [[None, *(term if term.tau == 0 else None for term in terms),
-              *([None] if nl is not None else [])]
-             for terms, nl in zip(problem.delays, problem.nonlinear)]
-
-    def rhs(columns, i, u):
-        # u' per equation at stage time i of the forcing: -gamma * u plus
-        # the parts in their order, a tau = 0 term reading u at its slot
-        out = []
-        for eq in range(l):
-            value = neg_gamma[eq] * u[eq]
-            for part, term in zip(columns[eq][i], slots[eq]):
-                value += part if term is None else term.beta * u[term.target]
-            out.append(value)
-        return out
-
-    if any(part is None for eq_parts in parts for part in eq_parts):
-        # a tau = 0 coupling: a stage of one equation reads the same stage
-        # of another, so the equations step together, stage by stage
-        def step_block(columns, steps, block, u, du):
-            i = 0
-            block_u, block_du, rights = [], [], []
-            for hk, half, sixth, edge in steps:
-                k1 = du
-                if edge:
-                    k1 = rhs(columns, i, u)
-                    rights.append(k1)
-                    i += 1
-                k2 = rhs(columns, i, [a + half * d for a, d in zip(u, k1)])
-                k3 = rhs(columns, i, [a + half * d for a, d in zip(u, k2)])
-                k4 = rhs(columns, i + 1, [a + hk * d for a, d in zip(u, k3)])
-                u = [a + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
-                     for a, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
-                du = rhs(columns, i + 1, u)
-                i += 2
-                block_u.append(u)
-                block_du.append(du)
-            u_all[block] = block_u
-            du_all[block] = block_du
-            return u, du, rights
-    else:
-        # every delayed value of a block is known before it starts, so the
-        # equations do not depend on each other within it: each steps the
-        # whole block on its own, from its column of the forcing
-        steppers = [_step_equation(len(row)) for row in slots]
-
-        def step_block(columns, steps, block, u, du):
-            xs, ds, rights = zip(*[
-                step(column, steps, x, d, ng) for step, column, x, d, ng
-                in zip(steppers, columns, u, du, neg_gamma)])
-            u_all[block].T[:] = xs
-            du_all[block].T[:] = ds
-            return ([x[-1] for x in xs], [d[-1] for d in ds],
-                    list(zip(*rights)))
-
     u_all[0] = u = list(problem.phi)
-    du_all[0] = slope[0] = du = rhs(forcing([0.0], [False], 0), 0, u)
+    _, du, *_ = step_block(forcing([0.0], [False], 0), (), u, None,
+                           neg_gamma, betas)
+    du_all[0] = slope[0] = du
     # step k (k >= 1) reads the trajectory at or before latest[k - 1]
     latest = np.minimum(t_all[1:] - min(taus), t_all[:-1]) if taus else None
     # u may pass the float range mid-run, as Python floats do without
@@ -351,8 +293,10 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
                 right += [False, False]
                 steps.append((hk, hk / 2, hk / 6, edge))
             block = slice(p + 1, q + 1)
-            u, du, rights = step_block(forcing(times, right, p + 1), steps,
-                                       block, u, du)
+            u, du, xs, ds, rights = step_block(
+                forcing(times, right, p + 1), steps, u, du, neg_gamma, betas)
+            u_all[block].T[:] = xs
+            du_all[block].T[:] = ds
             slope[block] = du_all[block]
             for k, right_limit in zip(block_edges, rights):
                 slope[k] = right_limit
@@ -364,38 +308,84 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     return Trajectory(t_all, u_all, du_all, slope)
 
 
-_STEP_EQUATION = """\
-def step_equation(column, steps, x, d, ng):
-    rows_at = iter(column)
-    xs, ds, rights = [], [], []
+# x, d: u and u' per equation at the step's start; without d, u' at t = 0
+# from the first row. Returns u and u' at the end, u and u' per equation at
+# each step end, and u' at each edge as its right limit
+_STEP_BLOCK = """\
+def step_block(rows, steps, x, d, ng, beta):
+    rows_at = iter(rows)
+    [{x}] = x
+    [{ng}] = ng
+    [{beta}] = beta
+    if d is None:
+        [{row}] = next(rows_at)
+        {d_at_x}
+    else:
+        [{d}] = d
+    {new_lists}
+    rights = []
     for hk, half, sixth, edge in steps:
         if edge:
-            {parts}, = next(rows_at)
-            d = ng * x + {sum}
-            rights.append(d)
-        {parts}, = next(rows_at)  # the midpoint
-        k2 = ng * (x + half * d) + {sum}
-        k3 = ng * (x + half * k2) + {sum}
-        {parts}, = next(rows_at)  # the step end
-        k4 = ng * (x + hk * k3) + {sum}
-        x = x + sixth * (d + 2 * k2 + 2 * k3 + k4)
-        d = ng * x + {sum}
-        xs.append(x)
-        ds.append(d)
-    return xs, ds, rights
+            [{row}] = next(rows_at)
+            {d_at_x}
+            rights.append([{d}])
+        [{row}] = next(rows_at)  # the midpoint
+        {k2}
+        {k3}
+        [{row}] = next(rows_at)  # the step end
+        {k4}
+        {x_next}
+        {d_at_x}
+        {appends}
+    return [{x}], [{d}], [{xs}], [{ds}], rights
 """
 
 
 @cache
-def _step_equation(width: int):
-    """The block loop of one equation whose stages add ``width`` parts:
-    each stage is -gamma * x plus the parts, written out as one sum that
-    Python adds left to right, as ``rhs`` adds them."""
-    parts = [f"p{i}" for i in range(width)]
+def _block_stepper(shape: tuple):
+    """The block loop of a problem whose equations have the terms ``shape``
+    after g: per term, None for a part of the forcing rows or the target of
+    a tau = 0 coupling. A stage of equation e is -gamma_e times its stage
+    argument, then g and the terms in order, a coupling as beta times its
+    target's stage argument, written out as one sum that Python adds left
+    to right. -gamma and the betas are arguments, so one loop serves every
+    problem of the shape."""
+    n = len(shape)
+    sums = []  # per equation its stage sum, {e} the stage argument of e
+    p = b = 0
+    for e, eq_shape in enumerate(shape):
+        terms = [f"ng{e} * ({{{e}}})", f"p{p}"]
+        p += 1
+        for target in eq_shape:
+            if target is None:
+                terms.append(f"p{p}")
+                p += 1
+            else:
+                terms.append(f"b{b} * ({{{target}}})")
+                b += 1
+        sums.append(" + ".join(terms))
+
+    def names(template, count=n, sep=", "):
+        return sep.join(template.format(i) for i in range(count))
+
+    def stage(out, arg):
+        args = [arg.format(e) for e in range(n)]
+        return "; ".join(f"{out}{e} = {total.format(*args)}"
+                         for e, total in enumerate(sums))
+
+    source = _STEP_BLOCK.format(
+        x=names("x{}"), d=names("d{}"), ng=names("ng{}"),
+        beta=names("b{}", b), row=names("p{}", p), xs=names("xs{}"),
+        ds=names("ds{}"), new_lists=names("xs{0} = []; ds{0} = []", sep="; "),
+        d_at_x=stage("d", "x{}"), k2=stage("k2_", "x{0} + half * d{0}"),
+        k3=stage("k3_", "x{0} + half * k2_{0}"),
+        k4=stage("k4_", "x{0} + hk * k3_{0}"),
+        x_next=names("x{0} = x{0} + sixth * (d{0} + 2 * k2_{0} + 2 * k3_{0}"
+                     " + k4_{0})", sep="; "),
+        appends=names("xs{0}.append(x{0}); ds{0}.append(d{0})", sep="; "))
     namespace = {}
-    exec(_STEP_EQUATION.format(parts=", ".join(parts), sum=" + ".join(parts)),
-         namespace)
-    return namespace["step_equation"]
+    exec(source, namespace)
+    return namespace["step_block"]
 
 
 @dataclass(frozen=True)

@@ -445,6 +445,11 @@ def _bit_identity_cases():
             _manufactured_config(rng, equations, b)))
         cases.append(pytest.param(problem, id=f"generated_{equations}eq_b{b}"))
     cases.append(pytest.param(_zero_delay_coupling_problem(), id="zero_delay"))
+    # the shape of zero_delay with other coefficients: the stepper generated
+    # for that shape must read them, not those it was first built with
+    cases.append(pytest.param(
+        _zero_delay_coupling_problem((0.9, -0.2), (-0.1, 0.8, 0.35, 0.25, -0.5)),
+        id="zero_delay_other_coefficients"))
     cases.append(pytest.param(_delay_and_nonlinear_problem(),
                               id="delay_and_nonlinear"))
     # block edges of the stepping: each block ends where its delayed
@@ -466,6 +471,8 @@ def _bit_identity_cases():
                               id="cross_delays_with_edges"))
     cases.append(pytest.param(_zero_delay_self_coupling_problem(),
                               id="zero_delay_self_coupling"))
+    cases.append(pytest.param(_zero_delay_couplings_with_edges_problem(),
+                              id="zero_delay_couplings_with_edges"))
     cases.append(pytest.param(_forcing_only_problem(), id="forcing_only"))
     cases.append(pytest.param(
         build_problem(parse_config_text(THREE_DELAYS_AND_NONLINEAR)),
@@ -536,17 +543,37 @@ def _edge_inside_a_block_problem():
         g=[math.cos], phi=[0.2], b=2.0, history=history)
 
 
-def _zero_delay_coupling_problem():
+def _zero_delay_coupling_problem(gamma=(0.3, 0.7),
+                                 beta=(0.5, 0.3, -0.2, -0.4, 0.6)):
     # tau = 0 couplings between and after delayed terms, so the stage's own
     # u enters the sum in the middle of each equation's delay list
     history = History(functions=(math.sin, math.cos), end=0.0)
     return DDEProblem(
-        gamma=[0.3, 0.7],
-        delays=[[DelayTerm(0, 0.5, 0.5), DelayTerm(1, 0.3, 0.0),
-                 DelayTerm(1, -0.2, 0.25)],
-                [DelayTerm(0, -0.4, 0.0), DelayTerm(1, 0.6, 0.75)]],
+        gamma=list(gamma),
+        delays=[[DelayTerm(0, beta[0], 0.5), DelayTerm(1, beta[1], 0.0),
+                 DelayTerm(1, beta[2], 0.25)],
+                [DelayTerm(0, beta[3], 0.0), DelayTerm(1, beta[4], 0.75)]],
         g=[math.cos, lambda t: math.exp(-t)], phi=[0.1, 1.0], b=2.0,
         history=history)
+
+
+def _zero_delay_couplings_with_edges_problem():
+    # tau = 0 couplings across equations and of two equations to
+    # themselves, beside delays and a nonlinear term; history.end = 0.25
+    # puts right-limit edges at 0.75 and 1.25 inside the 0.5-long blocks
+    # and at 1.0 on a block's start, where the couplings read the stage's u
+    history = History(functions=(math.sin, math.cos, lambda t: 0.5 * t),
+                      end=0.25)
+    return DDEProblem(
+        gamma=[0.4, 0.7, 0.2],
+        delays=[[DelayTerm(1, 0.4, 0.5), DelayTerm(2, 0.3, 0.0)],
+                [DelayTerm(1, -0.2, 0.0), DelayTerm(2, -0.3, 0.75)],
+                [DelayTerm(0, 0.2, 1.0), DelayTerm(0, -0.25, 0.0),
+                 DelayTerm(2, 0.1, 0.0)]],
+        g=[math.cos, math.sin, lambda t: math.exp(-t)], phi=[0.2, -0.1, 0.3],
+        b=2.0, history=history,
+        nonlinear=[NonlinearDelayTerm(f=lambda u: math.exp(-u), target=0,
+                                      tau=0.5), None, None])
 
 
 def _delay_and_nonlinear_problem():
@@ -619,28 +646,32 @@ def test_delay_shorter_than_the_step_sets_the_step():
 
 def test_forcing_is_called_once_per_distinct_stage_time():
     # midpoint once for k2 and k3, step end once for k4 and the stored u',
-    # t = 0 once, and the history edge t = 0.75 once more as the right limit
-    calls = {"g": [], "history": [], "f": []}
+    # t = 0 once, and the history edge t = 0.75 once more as the right
+    # limit; with and without a tau = 0 coupling of u to itself
+    for coupling in ([], [DelayTerm(0, 0.2, 0.0)]):
+        calls = {"g": [], "history": [], "f": []}
 
-    def counted(name, function):
-        def call(x):
-            calls[name].append(x)
-            return function(x)
-        return call
+        def counted(name, function):
+            def call(x):
+                calls[name].append(x)
+                return function(x)
+            return call
 
-    problem = single_equation(
-        0.5, 0.3, 0.5, counted("g", math.cos), 1.0, 2.0,
-        History((counted("history", math.sin),), end=0.25),
-        NonlinearDelayTerm(counted("f", math.tanh), 0, 0.5))
-    trajectory = rk4_method_of_steps(problem, step=1e-2)
-    steps = len(trajectory.t) - 1
-    edges = len(_history_edges(problem, trajectory.t))
-    assert (steps, edges) == (200, 1)
-    assert len(calls["g"]) == len(calls["f"]) == 2 * steps + 1 + edges == 402
-    assert calls["g"] == sorted(calls["g"])
-    # the history once per delayed argument it serves: at t = 0 and the
-    # 2 * 75 stage times up to the edge, for the delay term and for f
-    assert len(calls["history"]) == 2 * (1 + 2 * 75)
+        problem = DDEProblem(
+            gamma=[0.5], delays=[[DelayTerm(0, 0.3, 0.5), *coupling]],
+            g=[counted("g", math.cos)], phi=[1.0], b=2.0,
+            history=History((counted("history", math.sin),), end=0.25),
+            nonlinear=[NonlinearDelayTerm(counted("f", math.tanh), 0, 0.5)])
+        trajectory = rk4_method_of_steps(problem, step=1e-2)
+        steps = len(trajectory.t) - 1
+        edges = len(_history_edges(problem, trajectory.t))
+        assert (steps, edges) == (200, 1)
+        assert (len(calls["g"]) == len(calls["f"])
+                == 2 * steps + 1 + edges == 402)
+        assert calls["g"] == sorted(calls["g"])
+        # the history once per delayed argument it serves: at t = 0 and the
+        # 2 * 75 stage times up to the edge, for the delay term and for f
+        assert len(calls["history"]) == 2 * (1 + 2 * 75)
 
 
 def test_history_end_not_commensurate_with_the_delays_raises():
