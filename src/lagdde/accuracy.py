@@ -11,6 +11,7 @@ import numpy as np
 from .collocation import (
     DDEProblem,
     SpectralSolution,
+    _each,
     _feedback,
     _system,
     evaluate,
@@ -71,10 +72,11 @@ class ErrorReport:
 def read_reference(reference: Callable[[float], np.ndarray],
                    points: np.ndarray) -> np.ndarray:
     """The reference at the 1-D ``points``, shape (l, len(points)): a
-    ``Trajectory`` in one read, any other callable one float at a time."""
+    ``Trajectory`` in one read, a reference with ``each`` (the CLI's exact
+    oracle) in one call of it, any other callable one float at a time."""
     if isinstance(reference, Trajectory):
         return reference(points)
-    return np.array([reference(t) for t in points]).T
+    return np.array(_each(reference, points)).T
 
 
 def error_report(problem: DDEProblem, solution: SpectralSolution,

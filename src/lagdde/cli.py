@@ -70,23 +70,39 @@ def _write_manifest(out_dir: Path, command: str, config_path, settings: dict,
             fh.write(f"output = {out}\n")
 
 
+class _Exact:
+    """The config's exact solutions as a reference: a call reads one time,
+    ``each`` many in one ``Expression.each`` per equation."""
+
+    def __init__(self, expressions):
+        self.expressions = expressions
+
+    def __call__(self, t):
+        try:
+            values = np.array([f(t) for f in self.expressions])
+        except ArithmeticError as err:  # e.g. 1/(t-1) at t = 1
+            raise OracleError(f"exact solution failed at t={t}: "
+                              f"{type(err).__name__}: {err}") from err
+        if not np.isfinite(values).all():  # e.g. 1e308*10*t
+            raise OracleError(f"exact solution is not finite at t={t}")
+        return values
+
+    def each(self, ts):
+        try:
+            values = np.array([f.each(ts) for f in self.expressions]).T
+            if np.isfinite(values).all():
+                return values
+        except ArithmeticError:
+            pass
+        return [self(t) for t in ts]  # raises as the earliest failing time
+
+
 def _make_oracle(cfg: ProblemConfig, problem):
     """Callable t -> per-equation reference values, or None."""
     if cfg.oracle == "none":
         return None
     if cfg.oracle == "exact":
-        exacts = [eq.exact for eq in cfg.equations]
-
-        def exact(t):
-            try:
-                values = np.array([f(t) for f in exacts])
-            except ArithmeticError as err:  # e.g. 1/(t-1) at t = 1
-                raise OracleError(f"exact solution failed at t={t}: "
-                                  f"{type(err).__name__}: {err}") from err
-            if not np.isfinite(values).all():  # e.g. 1e308*10*t
-                raise OracleError(f"exact solution is not finite at t={t}")
-            return values
-        return exact
+        return _Exact([eq.exact for eq in cfg.equations])
     try:
         return reference.rk4_method_of_steps(problem, step=cfg.rk4_step)
     except ValueError as err:  # e.g. history_end off the delay grid
@@ -241,8 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()  # once: each add_argument reads the terminal size
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     if args.command == "validate":
         return run_validate()
     try:

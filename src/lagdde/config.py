@@ -195,11 +195,15 @@ class Expression:
 # ---------------------------------------------------------------------------
 # configuration model
 
+# the forcing of an equation that sets none, compiled once and shared
+_ZERO = Expression("0")
+
+
 @dataclass
 class EquationConfig:
     gamma: float = 0.0
     phi: float = 0.0
-    forcing: Expression = field(default_factory=lambda: Expression("0"))
+    forcing: Expression = field(default_factory=lambda: _ZERO)
     history: Optional[Expression] = None
     delays: tuple = ()  # of (target 0-based, beta, tau)
     nonlinear: Optional[Expression] = None  # over u

@@ -17,14 +17,10 @@ from .collocation import HISTORY_EDGE_TOL, DDEProblem, History, _each
 
 @dataclass
 class Trajectory:
-    """Dense output of the RK4 integrator.
-
-    Values between grid points are cubic Hermite interpolants built from the
-    stored derivatives; queries at grid points return stored values exactly.
-    ``du`` holds the derivative as the left limit. ``slope`` holds the slope
-    each interval starts from: ``du``, but at a grid point where a delayed
-    argument leaves the history, and u' may jump, the right limit.
-    """
+    """Dense output of the RK4 integrator, read by ``_read``. ``du`` holds
+    the derivative as the left limit, ``slope`` the slope each interval
+    starts from: ``du``, but at a grid point where a delayed argument
+    leaves the history, and u' may jump, the right limit."""
 
     t: np.ndarray          # strictly increasing grid
     u: np.ndarray          # shape (len(t), l)
@@ -35,38 +31,43 @@ class Trajectory:
         """u per equation at t, a number or any array-like of times, shape
         (l,) + np.shape(t), as ``evaluate`` reads a series."""
         q = np.asarray(t, dtype=float)
-        rows = _read(self.t, self.u, self.du, self.slope, q.ravel())
-        return rows.T.reshape(self.u.shape[1:] + q.shape)
+        l = self.u.shape[1]
+        values = _read(self.t, self.u, self.du, self.slope,
+                       np.tile(q.ravel(), l), np.arange(l).repeat(q.size))
+        return values.reshape((l,) + q.shape)
 
 
-def _read(t, u, du, slope, q):
-    """u at the times ``q`` (a 1-D float array), one row per time, from the
-    points ``t``: the stored row at a point, and between two points the
-    cubic Hermite interpolant from u at both ends, the ``slope`` the
-    interval starts from and the left-limit ``du`` it ends with. A time
-    outside [t[0], t[-1]], NaN included, raises ValueError."""
+def _read(t, u, du, slope, q, e):
+    """u of equation ``e[n]`` at time ``q[n]`` (two 1-D arrays of one
+    length) from the points ``t``: the stored value at a point, and between
+    two points the cubic Hermite interpolant from u at both ends, the
+    ``slope`` the interval starts from and the left-limit ``du`` it ends
+    with. A time outside [t[0], t[-1]], NaN included, raises ValueError."""
     inside = (q >= t[0]) & (q <= t[-1])
     if not inside.all():
         raise ValueError(f"query t={q[inside.argmin()]} outside computed "
                          f"range [{t[0]}, {t[-1]}]")
     i = t.searchsorted(q)
-    out = u[i]
+    out = u[i, e]
     miss = t[i] != q
-    if miss.any():
-        k = i[miss] - 1
+    k1 = i[miss]  # the interval from k to k1 = k + 1 holds the time
+    if len(k1):
+        k = k1 - 1
+        e = e[miss]
         t0 = t[k]
-        h = t[k + 1] - t0
+        h = t[k1] - t0
         s = (q[miss] - t0) / h
         # float_power squares with the C pow, as Python's float ** does; the
         # ** operator on arrays squares by a product, which can round
         # differently in the last bit
         r2, s2 = np.float_power(1 - s, 2), np.float_power(s, 2)
-        h00 = (1 + 2 * s) * r2
+        two_s = 2 * s
+        h00 = (1 + two_s) * r2
         h10 = s * r2
-        h01 = s2 * (3 - 2 * s)
+        h01 = s2 * (3 - two_s)
         h11 = s2 * (s - 1)
-        out[miss] = (h00[:, None] * u[k] + (h * h10)[:, None] * slope[k]
-                     + h01[:, None] * u[k + 1] + (h * h11)[:, None] * du[k + 1])
+        out[miss] = (h00 * u[k, e] + h * h10 * slope[k, e]
+                     + h01 * u[k1, e] + h * h11 * du[k1, e])
     return out
 
 
@@ -119,65 +120,51 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     ``problem.history``, stepping so that every delay breaking point lands
     on the grid.
 
-    The step is rounded down to d / ceil(d / step) where d is the (rational)
-    GCD of the delays and, if it is nonzero and its jumps fall inside
-    (0, b), of history.end, so delayed lookups always hit history or
-    previously computed sub-intervals, and every breaking point
-    history.end + k*tau is a grid point. Delays whose GCD would shrink the
-    step below both step / 10 and the step the shortest delay alone needs
-    (incommensurate delays such as 1 and sqrt(2)), or a history.end that
-    would shrink it below step / 10, raise ValueError. A step that is not
-    finite and positive raises ValueError.
+    The step is rounded down to d / ceil(d / step), d the (rational) GCD of
+    the delays and, if it is nonzero and its jumps fall inside (0, b), of
+    history.end, so every breaking point history.end + k*tau is a grid
+    point; the last step, up to b, may be shorter. Delays whose GCD would
+    shrink the step below both step / 10 and the step the shortest delay
+    alone needs (1 and sqrt(2)), a history.end that would shrink it below
+    step / 10, and a step that is not finite and positive raise ValueError.
 
-    At a grid point t with t - tau == history.end, delayed arguments leave
-    the history for the trajectory; where the two disagree at history.end,
-    u' jumps at t. The step from t then starts from the right-limit
-    derivative, which reads u(history.end) from the trajectory, and keeps it
-    as the trajectory's slope there; every other step reuses the
-    derivative stored at its left end.
+    At a grid point t with t - tau == history.end (an edge), delayed
+    arguments leave the history for the trajectory and u' may jump: the
+    step from t starts from the right-limit derivative, which reads
+    u(history.end) from the trajectory, and keeps it as the trajectory's
+    slope there; every other step starts from the u' stored at its start.
 
     Every delay is at least one step, so at a stage time t the forcing
     g(t), each delayed term beta * u(t - tau) and the nonlinear term
-    f(u(t - tau_f)) do not depend on the stage. They are evaluated once per
-    distinct time: at the midpoint (shared by k2 and k3), at the step end
-    (shared by k4 and the stored u'), and at a history edge once more as
-    the right limit; that is 2 * steps + 1 + edges values of each g and f,
-    and a value of the history function at each of those times a delayed
-    term reads it, all on Python floats, a block's times in one call of
-    ``each`` where the function has it (a config ``Expression``). Each
-    must therefore be a function of its argument alone. Each stage then adds
-    them to -gamma * u and the tau = 0 couplings in the order of the
-    equation: -gamma * u + g, the delay terms in list order, then the
-    nonlinear term.
+    f(u(t - tau_f)) do not depend on the stage: they are evaluated once at
+    the midpoint (for k2 and k3), once at the step end (for k4 and the
+    stored u') and, at an edge, once at the step start as the right limit.
+    Each function must therefore depend on its argument alone. The step
+    lengths, halves, sixths, stage times and delayed arguments of all steps
+    are computed once, by array operations on the grid.
 
     The integrator steps in blocks, by the method of steps: with points
     0..p stored, a block is the steps p+1..q whose delayed arguments all
-    lie at or before t_p, so every delayed value a block needs is known
-    before it starts. Step k's latest delayed argument is
-    min(t_k - tau_min, t_{k-1}), nondecreasing in k, so one search finds q;
-    a problem without delays is one block. Before stepping a block, the
-    forcing of all its stage times is computed: first the history at each
-    delayed argument it serves, delayed term by delayed term; then the
-    trajectory at every other delayed argument, in one array read of the
-    stored points, the read ``Trajectory.__call__`` makes, so a delayed
-    value is what the finished trajectory returns; then g and f, equation
-    by equation. An argument up to 1e-12 past t_p reads u(t_p). Each
-    function is called in increasing time, so of its own failures the
-    earliest is raised; when two functions fail in one block, the one
-    called first is. The forcing is one row per stage time of the parts
-    every equation's stages add there, equation after equation: g, the
-    delay terms with tau > 0 in list order, then f. All equations of a
-    block step together from these rows, in one loop over floats generated
-    once per problem shape (per equation, which of its terms are forcing
-    parts and which are tau = 0 couplings, in order). Each stage of each
-    equation is written out as one sum, -gamma * y + g + the other terms
-    in the equation's order, y the stage's argument and a tau = 0 coupling
-    beta times the same stage's argument of its target, which Python adds
-    left to right; the derivative at t = 0 is the same sum.
+    lie at or before t_p (one shortest delay long; without delays, the whole
+    run). Before a block is stepped, its forcing is computed on Python
+    floats: the history at each delayed argument it serves, term by term;
+    then u at every other delayed argument in one call of ``_read``, the
+    formula ``Trajectory.__call__`` reads with, on the one equation each
+    term reads, so a delayed value is what the finished trajectory returns
+    (an argument up to 1e-12 past t_p reads u(t_p)); then g and f, equation
+    by equation, a block's times in one call of ``each`` where the function
+    has it (a config ``Expression``). Each function is called in increasing
+    time, so of its own failures the earliest is raised, and of two
+    functions failing in one block the one called first. All equations of
+    a block then step together in one loop over floats, generated once per
+    problem shape, that writes each stage of each equation out as one sum
+    Python adds left to right: -gamma * y + g, the delay terms in list
+    order (a tau = 0 coupling as beta times its target's stage argument y),
+    then f. The derivative at t = 0 is the same sum.
 
-    Stepping runs on Python floats, which overflow to inf without raising,
-    so the finished u and u' are checked once: a value that is not finite
-    raises FloatingPointError naming the first grid time where it appears.
+    Python floats overflow to inf without raising, so the finished u and u'
+    are checked once: a value that is not finite raises FloatingPointError
+    naming the first grid time where it appears.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
@@ -215,91 +202,96 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     t_all = np.asarray(grid, dtype=float)
     # u, u' and the slope each interval starts from, filled block by block
     u_all, du_all, slope = (np.empty((len(grid), l)) for _ in range(3))
-    # grid indices k with grid[k] - tau == history.end for some delay tau
-    edges = set()
+    # per step k + 1 (from grid[k]) whether grid[k] - tau == history.end for
+    # some delay tau, so that the step starts from the right limit there
+    edge = np.zeros(len(grid) - 1, dtype=bool)
     if history is not None:
         for tau in taus:
             k = round((history.end + tau) / h)
             if (0 < k < len(grid) - 1
                     and abs(grid[k] - tau - history.end) <= HISTORY_EDGE_TOL):
-                edges.add(k)
+                edge[k] = True
+    # per step its length, half, sixth and edge flag (1.0 or 0.0), and its
+    # stage times: the start at an edge (the right limit), the midpoint and
+    # the end. Row 0 of the times is t = 0; step k + 1 starts at row first[k]
+    hk = t_all[1:] - t_all[:-1]
+    half = hk / 2
+    steps = np.column_stack([hk, half, hk / 6, edge])
+    taken = np.column_stack([edge, np.ones((len(hk), 2), dtype=bool)])
+    stage = np.column_stack([t_all[:-1], t_all[:-1] + half, t_all[1:]])
+    times = np.concatenate([[0.0], stage[taken]])
+    right = np.concatenate([[False], (taken & [True, False, False])[taken]])
+    first = np.concatenate([[1], 1 + np.cumsum(taken.sum(axis=1))])
+    # the delayed argument of every read at every time, (times, reads). The
+    # history serves those it covers, but not a right limit at an edge; the
+    # trajectory the others ("stored": flat indices in time order, and the
+    # count before each row)
+    arg = np.subtract.outer(times, taus)
+    stored = np.ones(arg.shape, dtype=bool)
+    served = []  # per read the history serves, (read, its last row)
+    if history is not None:
+        at_edge = right[:, None] & (np.abs(arg - history.end) <= HISTORY_EDGE_TOL)
+        arg[at_edge] = history.end
+        stored = ~history.covers(arg) | at_edge
+        served = [(j, np.flatnonzero(~stored[:, j])[-1])
+                  for j in range(len(reads)) if not stored[:, j].all()]
+    flat = np.flatnonzero(stored)
+    stored_arg = arg[stored]
+    stored_target = np.broadcast_to(read_targets, arg.shape)[stored]
+    before = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    values = np.empty(arg.shape)  # C order: written through values.ravel()
 
-    def forcing(times, right, front):
-        # per time in times, a row of the parts: every equation's g(t),
-        # delay terms with tau > 0, then f; right marks the right limits at
-        # edges, front the stored points the trajectory read sees. The
-        # history and the trajectory values fill one (times, reads) array
-        arg = np.subtract.outer(np.array(times), taus)
-        values = np.empty_like(arg)
-        stored = np.ones(arg.shape, dtype=bool)
-        if history is not None:
-            stored = ~history.covers(arg)
-            if any(right):
-                # past the edge u continues from the trajectory
-                edge = (np.array(right)[:, None]
-                        & (np.abs(arg - history.end) <= HISTORY_EDGE_TOL))
-                arg[edge] = history.end
-                stored |= edge
-            for j in np.flatnonzero(~stored.all(axis=0)).tolist():
-                served = ~stored[:, j]
-                values[served, j] = list(map(float, _each(
-                    history.functions[reads[j][0]], arg[served, j].tolist())))
-        i, j = stored.nonzero()
-        if len(i):
+    def forcing(a, b, front):
+        # rows a..b-1 of the parts, one per time: every equation's g(t),
+        # delay terms with tau > 0, then f; the trajectory read sees the
+        # first front points
+        for j, last in served:
+            if a <= last:
+                rows = a + np.flatnonzero(~stored[a:b, j])
+                values[rows, j] = list(map(float, _each(
+                    history.functions[reads[j][0]], arg[rows, j].tolist())))
+        lo, hi = before[a], before[b]
+        if lo < hi:
             # a block reads no later than its last stored point, up to the
             # 1e-12 the clamp below forgives, so only t = 0 can find nothing
             if front == 0:
                 raise ValueError(
-                    f"delayed value at t={arg[i[0], j[0]]} not available; "
+                    f"delayed value at t={stored_arg[lo]} not available; "
                     "history does not cover it and the trajectory has not "
                     "reached it")
-            q = np.minimum(arg[i, j], grid[front - 1])
-            rows = _read(t_all[:front], u_all[:front], du_all[:front],
-                         slope[:front], q)
-            values[i, j] = rows[np.arange(len(q)), read_targets[j]]
-        columns = values.T.tolist()
-        return zip(*[[beta * v for v in columns[j]] if f is None
-                     else _each(f, times if j is None else columns[j])
+            values.ravel()[flat[lo:hi]] = _read(
+                t_all[:front], u_all[:front], du_all[:front], slope[:front],
+                np.minimum(stored_arg[lo:hi], grid[front - 1]),
+                stored_target[lo:hi])
+        block_times = times[a:b].tolist()
+        return zip(*[(beta * values[a:b, j]).tolist() if f is None
+                     else _each(f, block_times if j is None
+                                else values[a:b, j].tolist())
                      for j, beta, f in parts])
 
     step_block = _block_stepper(tuple(shape))
     neg_gamma = [-gamma for gamma in problem.gamma]
     u_all[0] = u = list(problem.phi)
-    _, du, *_ = step_block(forcing([0.0], [False], 0), (), u, None,
-                           neg_gamma, betas)
+    _, du, *_ = step_block(forcing(0, 1, 0), (), u, None, neg_gamma, betas)
     du_all[0] = slope[0] = du
-    # step k (k >= 1) reads the trajectory at or before latest[k - 1]
-    latest = np.minimum(t_all[1:] - min(taus), t_all[:-1]) if taus else None
-    # u may pass the float range mid-run, as Python floats do without
-    # raising, and the delayed reads with it; the finished trajectory is
-    # checked once
+    # the block from point p ends at point ends[p]: step k (k >= 1) reads
+    # the trajectory at or before min(t_k - tau_min, t_{k-1})
+    ends = (np.minimum(t_all[1:] - min(taus), t_all[:-1]).searchsorted(
+        t_all[:-1], side="right") if taus else np.full(len(hk), len(hk)))
+    # u may pass the float range mid-run, and the delayed reads with it
     with np.errstate(over="ignore", invalid="ignore"):
         p = 0
-        while p < len(grid) - 1:
-            q = (len(grid) - 1 if latest is None
-                 else int(np.searchsorted(latest, grid[p], side="right")))
-            # the block's stage times in increasing order, its edges, and per
-            # step its length, half and sixth and whether it starts at an edge
-            times, right, steps, block_edges = [], [], [], []
-            for k in range(p, q):
-                t0 = grid[k]
-                hk = grid[k + 1] - t0
-                edge = k in edges
-                if edge:
-                    times.append(t0)
-                    right.append(True)
-                    block_edges.append(k)
-                times += [t0 + hk / 2, grid[k + 1]]
-                right += [False, False]
-                steps.append((hk, hk / 2, hk / 6, edge))
+        while p < len(hk):
+            q = int(ends[p])
             block = slice(p + 1, q + 1)
             u, du, xs, ds, rights = step_block(
-                forcing(times, right, p + 1), steps, u, du, neg_gamma, betas)
+                forcing(first[p], first[q], p + 1), steps[p:q].tolist(), u, du,
+                neg_gamma, betas)
             u_all[block].T[:] = xs
             du_all[block].T[:] = ds
             slope[block] = du_all[block]
-            for k, right_limit in zip(block_edges, rights):
-                slope[k] = right_limit
+            if rights:
+                slope[p + np.flatnonzero(edge[p:q])] = rights
             p = q
     finite = np.isfinite(u_all).all(axis=1) & np.isfinite(du_all).all(axis=1)
     if not finite.all():
@@ -345,11 +337,8 @@ def step_block(rows, steps, x, d, ng, beta):
 def _block_stepper(shape: tuple):
     """The block loop of a problem whose equations have the terms ``shape``
     after g: per term, None for a part of the forcing rows or the target of
-    a tau = 0 coupling. A stage of equation e is -gamma_e times its stage
-    argument, then g and the terms in order, a coupling as beta times its
-    target's stage argument, written out as one sum that Python adds left
-    to right. -gamma and the betas are arguments, so one loop serves every
-    problem of the shape."""
+    a tau = 0 coupling (see ``rk4_method_of_steps``). -gamma and the betas
+    are arguments, so one loop serves every problem of the shape."""
     n = len(shape)
     sums = []  # per equation its stage sum, {e} the stage argument of e
     p = b = 0

@@ -1,14 +1,16 @@
 """Tests for the command-line front end: verbs, outputs, and exit codes."""
 
+import argparse
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lagdde import basis, cli, reference
+from lagdde import accuracy, basis, cli, config, reference
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -649,3 +651,86 @@ def test_division_by_zero_in_the_exact_solution_exits_four(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "oracle error: exact solution failed at t=1.0: ZeroDivisionError")
     assert not (tmp_path / "out").exists()
+
+
+def test_main_builds_no_argument_parser(tmp_path, monkeypatch):
+    # the parser is built once, when the module is imported; each
+    # add_argument of a fresh one makes a help formatter, which reads the
+    # terminal size
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cfg = _write(tmp_path, CONSTANT_PROBLEM)
+    for run in ("first", "second"):
+        assert cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / run)]) == 0
+    assert built == []
+
+
+TWO_EXACT = """\
+equations = 2
+b = 2
+oracle = exact
+
+[equation 1]
+exact = exp(-t)
+
+[equation 2]
+exact = sin(3*t)
+"""
+
+
+def test_exact_oracle_reads_the_sample_grid_in_one_call_per_equation(
+        monkeypatch):
+    cfg = config.parse_config_text(TWO_EXACT)
+    oracle = cli._make_oracle(cfg, config.build_problem(cfg))
+    points = accuracy.sample_points(cfg.b)
+    point_by_point = np.array([oracle(t) for t in points]).T
+    calls = Counter()
+    for name in ("__call__", "each"):
+        method = getattr(config.Expression, name)
+
+        def counting(self, value, name=name, method=method):
+            calls[name] += 1
+            return method(self, value)
+        monkeypatch.setattr(config.Expression, name, counting)
+    values = accuracy.read_reference(oracle, points)
+    assert calls == {"each": 2}
+    assert np.array_equal(values, point_by_point)
+
+
+@pytest.mark.parametrize("exact_1, exact_2, message", [
+    # equation 2 fails, or is not finite, at an earlier time than
+    # equation 1, whose failure its batch read meets first
+    ("1/(t-1.5)", "1/(t-1)",
+     "exact solution failed at t=1.0: ZeroDivisionError"),
+    ("1/(t-1.5)", "1e308*(1+t)", "exact solution is not finite at t=0.8"),
+    ("1e308*(1+t)", "(0.45-t)^0.5",
+     "exact solution failed at t=0.5: ArithmeticError"),
+], ids=["failure", "not_finite", "failure_before_not_finite"])
+def test_exact_oracle_names_the_earliest_failing_point(exact_1, exact_2,
+                                                       message):
+    text = TWO_EXACT.replace("exp(-t)", exact_1).replace("sin(3*t)", exact_2)
+    cfg = config.parse_config_text(text)
+    oracle = cli._make_oracle(cfg, config.build_problem(cfg))
+    with pytest.raises(cli.OracleError) as info:
+        accuracy.read_reference(oracle, accuracy.sample_points(cfg.b))
+    assert str(info.value).startswith(message)
+
+
+def test_a_plain_reference_is_read_point_by_point():
+    calls = []
+
+    def reference(t):
+        calls.append(t)
+        return np.array([t])
+
+    points = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(accuracy.read_reference(reference, points),
+                          points[None])
+    assert calls == list(points)

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from lagdde import config as config_mod
 from lagdde.collocation import DelayTerm
 from lagdde.config import (
     _FUNCTIONS,
@@ -369,6 +370,28 @@ def test_each_names_the_earliest_failing_point():
         expression.each([2.0, 0.5, 1.25, 0.75])
     assert str(batch.value) == str(scalar.value)
     assert "at t = 0.5:" in str(batch.value)
+
+
+def test_each_expression_key_compiles_once(monkeypatch):
+    # three equations with a forcing and a history each: six compiled
+    # expressions; an equation without a forcing shares one compiled zero
+    compiled = []
+    compile_ = config_mod._compile
+
+    def counting(text, variable):
+        compiled.append(text)
+        return compile_(text, variable)
+
+    monkeypatch.setattr(config_mod, "_compile", counting)
+    cfg = parse_config_text("equations = 3\n" + "".join(
+        f"[equation {k}]\nforcing = {k}*t\nhistory = sin({k}*t)\n"
+        for k in (1, 2, 3)))
+    assert len(compiled) == 6
+    assert [eq.forcing.source for eq in cfg.equations] == ["1*t", "2*t", "3*t"]
+    compiled.clear()
+    cfg = parse_config_text("equations = 2\n[equation 1]\nphi = 1\n")
+    assert compiled == []
+    assert [eq.forcing(1.5) for eq in cfg.equations] == [0.0, 0.0]
 
 
 def test_long_expression_compiles():

@@ -187,7 +187,7 @@ def test_trajectory_query_outside_range():
     # the integrator's batch read rejects it among valid times as well
     with pytest.raises(ValueError, match="t=nan outside computed range"):
         _read(trajectory.t, trajectory.u, trajectory.du, trajectory.slope,
-              np.array([0.25, math.nan, 0.5]))
+              np.array([0.25, math.nan, 0.5]), np.zeros(3, dtype=int))
 
 
 def test_rk4_rejects_non_positive_step():
@@ -477,7 +477,24 @@ def _bit_identity_cases():
     cases.append(pytest.param(
         build_problem(parse_config_text(THREE_DELAYS_AND_NONLINEAR)),
         id="three_delays_and_nonlinear"))
+    cases.append(pytest.param(_off_grid_end_problem(), id="off_grid_end"))
     return cases
+
+
+def _off_grid_end_problem():
+    # b = 1.2345 is off the 2e-3 step grid, so the last step is 5e-4 long;
+    # equation 1 reads equations 1 and 2 through two delays of one tau and
+    # equation 3 through its nonlinear term
+    history = History(functions=(math.sin, math.cos, lambda t: 0.5 * t),
+                      end=0.0)
+    return DDEProblem(
+        gamma=[0.4, 0.7, 0.2],
+        delays=[[DelayTerm(0, -0.3, 0.25), DelayTerm(1, 0.2, 0.25)],
+                [DelayTerm(0, 0.5, 0.5)], [DelayTerm(1, -0.1, 0.25)]],
+        g=[math.cos, math.sin, lambda t: math.exp(-t)], phi=[0.2, 1.0, 0.0],
+        b=1.2345, history=history,
+        nonlinear=[NonlinearDelayTerm(f=lambda u: math.exp(-u), target=2,
+                                      tau=0.5), None, None])
 
 
 def _forcing_only_problem():
