@@ -123,44 +123,48 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     The step is rounded down to d / ceil(d / step), d the (rational) GCD of
     the delays and, if it is nonzero and its jumps fall inside (0, b), of
     history.end, so every breaking point history.end + k*tau is a grid
-    point; the last step, up to b, may be shorter. Delays whose GCD would
-    shrink the step below both step / 10 and the step the shortest delay
-    alone needs (1 and sqrt(2)), a history.end that would shrink it below
-    step / 10, and a step that is not finite and positive raise ValueError.
+    point; b is the last point, so the last step may be shorter (or longer
+    by less than 1e-12). Delays whose GCD would shrink the step below both
+    step / 10 and the step the shortest delay alone needs (1 and sqrt(2)),
+    a history.end that would shrink it below step / 10, and a step that is
+    not finite and positive raise ValueError.
 
     At a grid point t with t - tau == history.end (an edge), delayed
     arguments leave the history for the trajectory and u' may jump: the
     step from t starts from the right-limit derivative, which reads
     u(history.end) from the trajectory, and keeps it as the trajectory's
-    slope there; every other step starts from the u' stored at its start.
+    slope there. Step 1 computes u'(0) at its start in the same way; every
+    other step starts from the u' stored at its start.
 
     Every delay is at least one step, so at a stage time t the forcing
     g(t), each delayed term beta * u(t - tau) and the nonlinear term
     f(u(t - tau_f)) do not depend on the stage: they are evaluated once at
     the midpoint (for k2 and k3), once at the step end (for k4 and the
-    stored u') and, at an edge, once at the step start as the right limit.
+    stored u') and, at t = 0 and an edge, once at the step start.
     Each function must therefore depend on its argument alone. The step
     lengths, halves, sixths, stage times and delayed arguments of all steps
     are computed once, by array operations on the grid.
 
-    The integrator steps in blocks, by the method of steps: with points
-    0..p stored, a block is the steps p+1..q whose delayed arguments all
-    lie at or before t_p (one shortest delay long; without delays, the whole
-    run). Before a block is stepped, its forcing is computed on Python
-    floats: the history at each delayed argument it serves, term by term;
-    then u at every other delayed argument in one call of ``_read``, the
-    formula ``Trajectory.__call__`` reads with, on the one equation each
-    term reads, so a delayed value is what the finished trajectory returns
-    (an argument up to 1e-12 past t_p reads u(t_p)); then g and f, equation
-    by equation, a block's times in one call of ``each`` where the function
-    has it (a config ``Expression``). Each function is called in increasing
-    time, so of its own failures the earliest is raised, and of two
-    functions failing in one block the one called first. All equations of
-    a block then step together in one loop over floats, generated once per
-    problem shape, that writes each stage of each equation out as one sum
-    Python adds left to right: -gamma * y + g, the delay terms in list
-    order (a tau = 0 coupling as beta times its target's stage argument y),
-    then f. The derivative at t = 0 is the same sum.
+    Before the first step, the history (which never depends on u) is read
+    on Python floats, term by term, at every delayed argument it serves, in
+    one call of ``each`` where the function has it (a config
+    ``Expression``). The integrator then steps in blocks, by the method of
+    steps: with points 0..p stored, a block is the steps p+1..q whose
+    delayed arguments all lie at or before t_p (one shortest delay long;
+    without delays, the whole run). Before a block is stepped, u at its
+    other delayed arguments is read in one call of ``_read``, the formula
+    ``Trajectory.__call__`` reads with, on the one equation each term
+    reads, so a delayed value is what the finished trajectory returns (an
+    argument up to 1e-12 past t_p reads u(t_p)); then g and f, equation by
+    equation, a block's times in one ``each`` call where possible. Each
+    function is called in increasing time, so of its own failures the
+    earliest is raised; a failing history (the term listed first) before
+    any failing g or f, and of g and f the one a block calls first. All
+    equations of a block then step together in one loop over floats,
+    generated once per problem shape, that writes each stage of each
+    equation out as one sum Python adds left to right: -gamma * y + g, the
+    delay terms in list order (a tau = 0 coupling as beta times its
+    target's stage argument y), then f.
 
     Python floats overflow to inf without raising, so the finished u and u'
     are checked once: a value that is not finite raises FloatingPointError
@@ -197,14 +201,18 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     l = problem.n_equations
     n_full = int(math.floor(problem.b / h + 1e-9))
     grid = [k * h for k in range(n_full + 1)]
-    if grid[-1] < problem.b - 1e-12:
+    # b ends the grid, in place of a last multiple of h up to 1e-12 below it
+    if len(grid) > 1 and problem.b - 1e-12 <= grid[-1] < problem.b:
+        grid.pop()
+    if grid[-1] < problem.b:
         grid.append(problem.b)
     t_all = np.asarray(grid, dtype=float)
     # u, u' and the slope each interval starts from, filled block by block
     u_all, du_all, slope = (np.empty((len(grid), l)) for _ in range(3))
-    # per step k + 1 (from grid[k]) whether grid[k] - tau == history.end for
-    # some delay tau, so that the step starts from the right limit there
+    # per step k + 1 (from grid[k]) whether it starts from the right limit:
+    # step 1, and where grid[k] - tau == history.end for some delay tau
     edge = np.zeros(len(grid) - 1, dtype=bool)
+    edge[0] = True
     if history is not None:
         for tau in taus:
             k = round((history.end + tau) / h)
@@ -212,53 +220,49 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
                     and abs(grid[k] - tau - history.end) <= HISTORY_EDGE_TOL):
                 edge[k] = True
     # per step its length, half, sixth and edge flag (1.0 or 0.0), and its
-    # stage times: the start at an edge (the right limit), the midpoint and
-    # the end. Row 0 of the times is t = 0; step k + 1 starts at row first[k]
+    # stage times: the start at an edge (the right limit; at t = 0, u'(0)),
+    # the midpoint and the end. Step k + 1 starts at row first[k]
     hk = t_all[1:] - t_all[:-1]
     half = hk / 2
     steps = np.column_stack([hk, half, hk / 6, edge])
     taken = np.column_stack([edge, np.ones((len(hk), 2), dtype=bool)])
     stage = np.column_stack([t_all[:-1], t_all[:-1] + half, t_all[1:]])
-    times = np.concatenate([[0.0], stage[taken]])
-    right = np.concatenate([[False], (taken & [True, False, False])[taken]])
-    first = np.concatenate([[1], 1 + np.cumsum(taken.sum(axis=1))])
+    times = stage[taken]
+    right = (taken & [True, False, False])[taken]
+    first = np.concatenate([[0], np.cumsum(taken.sum(axis=1))])
     # the delayed argument of every read at every time, (times, reads). The
     # history serves those it covers, but not a right limit at an edge; the
     # trajectory the others ("stored": flat indices in time order, and the
     # count before each row)
     arg = np.subtract.outer(times, taus)
     stored = np.ones(arg.shape, dtype=bool)
-    served = []  # per read the history serves, (read, its last row)
     if history is not None:
         at_edge = right[:, None] & (np.abs(arg - history.end) <= HISTORY_EDGE_TOL)
         arg[at_edge] = history.end
         stored = ~history.covers(arg) | at_edge
-        served = [(j, np.flatnonzero(~stored[:, j])[-1])
-                  for j in range(len(reads)) if not stored[:, j].all()]
     flat = np.flatnonzero(stored)
     stored_arg = arg[stored]
     stored_target = np.broadcast_to(read_targets, arg.shape)[stored]
     before = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    # a block reads no later than its last stored point, up to the 1e-12 the
+    # clamp below forgives, so only t = 0 can find nothing
+    if stored[0].any():
+        raise ValueError(
+            f"delayed value at t={stored_arg[0]} not available; history does "
+            "not cover it and the trajectory has not reached it")
     values = np.empty(arg.shape)  # C order: written through values.ravel()
+    # the history at every argument it serves (t = 0 reads it on every term)
+    if history is not None:
+        for j, (target, _) in enumerate(reads):
+            rows = np.flatnonzero(~stored[:, j])
+            values[rows, j] = list(map(float, _each(
+                history.functions[target], arg[rows, j].tolist())))
 
     def forcing(a, b, front):
-        # rows a..b-1 of the parts, one per time: every equation's g(t),
-        # delay terms with tau > 0, then f; the trajectory read sees the
-        # first front points
-        for j, last in served:
-            if a <= last:
-                rows = a + np.flatnonzero(~stored[a:b, j])
-                values[rows, j] = list(map(float, _each(
-                    history.functions[reads[j][0]], arg[rows, j].tolist())))
+        # rows a..b-1 of the parts, one per time (every equation's g, delay
+        # terms with tau > 0, then f); _read sees the first front points
         lo, hi = before[a], before[b]
         if lo < hi:
-            # a block reads no later than its last stored point, up to the
-            # 1e-12 the clamp below forgives, so only t = 0 can find nothing
-            if front == 0:
-                raise ValueError(
-                    f"delayed value at t={stored_arg[lo]} not available; "
-                    "history does not cover it and the trajectory has not "
-                    "reached it")
             values.ravel()[flat[lo:hi]] = _read(
                 t_all[:front], u_all[:front], du_all[:front], slope[:front],
                 np.minimum(stored_arg[lo:hi], grid[front - 1]),
@@ -271,9 +275,7 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
 
     step_block = _block_stepper(tuple(shape))
     neg_gamma = [-gamma for gamma in problem.gamma]
-    u_all[0] = u = list(problem.phi)
-    _, du, *_ = step_block(forcing(0, 1, 0), (), u, None, neg_gamma, betas)
-    du_all[0] = slope[0] = du
+    u_all[0] = u = du = list(problem.phi)  # du unread: step 1 finds u'(0)
     # the block from point p ends at point ends[p]: step k (k >= 1) reads
     # the trajectory at or before min(t_k - tau_min, t_{k-1})
     ends = (np.minimum(t_all[1:] - min(taus), t_all[:-1]).searchsorted(
@@ -293,6 +295,7 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
             if rights:
                 slope[p + np.flatnonzero(edge[p:q])] = rights
             p = q
+    du_all[0] = slope[0]
     finite = np.isfinite(u_all).all(axis=1) & np.isfinite(du_all).all(axis=1)
     if not finite.all():
         raise FloatingPointError(
@@ -300,20 +303,16 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     return Trajectory(t_all, u_all, du_all, slope)
 
 
-# x, d: u and u' per equation at the step's start; without d, u' at t = 0
-# from the first row. Returns u and u' at the end, u and u' per equation at
+# x, d: u and u' per equation at the step's start (d unread when the first
+# step is an edge). Returns u and u' at the end, u and u' per equation at
 # each step end, and u' at each edge as its right limit
 _STEP_BLOCK = """\
 def step_block(rows, steps, x, d, ng, beta):
     rows_at = iter(rows)
     [{x}] = x
+    [{d}] = d
     [{ng}] = ng
     [{beta}] = beta
-    if d is None:
-        [{row}] = next(rows_at)
-        {d_at_x}
-    else:
-        [{d}] = d
     {new_lists}
     rights = []
     for hk, half, sixth, edge in steps:

@@ -444,8 +444,9 @@ def _identity_names():
     return names + ["delay_product_with_extra_diff_factor_differs"]
 
 
-def test_validate_prints_identity_lines():
-    result = _run_module("lagdde.cli", "validate")
+@pytest.mark.parametrize("module", ["lagdde.cli", "lagdde"])
+def test_validate_prints_identity_lines(module):
+    result = _run_module(module, "validate")
     assert result.returncode == 0
     lines = result.stdout.splitlines()
     assert [l.split()[:2] for l in lines] == [["PASS", name]
@@ -481,6 +482,16 @@ def test_oracle_step_override_enables_rk4(tmp_path):
     header, body = _read_csv(out / "comparison.csv")
     np.testing.assert_allclose(body[:, header.index("oracle_u_1")], 1.0,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("verb", ["solve", "compare", "converge"])
+def test_rk4_grid_one_ulp_short_of_b_still_ends_at_b(tmp_path, verb):
+    # the delay 1.126 rounds the step to 0.0009999999999999998, whose 5500th
+    # multiple is 5.499999999999999; every verb used to exit 1 reading the
+    # oracle at t = 5.5
+    cfg = _write(tmp_path, ZERO_DELAY_ODE.replace("b = 2", "b = 5.5").replace(
+        "delay = 1 0.5 0", "delay = 1 0.5 1.126\nhistory = 1"))
+    assert cli.main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_solve_with_n_list_integrates_the_oracle_once(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 
 from lagdde import basis as basis_mod
-from lagdde.config import build_problem, parse_config, parse_config_text
+from lagdde.config import (
+    Expression,
+    build_problem,
+    parse_config,
+    parse_config_text,
+)
 from lagdde.collocation import (
     HISTORY_EDGE_TOL,
     DDEProblem,
@@ -209,10 +215,18 @@ def test_rk4_rejects_a_step_that_is_not_finite(step, delayed):
 
 
 def test_delayed_problem_without_history_names_the_first_argument():
-    problem = single_equation(0.5, 0.3, 0.5, math.cos, 1.0, 2.0)
+    # raised before any function of the problem is called
+    times = []
+
+    def g(t):
+        times.append(t)
+        return math.cos(t)
+
+    problem = single_equation(0.5, 0.3, 0.5, g, 1.0, 2.0)
     with pytest.raises(ValueError,
                        match=r"delayed value at t=-0\.5 not available"):
         rk4_method_of_steps(problem, step=1e-2)
+    assert times == []
 
 
 def test_forcing_failing_at_two_times_names_the_earlier():
@@ -258,6 +272,63 @@ def test_history_failing_in_the_block_of_a_failing_g_is_reported():
                               History((failing_history,), end=0.0))
     with pytest.raises(ArithmeticError, match="history failed at s=-0.24"):
         rk4_method_of_steps(problem, step=1e-2)
+
+
+def test_failing_history_is_raised_before_a_failing_g_of_an_earlier_block():
+    # g fails from t = 0.2, in the block (0, 0.5], and the history from
+    # s = 0.05, which t = 0.55 reads in the next block; the history is read
+    # once, before the first step, so its failure is raised
+    def failing_history(s):
+        if s >= 0.05:
+            raise ArithmeticError(f"history failed at s={s!r}")
+        return math.sin(s)
+
+    def failing_g(t):
+        if t >= 0.2:
+            raise ArithmeticError(f"g failed at t={t!r}")
+        return math.cos(t)
+
+    problem = single_equation(0.5, 0.3, 0.5, failing_g, 1.0, 2.0,
+                              History((failing_history,), end=1.0))
+    with pytest.raises(ArithmeticError, match="history failed at s=0.05"):
+        rk4_method_of_steps(problem, step=1e-2)
+
+
+def test_expression_history_is_read_once_per_delayed_term(monkeypatch):
+    # four delayed reads of the history, over twelve blocks of one shortest
+    # delay (0.25): one history read per term, not per block
+    reads = []
+    each = Expression.each
+
+    def counting(self, values):
+        reads.append(self.source)
+        return each(self, values)
+
+    monkeypatch.setattr(Expression, "each", counting)
+    cfg = parse_config_text(
+        "equations = 2\nb = 3\nrk4_step = 0.01\n"
+        "[equation 1]\nhistory = sin(t)\nforcing = t\n"
+        "delay = 1 0.3 0.5\ndelay = 2 0.2 1\n"
+        "[equation 2]\nhistory = cos(t)\nforcing = t\ndelay = 1 0.4 0.25\n"
+        "nonlinear = exp(-u)\nnonlinear_tau = 0.5\n")
+    rk4_method_of_steps(build_problem(cfg), cfg.rk4_step)
+    assert Counter(s for s in reads if s in ("sin(t)", "cos(t)")) == {
+        "sin(t)": 2, "cos(t)": 2}
+    assert reads.count("t") > 2  # g is still read block by block
+
+
+@pytest.mark.parametrize("tau, history, b", [
+    # the step 0.0009999999999999998 puts 5500 h at 5.499999999999999
+    (1.126, lambda t: 1.0, 5.5),
+    # the step is 2e-3 > b, so the only multiple of h is t = 0
+    (0.25, math.sin, 5e-13),
+], ids=["last_multiple_one_ulp_short", "b_below_one_step"])
+def test_rk4_grid_ends_at_b(tau, history, b):
+    problem = single_equation(1.0, 0.5, tau, math.cos, 0.0, b,
+                              History((history,), end=0.0))
+    trajectory = rk4_method_of_steps(problem, step=1e-3)
+    assert trajectory.t[-1] == b
+    assert np.isfinite(trajectory(b)).all()
 
 
 def test_rk4_overflow_with_delays_raises_without_warnings():
