@@ -73,7 +73,8 @@ def read_reference(reference: Callable[[float], np.ndarray],
                    points: np.ndarray) -> np.ndarray:
     """The reference at the 1-D ``points``, shape (l, len(points)): a
     ``Trajectory`` in one read, a reference with ``each`` (the CLI's exact
-    oracle) in one call of it, any other callable one float at a time."""
+    oracle) in one call of it, any other callable one Python float at a
+    time (see ``collocation._each``)."""
     if isinstance(reference, Trajectory):
         return reference(points)
     return np.array(_each(reference, points)).T

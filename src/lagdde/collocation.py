@@ -235,23 +235,22 @@ class SpectralSolution:
 def _chebyshev_rows(n_max: int, b: float, t: np.ndarray, m: int = 0):
     """Rows T_k(2t/b - 1), k = 0..N, at the points ``t``, shape (N+1, len(t)),
     and their t-derivatives at the first ``m`` points, shape (N+1, m), by
-    T_{k+1} = 2x T_k - T_{k-1}, valid for any t. Each k is one contiguous
-    row, which each step of the recurrence writes in place."""
+    T_{k+1} = 2x T_k - T_{k-1}, valid for any t. Both are views of one array,
+    the slopes its last m columns; each k is one contiguous row of it, which
+    each step writes in place: 2x row k, + 2 T_k on the slopes, - row k-1."""
     x = 2.0 * np.asarray(t, dtype=float) / b - 1.0
-    x2 = 2.0 * x
-    values = np.empty((n_max + 1, x.size))
-    slopes = np.empty((n_max + 1, m))
-    values[0], slopes[0] = 1.0, 0.0
-    values[1:2], slopes[1:2] = x, 1.0  # slices: no row 1 at N = 0
-    x2m, scratch = x2[:m], np.empty(m)
+    p = x.size
+    x2 = 2.0 * np.concatenate((x, x[:m]))
+    rows = np.empty((n_max + 1, p + m))
+    rows[0, :p], rows[0, p:] = 1.0, 0.0
+    rows[1:2, :p], rows[1:2, p:] = x, 1.0  # slices: no row 1 at N = 0
+    scratch = np.empty(m)
     for k in range(1, n_max):
-        np.multiply(x2, values[k], out=values[k + 1])
-        values[k + 1] -= values[k - 1]
-        np.multiply(2.0, values[k, :m], out=slopes[k + 1])
-        slopes[k + 1] += np.multiply(x2m, slopes[k], out=scratch)
-        slopes[k + 1] -= slopes[k - 1]
-    slopes *= 2.0 / b
-    return values, slopes
+        np.multiply(x2, rows[k], out=rows[k + 1])
+        rows[k + 1, p:] += np.multiply(2.0, rows[k, :m], out=scratch)
+        rows[k + 1] -= rows[k - 1]
+    rows[:, p:] *= 2.0 / b
+    return rows[:, :p], rows[:, p:]
 
 
 def evaluate(solution: SpectralSolution, t) -> np.ndarray:
@@ -275,7 +274,11 @@ def evaluate(solution: SpectralSolution, t) -> np.ndarray:
 
 def _each(f, xs) -> list:
     """f at each point of ``xs``, in order: one call of ``f.each`` where f
-    has it (a config ``Expression``), else one call of f per point."""
+    has it (a config ``Expression``), else one call of f per point. An
+    array is read as a list of Python floats, so f never sees a NumPy
+    scalar."""
+    if isinstance(xs, np.ndarray):
+        xs = xs.tolist()
     return f.each(xs) if hasattr(f, "each") else [f(x) for x in xs]
 
 
@@ -363,7 +366,7 @@ def _feedback(feedback, chebyshev: Optional[np.ndarray], G: np.ndarray):
     for rows, term, served, T, u in feedback:
         if chebyshev is not None:
             u[served] = T @ chebyshev[term.target]
-        forcing[rows] += _each(term.f, u.tolist())
+        forcing[rows] += _each(term.f, u)
     return forcing
 
 
@@ -374,7 +377,9 @@ def _invert(A: np.ndarray) -> tuple[np.ndarray, float]:
         inverse = np.linalg.inv(A)
     except np.linalg.LinAlgError:
         raise SingularSystemError(math.inf) from None
-    condition = float(np.linalg.norm(A, np.inf) * np.linalg.norm(inverse, np.inf))
+    # the reductions np.linalg.norm(X, inf) performs, without its dispatch
+    condition = float(np.abs(A).sum(axis=1).max()
+                      * np.abs(inverse).sum(axis=1).max())
     if not condition <= SINGULAR_CONDITION:  # nan included
         raise SingularSystemError(condition)
     return inverse, condition
@@ -409,17 +414,19 @@ class NonConvergenceError(Exception):
     Attributes
     ----------
     iterations : int
+        The iterations made, or, when a ``cause`` says why an iterate
+        diverged, that iterate.
     last_delta : float
         Infinity norm of the final coefficient update.
     """
 
-    def __init__(self, iterations: int, last_delta: float):
+    def __init__(self, iterations: int, last_delta: float, cause: str = ""):
         self.iterations = iterations
         self.last_delta = last_delta
         super().__init__(
-            f"no convergence after {iterations} iterations "
-            f"(last coefficient delta {last_delta:.3e})"
-        )
+            (f"no convergence: iterate {iterations} diverged, {cause}" if cause
+             else f"no convergence after {iterations} iterations")
+            + f" (last coefficient delta {last_delta:.3e})")
 
 
 def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
@@ -431,7 +438,11 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
     the right-hand side as a known forcing, and solves the linear system,
     assembled and inverted once; the iterate is read at the delayed points
     through the T_k rows of ``_system``. Iteration stops when the
-    coefficient update falls below ``tol``.
+    coefficient update falls below ``tol``. When f overflows, or gives an
+    inf or a nan, on an iterate after the first, the iteration has diverged:
+    NonConvergenceError names that iterate and the cause. On the first
+    iterate, which reads only phi and the history, the error is raised as
+    it is.
     """
     if not problem.has_nonlinearity:
         return solve_linear(problem, n_max)
@@ -446,9 +457,17 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
     previous: Optional[SpectralSolution] = None
     last_delta = math.inf
     for iteration in range(1, max_iter + 1):
-        forcing = _feedback(feedback, None if previous is None
-                            else previous.chebyshev, G)
-        solution = _solve(problem, A, forcing, inverse, condition)
+        try:
+            forcing = _feedback(feedback, None if previous is None
+                                else previous.chebyshev, G)
+            solution = _solve(problem, A, forcing, inverse, condition)
+        except (OverflowError, FloatingPointError) as err:
+            if previous is None:
+                raise
+            # G passed the first iterate's finiteness check, so f failed
+            raise NonConvergenceError(iteration, last_delta, (
+                "f gave an inf or a nan" if isinstance(err, FloatingPointError)
+                else f"f raised {type(err).__name__}: {err}")) from err
         if previous is not None:
             # relative to the coefficient scale, as the solution's magnitude
             # sets the roundoff floor of its coefficients

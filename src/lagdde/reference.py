@@ -75,14 +75,20 @@ def _float_gcd(values: Sequence[float]) -> float:
     """The rational GCD of nonzero values. The smallest in magnitude is
     rounded with ``limit_denominator(10**9)`` and each value as its ratio to
     it, so exact multiples of the smallest stay multiples whatever digits it
-    has."""
+    has. ValueError when that rounding moves the smallest by more than a
+    relative 1e-6: below about 1e-9 it rounds to 0 or to 1e-9."""
     base = min(map(abs, values))
+    rounded = Fraction(base).limit_denominator(10**9)
+    if not abs(rounded - Fraction(base)) <= 1e-6 * base:
+        raise ValueError(
+            f"the delay or history.end {base!r} is below the 1e-9 resolution "
+            f"of the RK4 step grid: it rounds to {float(rounded)!r}")
     gcd = Fraction(0)
     for v in values:
         r = Fraction(abs(v) / base).limit_denominator(10**9)
         gcd = Fraction(math.gcd(gcd.numerator, r.numerator),
                        math.lcm(gcd.denominator, r.denominator))
-    return float(Fraction(base).limit_denominator(10**9) * gcd)
+    return float(rounded * gcd)
 
 
 def _aligned_step(taus: list[float], history: Optional[History], b: float,
@@ -126,7 +132,8 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     point; b is the last point, so the last step may be shorter (or longer
     by less than 1e-12). Delays whose GCD would shrink the step below both
     step / 10 and the step the shortest delay alone needs (1 and sqrt(2)),
-    a history.end that would shrink it below step / 10, and a step that is
+    a history.end that would shrink it below step / 10, a delay or
+    history.end below about 1e-9 (see ``_float_gcd``), and a step that is
     not finite and positive raise ValueError.
 
     At a grid point t with t - tau == history.end (an edge), delayed
@@ -256,7 +263,7 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
         for j, (target, _) in enumerate(reads):
             rows = np.flatnonzero(~stored[:, j])
             values[rows, j] = list(map(float, _each(
-                history.functions[target], arg[rows, j].tolist())))
+                history.functions[target], arg[rows, j])))
 
     def forcing(a, b, front):
         # rows a..b-1 of the parts, one per time (every equation's g, delay
@@ -270,7 +277,7 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
         block_times = times[a:b].tolist()
         return zip(*[(beta * values[a:b, j]).tolist() if f is None
                      else _each(f, block_times if j is None
-                                else values[a:b, j].tolist())
+                                else values[a:b, j])
                      for j, beta, f in parts])
 
     step_block = _block_stepper(tuple(shape))

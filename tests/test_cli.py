@@ -539,6 +539,18 @@ def test_incommensurate_delays_are_an_oracle_error(tmp_path, capsys):
     assert "not commensurate" in err
 
 
+def test_delay_below_the_grid_resolution_is_an_oracle_error(tmp_path, capsys):
+    # it used to end as "RK4 integration failed: ZeroDivisionError"
+    text = ZERO_DELAY_ODE.replace("delay = 1 0.5 0",
+                                  "delay = 1 0.5 1e-13\nhistory = 1")
+    cfg = _write(tmp_path, text)
+    code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        "oracle error: the delay or history.end 1e-13 is below the 1e-9 "
+        "resolution of the RK4 step grid")
+
+
 ARITHMETIC_PROBLEM = """\
 b = 2
 N = 6

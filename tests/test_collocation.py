@@ -9,7 +9,7 @@ from numpy.polynomial import Chebyshev, Laguerre
 
 from lagdde import basis as basis_mod
 from lagdde import collocation as collocation_mod
-from lagdde.accuracy import convergence_study
+from lagdde.accuracy import convergence_study, error_report, residual
 from lagdde.collocation import (
     DDEProblem,
     DelayTerm,
@@ -18,6 +18,7 @@ from lagdde.collocation import (
     NonlinearDelayTerm,
     SingularSystemError,
     SpectralSolution,
+    _invert,
     _system,
     collocation_points,
     evaluate,
@@ -437,6 +438,72 @@ def test_nonlinear_non_convergence_error():
     assert math.isfinite(info.value.last_delta)
 
 
+def _feedback_problem(f, phi=0.5):
+    """u' = 0.5 u + f(u(t - 0.25)) + cos t on [0, 5], no history."""
+    return DDEProblem(gamma=[-0.5], delays=[[]], g=[math.cos], phi=[phi],
+                      b=5.0, nonlinear=[NonlinearDelayTerm(f=f, target=0,
+                                                           tau=0.25)])
+
+
+def test_picard_stops_when_f_overflows_on_a_later_iterate():
+    # exp(-u) of the diverging iterate 13 overflows; the solve used to end
+    # in a bare OverflowError from f
+    problem = _feedback_problem(lambda u: math.exp(-u))
+    with pytest.raises(NonConvergenceError, match=(
+            r"^no convergence: iterate 14 diverged, f raised OverflowError: "
+            r"math range error \(last coefficient delta ")) as info:
+        solve_nonlinear(problem, 16)
+    assert info.value.iterations == 14
+    assert math.isfinite(info.value.last_delta)
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+def test_picard_stops_when_f_is_not_finite_on_a_later_iterate():
+    # 1e300 u^2 is finite at phi and inf at the first computed iterate
+    problem = _feedback_problem(lambda u: 1e300 * u * u)
+    with pytest.raises(NonConvergenceError, match=(
+            r"^no convergence: iterate 2 diverged, f gave an inf or a nan")
+            ) as info:
+        solve_nonlinear(problem, 6)
+    assert info.value.iterations == 2
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+def test_f_failing_on_the_first_iterate_raises_as_it_is():
+    # the first iterate reads phi only: its failures are not divergence
+    with pytest.raises(OverflowError):
+        solve_nonlinear(_feedback_problem(lambda u: math.exp(-u), -1000.0), 6)
+    with pytest.raises(FloatingPointError, match="right-hand side is not finite"):
+        solve_nonlinear(_feedback_problem(lambda u: 1e308 * 10 * u), 6)
+
+
+def test_user_callables_are_read_on_python_floats():
+    # g, the history, f and a plain reference see floats, never NumPy
+    # scalars, in both solvers, the residual and the error report
+    seen = Counter()
+
+    def typed(label, fn):
+        def wrapper(x):
+            seen[label, type(x)] += 1
+            return fn(x)
+        return wrapper
+
+    history = History(functions=(typed("history", math.sin),), end=0.5)
+    for f in (None, NonlinearDelayTerm(f=typed("f", lambda u: math.exp(-u)),
+                                       target=0, tau=0.5)):
+        problem = DDEProblem(
+            gamma=[0.4], delays=[[DelayTerm(0, 0.3, 1.0)]],
+            g=[typed("g", math.cos)], phi=[0.0], b=5.0, history=history,
+            nonlinear=[f])
+        solution = (solve_nonlinear if f else solve_linear)(problem, 8)
+        residual(problem, solution, np.linspace(0.0, 5.0, 7))
+        error_report(problem, solution)
+        error_report(problem, solution,
+                     typed("reference", lambda t: np.array([math.sin(t)])))
+    assert {label for label, _ in seen} == {"g", "history", "f", "reference"}
+    assert {kind for _, kind in seen} == {float}
+
+
 def test_nonlinear_parameter_validation():
     problem = _nonlinear_problem(lambda u: u)
     with pytest.raises(ValueError):
@@ -614,6 +681,25 @@ def test_one_pass_system_equals_per_term_assembly(l, n, with_history,
             assert T.flags.c_contiguous
             assert np.array_equal(T, ref[3])
             assert np.array_equal(u, ref[4])
+
+
+@pytest.mark.parametrize("with_nonlinear", [False, True])
+@pytest.mark.parametrize("with_history", [False, True])
+@pytest.mark.parametrize("n", [2, 10, 20])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_condition_equals_the_numpy_infinity_norms(l, n, with_history,
+                                                   with_nonlinear):
+    # np.linalg.norm(X, inf) is the reference for _invert's direct
+    # reductions, bit for bit, singular systems included
+    problem = _guard_problem(l, with_history, with_nonlinear)
+    A, _, _ = _system(problem, n, collocation_points(n, problem.b)[:-1])
+    expected = float(np.linalg.norm(A, np.inf)
+                     * np.linalg.norm(np.linalg.inv(A), np.inf))
+    try:
+        condition = _invert(A)[1]
+    except SingularSystemError as err:
+        condition = err.condition
+    assert condition == expected
 
 
 def test_one_recurrence_per_assembly(monkeypatch):

@@ -732,6 +732,23 @@ def test_delay_shorter_than_the_step_sets_the_step():
         tau, rel=1e-9)
 
 
+@pytest.mark.parametrize("taus, end, value, rounded", [
+    ([1e-13], 0.0, 1e-13, 0.0),
+    ([1e-10], 0.0, 1e-10, 0.0),
+    ([4e-10, 0.5], 0.0, 4e-10, 0.0),
+    ([6e-10], 0.0, 6e-10, 1e-9),
+    ([0.5], 1e-12, 1e-12, 0.0),
+])
+def test_value_below_the_grid_resolution_raises(taus, end, value, rounded):
+    # limit_denominator(10**9) rounds these to 0, which divided by zero,
+    # or 6e-10 to 1e-9, which came back as the step
+    history = History(functions=(math.sin,), end=end)
+    with pytest.raises(ValueError, match="below the 1e-9 resolution") as info:
+        _aligned_step(taus, history, 1.0, 1e-3)
+    assert f"history.end {value!r} " in str(info.value)
+    assert str(info.value).endswith(f"rounds to {rounded!r}")
+
+
 def test_forcing_is_called_once_per_distinct_stage_time():
     # midpoint once for k2 and k3, step end once for k4 and the stored u',
     # t = 0 once, and the history edge t = 0.75 once more as the right
