@@ -44,18 +44,13 @@ class SolverError(Exception):
     """The run produced no solution at any requested truncation."""
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write one CSV, making its directory: a run that fails before its
     first file leaves no directory behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    with open(path, "w") as fh:  # savetxt given a path opens the file twice
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")
 
 
 def _write_manifest(out_dir: Path, command: str, config_path, settings: dict,

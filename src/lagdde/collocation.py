@@ -282,6 +282,33 @@ def _each(f, xs) -> list:
     return f.each(xs) if hasattr(f, "each") else [f(x) for x in xs]
 
 
+def _delayed(history, t, taus, targets, right=None):
+    """Per time of ``t`` (rows) and term of ``taus`` and ``targets``
+    (columns): the delayed argument t - tau, whether the history serves it,
+    and its value there (unset elsewhere), read on Python floats in one
+    ``_each`` call per tau > 0 term, in order. The history serves an argument
+    up to HISTORY_EDGE_TOL past its end, but never for tau = 0 nor, on the
+    rows ``right`` sets, at its end: that argument becomes ``end`` exactly and
+    reads the computed u(end), the right limit."""
+    arg = np.subtract.outer(t, taus)
+    values = np.empty(arg.shape)
+    if history is None:
+        return arg, np.zeros(arg.shape, dtype=bool), values
+    served = history.covers(arg)
+    if right is not None:
+        at_end = right[:, None] & (np.abs(arg - history.end) <= HISTORY_EDGE_TOL)
+        arg[at_end] = history.end
+        served &= ~at_end
+    for j, (tau, target) in enumerate(zip(taus, targets)):
+        rows = served[:, j]
+        if tau == 0:
+            rows[:] = False
+        else:
+            values[:, j][rows] = list(map(float, _each(
+                history.functions[target], arg[:, j][rows])))
+    return arg, served, values
+
+
 def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
     """The rows A @ c = G of the collocation system in Chebyshev coefficients
     at the m points ``t``, and the delayed points of each nonlinear term.
@@ -292,11 +319,9 @@ def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
     equation's defect (see ``accuracy.residual``). A collocation row of A
     is T'(t) + gamma T(t), less beta T(t - tau) for each delay the series
     serves; its entry of G is g(t) plus beta u(t - tau) for each delay the
-    history serves. The history serves a delayed argument at or below its
-    end, except for tau = 0: beta u(t) is the computed u at every t, so the
-    series serves it. With S the Chebyshev coefficients of L_0..L_N,
-    A @ kron(I_l, S) is the paper's Laguerre-frame operator, in a far
-    better conditioned basis. Each nonlinear term f(u_m(t - tau)) adds
+    history serves (see ``_delayed``). With S the Chebyshev coefficients of
+    L_0..L_N, A @ kron(I_l, S) is the paper's Laguerre-frame operator, in
+    a far better conditioned basis. Each nonlinear term f(u_m(t - tau)) adds
     (rows, term, served, T, u) to the third result: its equation's rows,
     the mask of delayed points the series serves, the T_k rows there, and
     the first iterate's delayed values: the history where it serves, else
@@ -310,37 +335,29 @@ def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
     l = problem.n_equations
     m, width = t.size, n_max + 1
     points = [t]  # then each term's delayed points that the series serves
-
-    def delayed(term):
-        # the mask of points t - tau the series serves, the columns of their
-        # T_k rows, and the history's values at the others
-        s = t - term.tau
-        served, known = np.ones(m, bool), []
-        if history is not None and term.tau != 0:
-            served = ~history.covers(s)
-            known = list(map(float, _each(history.functions[term.target],
-                                          s[~served])))
-        start = sum(map(len, points))
-        points.append(s[served])
-        return served, slice(start, start + len(points[-1])), np.array(known)
-
     G = np.zeros(l * (m + 1))
     linear, nonlinear = [], []
     for eq in range(l):
         rows = slice(eq * (m + 1), eq * (m + 1) + m)
         G[rows] = list(map(float, _each(problem.g[eq], t)))
-        for term in problem.delays[eq]:
-            served, cols, known = delayed(term)
-            G[rows][~served] += term.beta * known
-            linear.append((rows, term, served, cols))
         G[rows.stop] = problem.phi[eq]
-        term = problem.nonlinear[eq]
-        if term is not None:
-            served, cols, known = delayed(term)
-            u = np.full(m, problem.phi[term.target] if history is None
-                        else history.value(term.target, history.end))
-            u[~served] = known
-            nonlinear.append((rows, term, served, cols, u))
+        nl = problem.nonlinear[eq]
+        terms = problem.delays[eq] + ((nl,) if nl is not None else ())
+        arg, known, values = _delayed(history, t, [x.tau for x in terms],
+                                      [x.target for x in terms])
+        for j, term in enumerate(terms):
+            read, served = known[:, j], ~known[:, j]
+            start = sum(map(len, points))
+            points.append(arg[:, j][served])
+            cols = slice(start, start + len(points[-1]))
+            if term is nl:
+                u = np.full(m, problem.phi[term.target] if history is None
+                            else history.value(term.target, history.end))
+                u[read] = values[:, j][read]
+                nonlinear.append((rows, term, served, cols, u))
+            else:
+                G[rows][read] += term.beta * values[:, j][read]
+                linear.append((rows, term, served, cols))
 
     values, slopes = _chebyshev_rows(n_max, problem.b, np.concatenate(points), m)
     T = values.T  # row j: T_0 .. T_N at point j

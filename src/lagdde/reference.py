@@ -12,7 +12,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import basis as _basis
-from .collocation import HISTORY_EDGE_TOL, DDEProblem, History, _each
+from .collocation import HISTORY_EDGE_TOL, DDEProblem, History, _delayed, _each
+
+MAX_RK4_STEPS = 10**6  # about 0.6 GB: example2.cfg keeps 550 B per point
 
 
 @dataclass
@@ -130,18 +132,20 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     the delays and, if it is nonzero and its jumps fall inside (0, b), of
     history.end, so every breaking point history.end + k*tau is a grid
     point; b is the last point, so the last step may be shorter (or longer
-    by less than 1e-12). Delays whose GCD would shrink the step below both
+    by less than 1e-12), unless a multiple of the step less than 1e-9 steps
+    past b ends the grid. Delays whose GCD would shrink the step below both
     step / 10 and the step the shortest delay alone needs (1 and sqrt(2)),
     a history.end that would shrink it below step / 10, a delay or
-    history.end below about 1e-9 (see ``_float_gcd``), and a step that is
-    not finite and positive raise ValueError.
+    history.end below about 1e-9 (see ``_float_gcd``), more than
+    MAX_RK4_STEPS steps, and a step that is not finite and positive raise
+    ValueError.
 
-    At a grid point t with t - tau == history.end (an edge), delayed
-    arguments leave the history for the trajectory and u' may jump: the
-    step from t starts from the right-limit derivative, which reads
-    u(history.end) from the trajectory, and keeps it as the trajectory's
-    slope there. Step 1 computes u'(0) at its start in the same way; every
-    other step starts from the u' stored at its start.
+    At a grid point t where a delayed argument is within HISTORY_EDGE_TOL
+    of history.end (an edge), delayed arguments leave the history for the
+    trajectory and u' may jump: the step from t starts from the right-limit
+    derivative, which reads u(history.end) from the trajectory, and keeps
+    it as the trajectory's slope there. Step 1 computes u'(0) at its start
+    in the same way; every other step starts from the u' stored at its start.
 
     Every delay is at least one step, so at a stage time t the forcing
     g(t), each delayed term beta * u(t - tau) and the nonlinear term
@@ -153,9 +157,8 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     are computed once, by array operations on the grid.
 
     Before the first step, the history (which never depends on u) is read
-    on Python floats, term by term, at every delayed argument it serves, in
-    one call of ``each`` where the function has it (a config
-    ``Expression``). The integrator then steps in blocks, by the method of
+    at every delayed argument it serves, by ``collocation._delayed`` as in
+    ``_system``. The integrator then steps in blocks, by the method of
     steps: with points 0..p stored, a block is the steps p+1..q whose
     delayed arguments all lie at or before t_p (one shortest delay long;
     without delays, the whole run). Before a block is stepped, u at its
@@ -204,28 +207,27 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     taus = [tau for _, tau in reads]
     history = problem.history
     h = _aligned_step(taus, history, problem.b, step)
+    if problem.b / h > MAX_RK4_STEPS:
+        raise ValueError(
+            f"the RK4 grid on [0, b={problem.b:g}] at step {h:.3g} has "
+            f"{problem.b / h:.3g} steps, above the limit of {MAX_RK4_STEPS}; "
+            f"rk4_step must be at least {problem.b / MAX_RK4_STEPS:.3g}")
 
     l = problem.n_equations
-    n_full = int(math.floor(problem.b / h + 1e-9))
-    grid = [k * h for k in range(n_full + 1)]
-    # b ends the grid, in place of a last multiple of h up to 1e-12 below it
-    if len(grid) > 1 and problem.b - 1e-12 <= grid[-1] < problem.b:
-        grid.pop()
-    if grid[-1] < problem.b:
-        grid.append(problem.b)
-    t_all = np.asarray(grid, dtype=float)
+    n = math.floor(problem.b / h + 1e-9)
+    # the multiples of h, then b: a last one short of b by at most 1e-12
+    # gives way to b, a last one past b (by at most 1e-9 steps) ends the grid
+    t_all = np.append(np.arange(n if n and n * h >= problem.b - 1e-12
+                                else n + 1) * h, max(n * h, problem.b))
     # u, u' and the slope each interval starts from, filled block by block
-    u_all, du_all, slope = (np.empty((len(grid), l)) for _ in range(3))
-    # per step k + 1 (from grid[k]) whether it starts from the right limit:
-    # step 1, and where grid[k] - tau == history.end for some delay tau
-    edge = np.zeros(len(grid) - 1, dtype=bool)
+    u_all, du_all, slope = (np.empty((len(t_all), l)) for _ in range(3))
+    # per step k + 1 (from t_k) whether it starts from the right limit:
+    # step 1, and where a delayed argument t_k - tau is history.end
+    edge = np.zeros(len(t_all) - 1, dtype=bool)
     edge[0] = True
     if history is not None:
-        for tau in taus:
-            k = round((history.end + tau) / h)
-            if (0 < k < len(grid) - 1
-                    and abs(grid[k] - tau - history.end) <= HISTORY_EDGE_TOL):
-                edge[k] = True
+        edge |= (np.abs(np.subtract.outer(t_all[:-1], taus) - history.end)
+                 <= HISTORY_EDGE_TOL).any(axis=1)
     # per step its length, half, sixth and edge flag (1.0 or 0.0), and its
     # stage times: the start at an edge (the right limit; at t = 0, u'(0)),
     # the midpoint and the end. Step k + 1 starts at row first[k]
@@ -237,16 +239,11 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     times = stage[taken]
     right = (taken & [True, False, False])[taken]
     first = np.concatenate([[0], np.cumsum(taken.sum(axis=1))])
-    # the delayed argument of every read at every time, (times, reads). The
-    # history serves those it covers, but not a right limit at an edge; the
-    # trajectory the others ("stored": flat indices in time order, and the
-    # count before each row)
-    arg = np.subtract.outer(times, taus)
-    stored = np.ones(arg.shape, dtype=bool)
-    if history is not None:
-        at_edge = right[:, None] & (np.abs(arg - history.end) <= HISTORY_EDGE_TOL)
-        arg[at_edge] = history.end
-        stored = ~history.covers(arg) | at_edge
+    # the delayed argument of every read at every time (times, reads) and the
+    # history's values; the trajectory serves the rest ("stored": flat indices
+    # in time order, into values.ravel(), and the count before each row)
+    arg, known, values = _delayed(history, times, taus, read_targets, right)
+    stored = ~known
     flat = np.flatnonzero(stored)
     stored_arg = arg[stored]
     stored_target = np.broadcast_to(read_targets, arg.shape)[stored]
@@ -257,13 +254,6 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
         raise ValueError(
             f"delayed value at t={stored_arg[0]} not available; history does "
             "not cover it and the trajectory has not reached it")
-    values = np.empty(arg.shape)  # C order: written through values.ravel()
-    # the history at every argument it serves (t = 0 reads it on every term)
-    if history is not None:
-        for j, (target, _) in enumerate(reads):
-            rows = np.flatnonzero(~stored[:, j])
-            values[rows, j] = list(map(float, _each(
-                history.functions[target], arg[rows, j])))
 
     def forcing(a, b, front):
         # rows a..b-1 of the parts, one per time (every equation's g, delay
@@ -272,7 +262,7 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
         if lo < hi:
             values.ravel()[flat[lo:hi]] = _read(
                 t_all[:front], u_all[:front], du_all[:front], slope[:front],
-                np.minimum(stored_arg[lo:hi], grid[front - 1]),
+                np.minimum(stored_arg[lo:hi], t_all[front - 1]),
                 stored_target[lo:hi])
         block_times = times[a:b].tolist()
         return zip(*[(beta * values[a:b, j]).tolist() if f is None
@@ -306,7 +296,7 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     finite = np.isfinite(u_all).all(axis=1) & np.isfinite(du_all).all(axis=1)
     if not finite.all():
         raise FloatingPointError(
-            f"the RK4 solution is not finite from t={grid[finite.argmin()]:g}")
+            f"the RK4 solution is not finite from t={t_all[finite.argmin()]:g}")
     return Trajectory(t_all, u_all, du_all, slope)
 
 

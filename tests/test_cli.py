@@ -100,6 +100,25 @@ def test_solve_deterministic_csv_bodies(tmp_path):
     assert bodies[0] == bodies[1]
 
 
+def _joined_csv(header, rows) -> bytes:
+    """A CSV as the header and each cell's f"{float(x):.17g}", comma-joined."""
+    lines = [header] + [[f"{float(x):.17g}" for x in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines).encode()
+
+
+def test_csv_writer_writes_each_cell_in_17_significant_digits(tmp_path):
+    rng = np.random.default_rng(0)
+    table = rng.standard_normal((51, 7)) * 10.0 ** rng.integers(-30, 30, (51, 7))
+    table[0] = [3, -0.0, np.inf, -np.inf, np.nan, 1e-300, 5e-324]
+    path = tmp_path / "new" / "table.csv"
+    cli._write_csv(path, [f"c{k}" for k in range(7)], table)
+    assert path.read_bytes() == _joined_csv([f"c{k}" for k in range(7)], table)
+    # integer cells in a list of rows, as coefficients.csv is written
+    rows = [[1, 0, 0.1], [2, 15, -2.5e-7]]
+    cli._write_csv(path, ["equation", "n", "a_n"], rows)
+    assert path.read_bytes() == _joined_csv(["equation", "n", "a_n"], rows)
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -549,6 +568,21 @@ def test_delay_below_the_grid_resolution_is_an_oracle_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "oracle error: the delay or history.end 1e-13 is below the 1e-9 "
         "resolution of the RK4 step grid")
+
+
+@pytest.mark.parametrize("verb", ["solve", "compare", "converge"])
+def test_oracle_step_past_the_grid_limit_is_an_oracle_error(tmp_path, capsys,
+                                                            verb):
+    # 5e9 grid points on [0, 5]; refused before any is laid out
+    out = tmp_path / "out"
+    code = cli.main([verb, "--config", str(CONFIG_DIR / "example2.cfg"),
+                     "--oracle-step", "1e-9", "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("oracle error: the RK4 grid on [0, b=5] at step "
+                          "1e-09 has 5e+09 steps")
+    assert err.endswith("rk4_step must be at least 5e-06\n")
+    assert not out.exists()
 
 
 ARITHMETIC_PROBLEM = """\

@@ -1,6 +1,7 @@
 """Tests for the RK4 method-of-steps oracle and the matrix identity suite."""
 
 import math
+import re
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -212,6 +213,28 @@ def test_rk4_rejects_a_step_that_is_not_finite(step, delayed):
                               1.0, 2.0, history)
     with pytest.raises(ValueError, match="step must be finite and positive"):
         rk4_method_of_steps(problem, step=step)
+
+
+@pytest.mark.parametrize("delayed", [False, True], ids=["no_delay", "delay"])
+def test_rk4_refuses_a_step_past_the_grid_limit(delayed):
+    # b = 5 at step 1e-9 would lay out 5e9 grid points, some 3 TB
+    history = History((math.sin,), end=0.0) if delayed else None
+    problem = single_equation(0.5, 0.3 if delayed else 0.0, 0.5, math.cos,
+                              1.0, 5.0, history)
+    with pytest.raises(ValueError, match=re.escape(
+            "the RK4 grid on [0, b=5] at step 1e-09 has 5e+09 steps, above "
+            "the limit of 1000000; rk4_step must be at least 5e-06")):
+        rk4_method_of_steps(problem, step=1e-9)
+
+
+def test_rk4_step_limit_counts_the_aligned_steps(monkeypatch):
+    monkeypatch.setattr("lagdde.reference.MAX_RK4_STEPS", 1000)
+    history = History((math.sin,), end=0.0)
+    problem = single_equation(0.5, 0.3, 0.5, math.cos, 1.0, 1.0, history)
+    assert len(rk4_method_of_steps(problem, step=1e-3).t) == 1001
+    # the delay 0.5 rounds this step down to 0.5 / 501
+    with pytest.raises(ValueError, match="has 1e\\+03 steps, above the limit"):
+        rk4_method_of_steps(problem, step=9.99e-4)
 
 
 def test_delayed_problem_without_history_names_the_first_argument():
