@@ -402,9 +402,8 @@ def _invert(A: np.ndarray) -> tuple[np.ndarray, float]:
     return inverse, condition
 
 
-def _solve(problem: DDEProblem, A: np.ndarray, G: np.ndarray,
-           inverse: np.ndarray, condition: float) -> SpectralSolution:
-    """The solution of A @ c = G through A's inverse. A product with an
+def _solve(A: np.ndarray, G: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """The solution c of A @ c = G through A's inverse. A product with an
     explicit inverse is not backward stable (its error scales with
     ||A^-1|| ||G||, not with the solution), so one residual correction
     through the same inverse follows it."""
@@ -413,16 +412,15 @@ def _solve(problem: DDEProblem, A: np.ndarray, G: np.ndarray,
                                  "history or f gave an inf or a nan")
     c = inverse @ G
     c += inverse @ (G - A @ c)
-    return SpectralSolution(chebyshev=c.reshape(problem.n_equations, -1),
-                            b=problem.b, condition=condition)
+    return c
 
 
 def solve_linear(problem: DDEProblem, n_max: int) -> SpectralSolution:
-    """Solve a linear problem by collocation at truncation ``n_max``."""
+    """Solve a linear problem by collocation at truncation ``n_max``: the
+    first solve of ``solve_nonlinear``, with no substitution after it."""
     if problem.has_nonlinearity:
         raise ValueError("problem has a nonlinear delay term; use solve_nonlinear")
-    A, G, _ = _system(problem, n_max, collocation_points(n_max, problem.b)[:-1])
-    return _solve(problem, A, G, *_invert(A))
+    return solve_nonlinear(problem, n_max)
 
 
 class NonConvergenceError(Exception):
@@ -448,21 +446,22 @@ class NonConvergenceError(Exception):
 
 def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
                     max_iter: int = 50) -> SpectralSolution:
-    """Solve a problem with nonlinear delay terms by successive substitution.
+    """Solve a problem by collocation at truncation ``n_max``, by successive
+    substitution where it has nonlinear delay terms.
 
-    Each iteration freezes every f(u(t - tau)) at the previous iterate
-    (or at the history where the delayed argument is covered), adds it to
-    the right-hand side as a known forcing, and solves the linear system,
-    assembled and inverted once; the iterate is read at the delayed points
-    through the T_k rows of ``_system``. Iteration stops when the
-    coefficient update falls below ``tol``. When f overflows, or gives an
-    inf or a nan, on an iterate after the first, the iteration has diverged:
-    NonConvergenceError names that iterate and the cause. On the first
-    iterate, which reads only phi and the history, the error is raised as
-    it is.
+    The system is assembled and inverted once. The first solve freezes each
+    f(u(t - tau)) at the history where it serves, else at the history's end
+    (phi without one). Each substitution freezes f at the previous iterate,
+    read at the delayed points through the T_k rows of ``_system``, and
+    solves the same system again, until the coefficient update falls below
+    ``tol``. A linear problem stops after the first solve, ``iterations``
+    0; else ``iterations`` counts the updates, and the first solve counts
+    towards ``max_iter``. Both are checked for every problem. When f
+    overflows, or gives an inf or a nan, on an iterate after the first, the
+    iteration has diverged: NonConvergenceError names that iterate and the
+    cause. On the first iterate, which reads only phi and the history, the
+    error is raised as it is.
     """
-    if not problem.has_nonlinearity:
-        return solve_linear(problem, n_max)
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
@@ -471,29 +470,25 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
     A, G, feedback = _system(problem, n_max,
                              collocation_points(n_max, problem.b)[:-1])
     inverse, condition = _invert(A)
-    previous: Optional[SpectralSolution] = None
-    last_delta = math.inf
-    for iteration in range(1, max_iter + 1):
+    shape = (problem.n_equations, n_max + 1)
+    chebyshev = _solve(A, _feedback(feedback, None, G), inverse).reshape(shape)
+    solves, last_delta = 1, math.inf
+    while feedback and not last_delta < tol:
+        if solves == max_iter:
+            raise NonConvergenceError(max_iter, last_delta)
+        solves += 1
         try:
-            forcing = _feedback(feedback, None if previous is None
-                                else previous.chebyshev, G)
-            solution = _solve(problem, A, forcing, inverse, condition)
+            update = _solve(A, _feedback(feedback, chebyshev, G),
+                            inverse).reshape(shape)
         except (OverflowError, FloatingPointError) as err:
-            if previous is None:
-                raise
             # G passed the first iterate's finiteness check, so f failed
-            raise NonConvergenceError(iteration, last_delta, (
+            raise NonConvergenceError(solves, last_delta, (
                 "f gave an inf or a nan" if isinstance(err, FloatingPointError)
                 else f"f raised {type(err).__name__}: {err}")) from err
-        if previous is not None:
-            # relative to the coefficient scale, as the solution's magnitude
-            # sets the roundoff floor of its coefficients
-            scale = max(1.0, float(np.abs(solution.chebyshev).max()))
-            change = np.abs(solution.chebyshev - previous.chebyshev).max()
-            last_delta = float(change) / scale
-            if last_delta < tol:
-                # count substitution updates beyond the initial solve
-                solution.iterations = iteration - 1
-                return solution
-        previous = solution
-    raise NonConvergenceError(max_iter, last_delta)
+        # relative to the coefficient scale, as the solution's magnitude
+        # sets the roundoff floor of its coefficients
+        scale = max(1.0, float(np.abs(update).max()))
+        last_delta = float(np.abs(update - chebyshev).max()) / scale
+        chebyshev = update
+    return SpectralSolution(chebyshev=chebyshev, b=problem.b,
+                            iterations=solves - 1, condition=condition)

@@ -131,10 +131,9 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     The step is rounded down to d / ceil(d / step), d the (rational) GCD of
     the delays and, if it is nonzero and its jumps fall inside (0, b), of
     history.end, so every breaking point history.end + k*tau is a grid
-    point; b is the last point, so the last step may be shorter (or longer
-    by less than 1e-12), unless a multiple of the step less than 1e-9 steps
-    past b ends the grid. Delays whose GCD would shrink the step below both
-    step / 10 and the step the shortest delay alone needs (1 and sqrt(2)),
+    point; b is always the last point, so the last step may be shorter (or
+    longer by less than 1e-12). Delays whose GCD would shrink the step below
+    both step / 10 and the step the shortest delay alone needs (1 and sqrt(2)),
     a history.end that would shrink it below step / 10, a delay or
     history.end below about 1e-9 (see ``_float_gcd``), more than
     MAX_RK4_STEPS steps, and a step that is not finite and positive raise
@@ -215,10 +214,10 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
 
     l = problem.n_equations
     n = math.floor(problem.b / h + 1e-9)
-    # the multiples of h, then b: a last one short of b by at most 1e-12
-    # gives way to b, a last one past b (by at most 1e-9 steps) ends the grid
+    # the multiples of h, then b: a last one short of b by at most 1e-12,
+    # or past b (by at most 1e-9 steps), gives way to b
     t_all = np.append(np.arange(n if n and n * h >= problem.b - 1e-12
-                                else n + 1) * h, max(n * h, problem.b))
+                                else n + 1) * h, problem.b)
     # u, u' and the slope each interval starts from, filled block by block
     u_all, du_all, slope = (np.empty((len(t_all), l)) for _ in range(3))
     # per step k + 1 (from t_k) whether it starts from the right limit:

@@ -1,15 +1,18 @@
 """A census of seeded configs in the supported range through ``cli.main``.
 
-Every config must end in exit 0 or a typed error (3 for the solver, 4 for
-the oracle), never in an exception. Of the exit-0 runs, the census counts
-the wrong answers: a largest |solution - RK4 oracle| on the sample grid
-above 1e-3 of max(1, max |oracle|). That count is a known-failure figure of
-this family and seed: a change that moves it says so with both values.
+Under each verb (``compare``, ``solve`` and ``converge``) every config must
+end in exit 0 or a typed error (3 for the solver, 4 for the oracle), never
+in an exception; the three verbs give the same exit counts. Of the exit-0
+``compare`` runs, the census counts the wrong answers: a largest
+|solution - RK4 oracle| on the sample grid above 1e-3 of
+max(1, max |oracle|). That count is a known-failure figure of this family
+and seed: a change that moves it says so with both values.
 """
 
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from lagdde import cli
 
@@ -21,7 +24,7 @@ NONLINEAR = ("exp(-u)", "sin(u)", "0.5*u^2", "cos(u)")
 HISTORIES = ("1", "sin(t)", "cos(t)", "exp(0.5*t)")
 FORCINGS = ("0", "cos(t)", "exp(-t)", "1")
 WRONG_ABOVE = 1e-3
-# measured on this family with SEED and COUNT
+# measured on this family with SEED and COUNT, the same for every verb
 EXIT_CODES = {0: 33, 4: 27}
 WRONG_WITH_EXIT_0 = 27
 
@@ -83,3 +86,17 @@ def test_census_compare_exits_typed_and_its_wrong_answers_are_counted(tmp_path):
             wrong += not _relative_error(out / "comparison.csv") <= WRONG_ABOVE
     assert dict(codes) == EXIT_CODES
     assert wrong == WRONG_WITH_EXIT_0
+
+
+@pytest.mark.parametrize("verb", ["solve", "converge"])
+def test_census_other_verbs_exit_typed(tmp_path, verb):
+    rng = np.random.default_rng(SEED)
+    codes = Counter()
+    for k in range(COUNT):
+        path = tmp_path / f"census{k}.cfg"
+        path.write_text(census_config(rng))
+        code = cli.main([verb, "--config", str(path),
+                         "--out", str(tmp_path / f"out{k}")])
+        assert code in (0, 3, 4), path.read_text()
+        codes[code] += 1
+    assert dict(codes) == EXIT_CODES

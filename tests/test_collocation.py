@@ -512,6 +512,32 @@ def test_nonlinear_parameter_validation():
         solve_nonlinear(problem, 6, max_iter=0)
 
 
+def test_solve_nonlinear_on_a_linear_problem_is_solve_linear():
+    # one loop: a linear problem leaves after the first solve
+    for linear in (_scalar_feedback()[1], _cross_feedback(None)[1]):
+        got = solve_nonlinear(linear, 8)
+        expected = solve_linear(linear, 8)
+        assert got.iterations == expected.iterations == 0
+        assert got.chebyshev.tobytes() == expected.chebyshev.tobytes()
+        assert got.condition == expected.condition
+
+
+def test_max_iter_one_allows_the_first_solve_only():
+    # the first solve counts towards max_iter and has no update to measure
+    with pytest.raises(NonConvergenceError) as info:
+        solve_nonlinear(_nonlinear_problem(lambda u: 2.0), 6, max_iter=1)
+    assert info.value.iterations == 1
+    assert info.value.last_delta == math.inf
+
+
+def test_linear_problem_checks_tol_and_max_iter_too():
+    linear = _scalar_feedback()[1]
+    for kwargs in ({"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan},
+                   {"max_iter": 0}):
+        with pytest.raises(ValueError):
+            solve_nonlinear(linear, 6, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 

@@ -345,7 +345,13 @@ def test_expression_history_is_read_once_per_delayed_term(monkeypatch):
     (1.126, lambda t: 1.0, 5.5),
     # the step is 2e-3 > b, so the only multiple of h is t = 0
     (0.25, math.sin, 5e-13),
-], ids=["last_multiple_one_ulp_short", "b_below_one_step"])
+    # the last multiple of h = 1e-3 is 0.7000000000000001 or
+    # 7.1000000000000005, past b; with tau = 0 no delay sets the step
+    (0.0, math.sin, 0.7), (0.0, math.sin, 7.1),
+    (0.5, math.sin, 0.7), (0.5, math.sin, 7.1),
+], ids=["last_multiple_one_ulp_short", "b_below_one_step",
+        "past_b_no_delay_0.7", "past_b_no_delay_7.1",
+        "past_b_delay_0.7", "past_b_delay_7.1"])
 def test_rk4_grid_ends_at_b(tau, history, b):
     problem = single_equation(1.0, 0.5, tau, math.cos, 0.0, b,
                               History((history,), end=0.0))
