@@ -19,7 +19,8 @@ from .collocation import (
 )
 from .reference import Trajectory
 
-SAMPLES_PER_UNIT = 10  # 11 points per unit interval, integer t always included
+SAMPLES_PER_UNIT = 10  # 11 points per unit interval, integer t included
+MAX_SAMPLES = 10**4  # intervals in all: integer t is included up to b = 1000
 
 
 def residual(problem: DDEProblem, solution: SpectralSolution, t) -> np.ndarray:
@@ -53,8 +54,8 @@ def _norms(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def sample_points(b: float) -> np.ndarray:
     """Equally spaced norm-sampling grid on [0, b]: ``SAMPLES_PER_UNIT``
-    intervals per unit of t."""
-    count = max(1, int(round(b * SAMPLES_PER_UNIT)))
+    intervals per unit of t, and at most ``MAX_SAMPLES``."""
+    count = max(1, round(min(b * SAMPLES_PER_UNIT, MAX_SAMPLES)))
     return np.linspace(0.0, b, count + 1)
 
 

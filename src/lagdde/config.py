@@ -159,7 +159,8 @@ class Expression:
     """A compiled expression over a single named variable (see ``_compile``);
     ``each`` reads many points in one call of it and a call reads one. A
     math domain error, sin(inf), and a complex power, (-8)^(1/3), are
-    raised as an ArithmeticError, as an overflow is."""
+    raised as an ArithmeticError; an overflow or a division by zero keeps
+    its type. Each names the expression and the point."""
 
     def __init__(self, source: str, variable: str = "t"):
         self.source = source.strip()
@@ -169,16 +170,17 @@ class Expression:
     def __call__(self, value: float) -> float:
         try:
             return self._fn((value,))[0]
-        except ValueError as err:  # sin(inf), or a power from _real
-            raise ArithmeticError(f"{self.source!r} at {self.variable} = "
-                                  f"{value}: {err}") from err
+        except (ArithmeticError, ValueError) as err:  # ValueError: sin(inf), _real
+            kind = ArithmeticError if isinstance(err, ValueError) else type(err)
+            raise kind(f"{self.source!r} at {self.variable} = {value}: "
+                       f"{err}") from err
 
     def each(self, values) -> list:
         """The floats at the points of the sequence ``values``, in order; a
         failure is the one the earliest failing point raises on its own."""
         try:
             return self._fn(values)
-        except ValueError:  # read one by one, to name the failing point
+        except (ArithmeticError, ValueError):  # to name the failing point
             for value in values:
                 self(value)
             raise

@@ -14,7 +14,7 @@ import numpy as np
 from . import basis as _basis
 from .collocation import HISTORY_EDGE_TOL, DDEProblem, History, _delayed, _each
 
-MAX_RK4_STEPS = 10**6  # about 0.6 GB: example2.cfg keeps 550 B per point
+MAX_RK4_STEPS = 10**6  # about 0.4 GB: example2.cfg keeps 370 B per point
 
 
 @dataclass
@@ -137,7 +137,8 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     a history.end that would shrink it below step / 10, a delay or
     history.end below about 1e-9 (see ``_float_gcd``), more than
     MAX_RK4_STEPS steps, and a step that is not finite and positive raise
-    ValueError.
+    ValueError; so does, before any plan array, a delayed term without a
+    history, whose argument -tau at t = 0 nothing serves.
 
     At a grid point t where a delayed argument is within HISTORY_EDGE_TOL
     of history.end (an edge), delayed arguments leave the history for the
@@ -157,11 +158,12 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
 
     Before the first step, the history (which never depends on u) is read
     at every delayed argument it serves, by ``collocation._delayed`` as in
-    ``_system``. The integrator then steps in blocks, by the method of
-    steps: with points 0..p stored, a block is the steps p+1..q whose
-    delayed arguments all lie at or before t_p (one shortest delay long;
-    without delays, the whole run). Before a block is stepped, u at its
-    other delayed arguments is read in one call of ``_read``, the formula
+    ``_system``, into the table of every delayed value of the run. The
+    integrator then steps in blocks, by the method of steps: with points
+    0..p stored, a block is the steps p+1..q whose delayed arguments all
+    lie at or before t_p (one shortest delay long; without delays, the
+    whole run). Before a block is stepped, u at its other delayed arguments
+    is read into its rows of that table in one call of ``_read``, the formula
     ``Trajectory.__call__`` reads with, on the one equation each term
     reads, so a delayed value is what the finished trajectory returns (an
     argument up to 1e-12 past t_p reads u(t_p)); then g and f, equation by
@@ -211,6 +213,12 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
             f"the RK4 grid on [0, b={problem.b:g}] at step {h:.3g} has "
             f"{problem.b / h:.3g} steps, above the limit of {MAX_RK4_STEPS}; "
             f"rk4_step must be at least {problem.b / MAX_RK4_STEPS:.3g}")
+    # a block reads at or before its last stored point, so only the history
+    # can serve the delayed arguments -tau < 0 of t = 0
+    if taus and history is None:
+        raise ValueError(
+            f"delayed value at t={-float(taus[0])} not available; history "
+            "does not cover it and the trajectory has not reached it")
 
     l = problem.n_equations
     n = math.floor(problem.b / h + 1e-9)
@@ -239,30 +247,18 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     right = (taken & [True, False, False])[taken]
     first = np.concatenate([[0], np.cumsum(taken.sum(axis=1))])
     # the delayed argument of every read at every time (times, reads) and the
-    # history's values; the trajectory serves the rest ("stored": flat indices
-    # in time order, into values.ravel(), and the count before each row)
+    # history's values; a block fills in the rest from the trajectory
     arg, known, values = _delayed(history, times, taus, read_targets, right)
-    stored = ~known
-    flat = np.flatnonzero(stored)
-    stored_arg = arg[stored]
-    stored_target = np.broadcast_to(read_targets, arg.shape)[stored]
-    before = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
-    # a block reads no later than its last stored point, up to the 1e-12 the
-    # clamp below forgives, so only t = 0 can find nothing
-    if stored[0].any():
-        raise ValueError(
-            f"delayed value at t={stored_arg[0]} not available; history does "
-            "not cover it and the trajectory has not reached it")
 
     def forcing(a, b, front):
         # rows a..b-1 of the parts, one per time (every equation's g, delay
-        # terms with tau > 0, then f); _read sees the first front points
-        lo, hi = before[a], before[b]
-        if lo < hi:
-            values.ravel()[flat[lo:hi]] = _read(
-                t_all[:front], u_all[:front], du_all[:front], slope[:front],
-                np.minimum(stored_arg[lo:hi], t_all[front - 1]),
-                stored_target[lo:hi])
+        # terms with tau > 0, then f); _read reads at or before point front - 1
+        missing = ~known[a:b]
+        if missing.any():
+            values[a:b][missing] = _read(
+                t_all, u_all, du_all, slope,
+                np.minimum(arg[a:b][missing], t_all[front - 1]),
+                read_targets[missing.nonzero()[1]])
         block_times = times[a:b].tolist()
         return zip(*[(beta * values[a:b, j]).tolist() if f is None
                      else _each(f, block_times if j is None
@@ -299,12 +295,12 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     return Trajectory(t_all, u_all, du_all, slope)
 
 
-# x, d: u and u' per equation at the step's start (d unread when the first
-# step is an edge). Returns u and u' at the end, u and u' per equation at
-# each step end, and u' at each edge as its right limit
+# rows: an iterator of forcing rows, one per stage time; x, d: u and u' per
+# equation at the step's start (d unread when the first step is an edge).
+# Returns u and u' at the end, u and u' per equation at each step end, and
+# u' at each edge as its right limit
 _STEP_BLOCK = """\
 def step_block(rows, steps, x, d, ng, beta):
-    rows_at = iter(rows)
     [{x}] = x
     [{d}] = d
     [{ng}] = ng
@@ -313,13 +309,13 @@ def step_block(rows, steps, x, d, ng, beta):
     rights = []
     for hk, half, sixth, edge in steps:
         if edge:
-            [{row}] = next(rows_at)
+            [{row}] = next(rows)
             {d_at_x}
             rights.append([{d}])
-        [{row}] = next(rows_at)  # the midpoint
+        [{row}] = next(rows)  # the midpoint
         {k2}
         {k3}
-        [{row}] = next(rows_at)  # the step end
+        [{row}] = next(rows)  # the step end
         {k4}
         {x_next}
         {d_at_x}

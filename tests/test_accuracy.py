@@ -194,6 +194,18 @@ def test_sample_points_include_integers():
         assert float(k) in pts
 
 
+def test_sample_grid_is_capped_above_b_1000():
+    # up to b = 1000 the grid keeps 10 intervals per unit and its integers;
+    # beyond it the grid keeps MAX_SAMPLES intervals, at any finite b
+    pts = sample_points(1000.0)
+    np.testing.assert_array_equal(pts, np.linspace(0.0, 1000.0, 10_001))
+    assert set(range(1001)) <= set(pts.tolist())
+    for b in (1000.1, 1e9, 1e308):
+        pts = sample_points(b)
+        assert len(pts) == accuracy_mod.MAX_SAMPLES + 1 == 10_001
+        assert (pts[0], pts[-1]) == (0.0, b)
+
+
 # ---------------------------------------------------------------------------
 # reports and studies
 

@@ -6,7 +6,9 @@ in an exception; the three verbs give the same exit counts. Of the exit-0
 ``compare`` runs, the census counts the wrong answers: a largest
 |solution - RK4 oracle| on the sample grid above 1e-3 of
 max(1, max |oracle|). That count is a known-failure figure of this family
-and seed: a change that moves it says so with both values.
+and seed: a change that moves it says so with both values. The census also
+classes every ``compare`` run: right, between, wrong, an oracle that
+cannot start, or another typed error.
 """
 
 from collections import Counter
@@ -24,9 +26,13 @@ NONLINEAR = ("exp(-u)", "sin(u)", "0.5*u^2", "cos(u)")
 HISTORIES = ("1", "sin(t)", "cos(t)", "exp(0.5*t)")
 FORCINGS = ("0", "cos(t)", "exp(-t)", "1")
 WRONG_ABOVE = 1e-3
+RIGHT_UP_TO = 1e-6
 # measured on this family with SEED and COUNT, the same for every verb
 EXIT_CODES = {0: 33, 4: 27}
 WRONG_WITH_EXIT_0 = 27
+# measured as above, for compare
+COMPARE_CLASSES = {"right": 5, "between": 1, "wrong": 27,
+                   "oracle cannot start": 26, "other typed error": 1}
 
 
 def census_config(rng) -> str:
@@ -100,3 +106,27 @@ def test_census_other_verbs_exit_typed(tmp_path, verb):
         assert code in (0, 3, 4), path.read_text()
         codes[code] += 1
     assert dict(codes) == EXIT_CODES
+
+
+def test_census_compare_classes(tmp_path, capsys):
+    # right: |solution - oracle| at most RIGHT_UP_TO of max(1, max |oracle|);
+    # wrong: above WRONG_ABOVE; an oracle that cannot start is one that needs
+    # u before t = 0 with no history to serve it
+    rng = np.random.default_rng(SEED)
+    classes = Counter()
+    for k in range(COUNT):
+        path = tmp_path / f"census{k}.cfg"
+        path.write_text(census_config(rng))
+        out = tmp_path / f"out{k}"
+        code = cli.main(["compare", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            error = _relative_error(out / "comparison.csv")
+            classes["right" if error <= RIGHT_UP_TO else
+                    "between" if error <= WRONG_ABOVE else "wrong"] += 1
+        elif code == 4 and err.startswith("oracle error: delayed value at t="):
+            classes["oracle cannot start"] += 1
+        else:
+            assert code in (3, 4), path.read_text()
+            classes["other typed error"] += 1
+    assert dict(classes) == COMPARE_CLASSES

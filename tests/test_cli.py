@@ -65,6 +65,16 @@ def _read_csv(path):
 # ---------------------------------------------------------------------------
 # solve
 
+def test_solve_on_a_long_interval_writes_the_capped_sample_grid(tmp_path):
+    # b = 1e9 at 10 samples per unit would ask for a 1e10-point grid
+    cfg = _write(tmp_path, CONSTANT_PROBLEM.replace("b = 2", "b = 1e9"))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    _, body = _read_csv(out / "solution.csv")
+    assert body.shape == (10_001, 2)
+    assert (body[0, 0], body[-1, 0]) == (0.0, 1e9)
+
+
 def test_solve_constant_problem(tmp_path):
     cfg = _write(tmp_path, CONSTANT_PROBLEM)
     out = tmp_path / "out"
@@ -416,6 +426,24 @@ def test_repeated_key_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("b = 1\n[equation 1]\ndelay = 0 0.5 1\n",
+     "delay target 0 out of range in equation 1 (field 'delay')"),
+    ("b = 1\n[equation 1]\ndelay = 2 0.5 1\n",
+     "delay target 2 out of range in equation 1 (field 'delay')"),
+    ("b = 1\n\n[equation 0]\nphi = 1\n",
+     "equation numbers start at 1 (line 3)"),
+    ("b = 1\nphi 1\n", "expected 'key = value' (line 2)"),
+], ids=["delay_target_0", "delay_target_past_the_equations", "equation_0",
+        "line_without_equals"])
+def test_malformed_structure_exits_two(tmp_path, capsys, text, message):
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", _write(tmp_path, text),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_converge_every_truncation_failing_reports_each(tmp_path, capsys):
     # without a history the delayed term extrapolates the series to t = -1,
     # and at N = 19 and 20 the condition number passes the singularity bound
@@ -629,9 +657,16 @@ def test_division_by_zero_in_the_solve_exits_three(tmp_path, capsys):
      "solver error: ArithmeticError: '(u-1)^0.5' at u = "),
     ("oracle = exact\n", "exact = (t-1)^0.5\n", 4,
      "oracle error: exact solution failed at t=0.0: ArithmeticError"),
+    # a division by zero and an overflow keep their type and name the
+    # expression and its argument; both used to print the bare error
+    ("", "forcing = 1/(t-1)\n", 3, "solver error: ZeroDivisionError: "
+     "'1/(t-1)' at t = 1.0: float division by zero\n"),
+    ("rk4_step = 0.001\n", "forcing = exp(900*t)\n", 4,
+     "oracle error: RK4 integration failed: OverflowError: 'exp(900*t)' "
+     "at t = 0.789: math range error\n"),
 ], ids=["inf_forcing", "inf_nonlinearity", "domain_error", "domain_error_oracle",
         "complex_forcing", "complex_history", "complex_nonlinearity",
-        "complex_exact"])
+        "complex_exact", "division_by_zero", "overflow"])
 def test_non_finite_arithmetic_exits_with_a_typed_error(tmp_path, capsys, settings,
                                                          lines, code, message):
     cfg = _write(tmp_path, settings + ARITHMETIC_PROBLEM + lines)

@@ -372,6 +372,25 @@ def test_each_names_the_earliest_failing_point():
     assert "at t = 0.5:" in str(batch.value)
 
 
+@pytest.mark.parametrize("source, variable, x, kind, reason", [
+    ("1/(t-1)", "t", 1.0, ZeroDivisionError, "float division by zero"),
+    ("exp(t)", "t", 1000.0, OverflowError, "math range error"),
+    ("0.5*u^2", "u", 1.4493720010891322e+154, OverflowError, None),
+    ("sin(t)", "t", math.inf, ArithmeticError, "math domain error"),
+])
+def test_expression_errors_keep_their_type_and_name_the_point(
+        source, variable, x, kind, reason):
+    # a float power's overflow message is the C library's strerror
+    expression = Expression(source, variable)
+    for read in (lambda: expression(x), lambda: expression.each([0.5, x, x])):
+        with pytest.raises(ArithmeticError) as info:
+            read()
+        assert type(info.value) is kind
+        prefix = f"{source!r} at {variable} = {x}: "
+        assert str(info.value).startswith(prefix)
+        assert reason is None or str(info.value) == prefix + reason
+
+
 def test_each_expression_key_compiles_once(monkeypatch):
     # three equations with a forcing and a history each: six compiled
     # expressions; an equation without a forcing shares one compiled zero

@@ -252,6 +252,26 @@ def test_delayed_problem_without_history_names_the_first_argument():
     assert times == []
 
 
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_delayed_problem_without_history_is_refused_before_the_plan(
+        monkeypatch, nonlinear):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the run plan was laid out")
+
+    monkeypatch.setattr("lagdde.reference._delayed", unreachable)
+    if nonlinear:  # an int tau still names a float time
+        problem = DDEProblem(gamma=[0.5], delays=[[DelayTerm(0, 0.3, 0.0)]],
+                             g=[math.cos], phi=[1.0], b=2.0,
+                             nonlinear=[NonlinearDelayTerm(math.sin, 0, 1)])
+        first = r"-1\.0"
+    else:
+        problem = single_equation(0.5, 0.3, 0.5, math.cos, 1.0, 2.0)
+        first = r"-0\.5"
+    with pytest.raises(ValueError,
+                       match=rf"delayed value at t={first} not available"):
+        rk4_method_of_steps(problem, step=1e-2)
+
+
 def test_forcing_failing_at_two_times_names_the_earlier():
     # both times are stage times of one block, (0, 0.5], whose forcing is
     # computed before it is stepped; the earlier failure is reported
