@@ -21,7 +21,9 @@ initial-condition row. The system is solved in Chebyshev coefficients on
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -106,6 +108,10 @@ class History:
     def covers(self, t):
         """Whether the history serves t; elementwise for an array of t."""
         return t <= self.end + HISTORY_EDGE_TOL
+
+    def at_end(self, t):
+        """Whether t is the history's end, to HISTORY_EDGE_TOL; elementwise."""
+        return np.abs(t - self.end) <= HISTORY_EDGE_TOL
 
     def value(self, eq: int, t: float) -> float:
         return float(self.functions[eq](t))
@@ -294,19 +300,19 @@ def _delayed(history, t, taus, targets, right=None):
     values = np.empty(arg.shape)
     if history is None:
         return arg, np.zeros(arg.shape, dtype=bool), values
-    served = history.covers(arg)
+    known = history.covers(arg)
     if right is not None:
-        at_end = right[:, None] & (np.abs(arg - history.end) <= HISTORY_EDGE_TOL)
+        at_end = right[:, None] & history.at_end(arg)
         arg[at_end] = history.end
-        served &= ~at_end
+        known &= ~at_end
     for j, (tau, target) in enumerate(zip(taus, targets)):
-        rows = served[:, j]
+        rows = known[:, j]
         if tau == 0:
             rows[:] = False
         else:
             values[:, j][rows] = list(map(float, _each(
                 history.functions[target], arg[:, j][rows])))
-    return arg, served, values
+    return arg, known, values
 
 
 def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
@@ -327,52 +333,46 @@ def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
     the first iterate's delayed values: the history where it serves, else
     the history at its end (phi without one).
 
-    The T_k rows of the points ``t`` and of every delayed point the series
-    serves come from one run of the recurrence; derivative rows only for
-    ``t``.
+    Every g is read before the history, which one ``_delayed`` call reads for
+    all delayed terms in stage-sum order (per equation its delays, then f);
+    one recurrence gives T_k at ``t``, then at the points the series serves.
     """
     history = problem.history
     l = problem.n_equations
     m, width = t.size, n_max + 1
-    points = [t]  # then each term's delayed points that the series serves
-    G = np.zeros(l * (m + 1))
-    linear, nonlinear = [], []
-    for eq in range(l):
-        rows = slice(eq * (m + 1), eq * (m + 1) + m)
-        G[rows] = list(map(float, _each(problem.g[eq], t)))
-        G[rows.stop] = problem.phi[eq]
-        nl = problem.nonlinear[eq]
-        terms = problem.delays[eq] + ((nl,) if nl is not None else ())
-        arg, known, values = _delayed(history, t, [x.tau for x in terms],
-                                      [x.target for x in terms])
-        for j, term in enumerate(terms):
-            read, served = known[:, j], ~known[:, j]
-            start = sum(map(len, points))
-            points.append(arg[:, j][served])
-            cols = slice(start, start + len(points[-1]))
-            if term is nl:
-                u = np.full(m, problem.phi[term.target] if history is None
-                            else history.value(term.target, history.end))
-                u[read] = values[:, j][read]
-                nonlinear.append((rows, term, served, cols, u))
-            else:
-                G[rows][read] += term.beta * values[:, j][read]
-                linear.append((rows, term, served, cols))
-
-    values, slopes = _chebyshev_rows(n_max, problem.b, np.concatenate(points), m)
-    T = values.T  # row j: T_0 .. T_N at point j
+    forcing = [list(map(float, _each(g, t))) for g in problem.g]
+    terms = [(eq, term) for eq in range(l)
+             for term in problem.delays[eq] + (problem.nonlinear[eq],)
+             if term is not None]
+    arg, known, read = _delayed(history, t, [x.tau for _, x in terms],
+                                [x.target for _, x in terms])
+    served = ~known
+    bounds = list(accumulate(map(sum, served.T.tolist()), initial=m))
+    values, slopes = _chebyshev_rows(n_max, problem.b,
+                                     np.concatenate((t, arg.T[served.T])), m)
+    T = values.T  # row j: T_0 .. T_N at point j; term j's from bounds[j]
     A = np.zeros((l * (m + 1), l * width))
+    G = np.zeros(l * (m + 1))
     for eq in range(l):
         own = slice(eq * width, (eq + 1) * width)
         rows = slice(eq * (m + 1), eq * (m + 1) + m)
         A[rows, own] = slopes.T + problem.gamma[eq] * T[:m]
         A[rows.stop, own] = (-1.0) ** np.arange(width)  # T_k(-1) at t = 0
-    for rows, term, served, cols in linear:
-        block = slice(term.target * width, (term.target + 1) * width)
-        A[rows, block][served] -= term.beta * T[cols]
-    # contiguous, so Picard's T @ c takes the BLAS path of a row-major matrix
-    feedback = [(rows, term, served, np.ascontiguousarray(T[cols]), u)
-                for rows, term, served, cols, u in nonlinear]
+        G[rows], G[rows.stop] = forcing[eq], problem.phi[eq]
+    feedback = []
+    for j, (eq, term) in enumerate(terms):
+        rows = slice(eq * (m + 1), eq * (m + 1) + m)
+        known_j, T_j = known[:, j], T[bounds[j]:bounds[j + 1]]
+        if term is problem.nonlinear[eq]:
+            u = np.where(known_j, read[:, j], problem.phi[term.target]
+                         if history is None
+                         else history.value(term.target, history.end))
+            # contiguous: Picard's T @ c then takes the row-major BLAS path
+            feedback.append((rows, term, served[:, j], np.ascontiguousarray(T_j), u))
+        else:
+            G[rows][known_j] += term.beta * read[:, j][known_j]
+            block = slice(term.target * width, (term.target + 1) * width)
+            A[rows, block][served[:, j]] -= term.beta * T_j
     return A, G, feedback
 
 
@@ -456,16 +456,17 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
     solves the same system again, until the coefficient update falls below
     ``tol``. A linear problem stops after the first solve, ``iterations``
     0; else ``iterations`` counts the updates, and the first solve counts
-    towards ``max_iter``. Both are checked for every problem. When f
-    overflows, or gives an inf or a nan, on an iterate after the first, the
-    iteration has diverged: NonConvergenceError names that iterate and the
-    cause. On the first iterate, which reads only phi and the history, the
-    error is raised as it is.
+    towards ``max_iter``, an integer >= 1. Both are checked for every
+    problem. When f overflows, or gives an inf or a nan (as on an iterate
+    past the float range), on an iterate after the first, the iteration has
+    diverged: NonConvergenceError names that iterate and the cause, with no
+    NumPy warning. On the first iterate, which reads only phi and the
+    history, the error is raised as it is.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
     A, G, feedback = _system(problem, n_max,
                              collocation_points(n_max, problem.b)[:-1])
@@ -473,22 +474,24 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
     shape = (problem.n_equations, n_max + 1)
     chebyshev = _solve(A, _feedback(feedback, None, G), inverse).reshape(shape)
     solves, last_delta = 1, math.inf
-    while feedback and not last_delta < tol:
-        if solves == max_iter:
-            raise NonConvergenceError(max_iter, last_delta)
-        solves += 1
-        try:
-            update = _solve(A, _feedback(feedback, chebyshev, G),
-                            inverse).reshape(shape)
-        except (OverflowError, FloatingPointError) as err:
-            # G passed the first iterate's finiteness check, so f failed
-            raise NonConvergenceError(solves, last_delta, (
-                "f gave an inf or a nan" if isinstance(err, FloatingPointError)
-                else f"f raised {type(err).__name__}: {err}")) from err
-        # relative to the coefficient scale, as the solution's magnitude
-        # sets the roundoff floor of its coefficients
-        scale = max(1.0, float(np.abs(update).max()))
-        last_delta = float(np.abs(update - chebyshev).max()) / scale
-        chebyshev = update
+    # an iterate may pass the float range; _solve's finiteness check sees it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while feedback and not last_delta < tol:
+            if solves == max_iter:
+                raise NonConvergenceError(max_iter, last_delta)
+            solves += 1
+            try:
+                update = _solve(A, _feedback(feedback, chebyshev, G),
+                                inverse).reshape(shape)
+            except (OverflowError, FloatingPointError) as err:
+                # G passed the first iterate's finiteness check, so f failed
+                raise NonConvergenceError(solves, last_delta, (
+                    "f gave an inf or a nan" if isinstance(err, FloatingPointError)
+                    else f"f raised {type(err).__name__}: {err}")) from err
+            # relative to the coefficient scale, as the solution's magnitude
+            # sets the roundoff floor of its coefficients
+            scale = max(1.0, float(np.abs(update).max()))
+            last_delta = float(np.abs(update - chebyshev).max()) / scale
+            chebyshev = update
     return SpectralSolution(chebyshev=chebyshev, b=problem.b,
                             iterations=solves - 1, condition=condition)

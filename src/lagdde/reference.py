@@ -12,9 +12,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import basis as _basis
-from .collocation import HISTORY_EDGE_TOL, DDEProblem, History, _delayed, _each
+from .collocation import DDEProblem, History, _delayed, _each
 
 MAX_RK4_STEPS = 10**6  # about 0.4 GB: example2.cfg keeps 370 B per point
+# RK4 is stable on [-2.785, 0] of the real axis, but its error already grows
+# near the edge: u' = -gamma u + ... at step 1e-3 is off by 2.5e-6 at
+# gamma = 2700 and by 0.45 at 2780
+RK4_STABILITY = 2.5
 
 
 @dataclass
@@ -136,12 +140,14 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     both step / 10 and the step the shortest delay alone needs (1 and sqrt(2)),
     a history.end that would shrink it below step / 10, a delay or
     history.end below about 1e-9 (see ``_float_gcd``), more than
-    MAX_RK4_STEPS steps, and a step that is not finite and positive raise
+    MAX_RK4_STEPS steps, a step h past RK4's stability bound (h times the
+    largest gamma_e plus |beta| of e's tau = 0 couplings above
+    RK4_STABILITY), and a step that is not finite and positive raise
     ValueError; so does, before any plan array, a delayed term without a
     history, whose argument -tau at t = 0 nothing serves.
 
-    At a grid point t where a delayed argument is within HISTORY_EDGE_TOL
-    of history.end (an edge), delayed arguments leave the history for the
+    At a grid point t where a delayed argument is history.end (an edge, by
+    ``History.at_end``), delayed arguments leave the history for the
     trajectory and u' may jump: the step from t starts from the right-limit
     derivative, which reads u(history.end) from the trajectory, and keeps
     it as the trajectory's slope there. Step 1 computes u'(0) at its start
@@ -213,6 +219,19 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
             f"the RK4 grid on [0, b={problem.b:g}] at step {h:.3g} has "
             f"{problem.b / h:.3g} steps, above the limit of {MAX_RK4_STEPS}; "
             f"rk4_step must be at least {problem.b / MAX_RK4_STEPS:.3g}")
+    # by Gershgorin, the stage matrix's eigenvalues are within gamma_e plus
+    # |beta| of e's tau = 0 couplings left of 0; delayed terms and f read
+    # stored points (every delay is at least a step), not the stages
+    stiffest = max(gamma + sum(abs(x.beta) for x in terms if x.tau == 0)
+                   for gamma, terms in zip(problem.gamma, problem.delays))
+    if h * stiffest > RK4_STABILITY:
+        largest = RK4_STABILITY / stiffest
+        digit = 10.0 ** (math.floor(math.log10(largest)) - 2)  # 3 digits, down
+        raise ValueError(
+            f"the RK4 step {h:.3g} is unstable: step * {stiffest:.6g} (the "
+            f"largest gamma plus |beta| of its tau = 0 couplings) exceeds "
+            f"{RK4_STABILITY}; rk4_step must be at most "
+            f"{math.floor(largest / digit) * digit:.3g}")
     # a block reads at or before its last stored point, so only the history
     # can serve the delayed arguments -tau < 0 of t = 0
     if taus and history is None:
@@ -233,8 +252,7 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     edge = np.zeros(len(t_all) - 1, dtype=bool)
     edge[0] = True
     if history is not None:
-        edge |= (np.abs(np.subtract.outer(t_all[:-1], taus) - history.end)
-                 <= HISTORY_EDGE_TOL).any(axis=1)
+        edge |= history.at_end(np.subtract.outer(t_all[:-1], taus)).any(axis=1)
     # per step its length, half, sixth and edge flag (1.0 or 0.0), and its
     # stage times: the start at an edge (the right limit; at t = 0, u'(0)),
     # the midpoint and the end. Step k + 1 starts at row first[k]

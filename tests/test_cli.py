@@ -2,8 +2,10 @@
 
 import argparse
 import os
+import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -721,6 +723,76 @@ def test_rk4_overflow_without_an_exception_exits_four(tmp_path, capsys, verb):
         "oracle error: RK4 integration failed: FloatingPointError: "
         "the RK4 solution is not finite from t=1.7")
     assert not out.exists()
+
+
+STIFF_PROBLEM = """\
+b = 5
+N = 10
+rk4_step = 0.001
+history_end = 0
+
+[equation 1]
+gamma = 2790
+phi = 1
+history = 1
+delay = 1 0.5 1
+forcing = cos(t)
+"""
+
+
+@pytest.mark.parametrize("verb", ["solve", "compare", "converge"])
+def test_rk4_step_past_the_stability_bound_exits_four(tmp_path, capsys, verb):
+    # gamma * step = 2.79: the oracle was off by 2.5e15 and every verb
+    # exited 0
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, STIFF_PROBLEM)
+    assert cli.main([verb, "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "oracle error: the RK4 step 0.001 is unstable: step * 2790 (the "
+        "largest gamma plus |beta| of its tau = 0 couplings) exceeds 2.5; "
+        "rk4_step must be at most 0.000896\n")
+    assert not out.exists()
+    cfg = _write(tmp_path, STIFF_PROBLEM.replace("2790", "2490"))
+    assert cli.main([verb, "--config", cfg, "--out", str(out)]) == 0
+
+
+CROSS_FEEDBACK = """\
+equations = 2
+b = 3
+N = 10
+max_iter = 1000
+
+[equation 1]
+gamma = 0.5
+phi = 1
+forcing = sin(t)
+nonlinear = 0.8*u
+nonlinear_tau = 1
+nonlinear_target = 2
+
+[equation 2]
+gamma = 1
+phi = 0
+forcing = cos(t)
+nonlinear = -0.5*u
+nonlinear_tau = 1
+nonlinear_target = 1
+"""
+
+
+def test_diverging_picard_iterate_prints_one_error_line(tmp_path, capsys):
+    # the iterates pass the float range; NumPy's overflow warning used to
+    # come first, and under -W error it escaped as a RuntimeWarning
+    cfg = _write(tmp_path, CROSS_FEEDBACK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", "--config", cfg, "--out",
+                         str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.match(r"solver error: no convergence: iterate \d+ diverged, "
+                    r"f gave an inf or a nan", err[0])
 
 
 def test_delayed_problem_without_history_exits_four(tmp_path, capsys):

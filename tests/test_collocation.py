@@ -1,6 +1,8 @@
 """Tests for system assembly, initial-condition rows, and the solvers."""
 
 import math
+import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -504,6 +506,49 @@ def test_user_callables_are_read_on_python_floats():
     assert {kind for _, kind in seen} == {float}
 
 
+def _diverging_cross_feedback():
+    """f_k = beta_k u_{1-k}(t - 1), beta = (0.8, -0.5), gamma = (0.5, 1),
+    g = (sin, cos), phi = (1, 0) on [0, 3], no history: at N = 10 the
+    Picard iterates grow until they pass the float range at iterate 624."""
+    betas = (0.8, -0.5)
+    return DDEProblem(
+        gamma=[0.5, 1.0], delays=[[], []], g=[math.sin, math.cos],
+        phi=[1.0, 0.0], b=3.0,
+        nonlinear=[NonlinearDelayTerm(f=lambda u, k=k: betas[k] * u,
+                                      target=1 - k, tau=1.0) for k in (0, 1)])
+
+
+@pytest.mark.parametrize("max_iter", [50.5, 2.0, "50", None])
+def test_max_iter_must_be_an_integer(max_iter):
+    # solves == max_iter never held for 50.5, so the cap never stopped the
+    # iteration: this problem ran to iterate 624
+    message = f"max_iter must be an integer >= 1, got {max_iter!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_nonlinear(_diverging_cross_feedback(), 10, max_iter=max_iter)
+    rows = convergence_study(_diverging_cross_feedback(), [6, 10],
+                             max_iter=max_iter)
+    assert [row.error for row in rows] == [message] * 2
+
+
+def test_max_iter_may_be_a_numpy_integer():
+    with pytest.raises(NonConvergenceError) as info:
+        solve_nonlinear(_diverging_cross_feedback(), 10, max_iter=np.int64(3))
+    assert info.value.iterations == 3
+
+
+def test_diverging_iterate_is_a_non_convergence_error_not_a_warning():
+    # T @ c of an iterate past the float range used to warn "overflow
+    # encountered in matmul", an exception under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match=(
+                r"^no convergence: iterate \d+ diverged, f gave an inf or a "
+                r"nan")) as info:
+            solve_nonlinear(_diverging_cross_feedback(), 10, max_iter=1000)
+    assert info.value.iterations > 50
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
 def test_nonlinear_parameter_validation():
     problem = _nonlinear_problem(lambda u: u)
     with pytest.raises(ValueError):
@@ -726,6 +771,35 @@ def test_condition_equals_the_numpy_infinity_norms(l, n, with_history,
     except SingularSystemError as err:
         condition = err.condition
     assert condition == expected
+
+
+def test_history_at_end_is_within_the_edge_tolerance():
+    history = History(functions=(math.sin,), end=0.5)
+    t = np.array([0.5, 0.5 + 5e-13, 0.5 - 5e-13, 0.5 + 2e-12, 0.4])
+    assert history.at_end(t).tolist() == [True, True, True, False, False]
+    assert history.covers(t).tolist() == [True, True, True, False, True]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_one_delayed_call_per_assembly(l, monkeypatch):
+    # every delayed term of every equation, in stage-sum order: per
+    # equation its delays, then its nonlinear term
+    calls = []
+    delayed = collocation_mod._delayed
+
+    def counting(history, t, taus, targets, right=None):
+        calls.append((list(taus), list(targets)))
+        return delayed(history, t, taus, targets, right)
+
+    monkeypatch.setattr(collocation_mod, "_delayed", counting)
+    problem = _guard_problem(l, with_history=True, with_nonlinear=True)
+    terms = [term for eq in range(l)
+             for term in problem.delays[eq] + (problem.nonlinear[eq],)]
+    expected = ([term.tau for term in terms], [term.target for term in terms])
+    _system(problem, 10, collocation_points(10, problem.b)[:-1])
+    assert calls == [expected]
+    solve_nonlinear(problem, 8)
+    assert len(calls) == 2
 
 
 def test_one_recurrence_per_assembly(monkeypatch):

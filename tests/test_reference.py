@@ -237,6 +237,34 @@ def test_rk4_step_limit_counts_the_aligned_steps(monkeypatch):
         rk4_method_of_steps(problem, step=9.99e-4)
 
 
+def _stiff_problem(gamma, beta=0.5, tau=1.0):
+    """u' = -gamma u + beta u(t - tau) + cos t on [0, 5], history 1."""
+    return single_equation(gamma, beta, tau, math.cos, 1.0, 5.0,
+                           History((lambda t: 1.0,), end=0.0))
+
+
+def test_rk4_step_past_the_stability_bound_is_refused():
+    # at step 1e-3 against 1e-4 the error was 2.5e-6 at gamma = 2700, 0.45
+    # at 2780 and 2.5e15 at 2790, each finite and so returned
+    with pytest.raises(ValueError, match=re.escape(
+            "the RK4 step 0.001 is unstable: step * 2790 (the largest gamma "
+            "plus |beta| of its tau = 0 couplings) exceeds 2.5; rk4_step "
+            "must be at most 0.000896")):
+        rk4_method_of_steps(_stiff_problem(2790.0), step=1e-3)
+    rk4_method_of_steps(_stiff_problem(2790.0), step=0.000896)
+    # a tau = 0 coupling adds its |beta|; as a delay it does not
+    with pytest.raises(ValueError, match=r"step \* 2600 \("):
+        rk4_method_of_steps(_stiff_problem(2000.0, -600.0, 0.0), step=1e-3)
+    rk4_method_of_steps(_stiff_problem(2000.0, -600.0, 0.5), step=1e-3)
+
+
+def test_rk4_step_just_inside_the_stability_bound_runs():
+    points = np.linspace(0.0, 5.0, 51)
+    coarse = rk4_method_of_steps(_stiff_problem(2490.0), step=1e-3)
+    fine = rk4_method_of_steps(_stiff_problem(2490.0), step=1e-4)
+    assert np.abs(coarse(points) - fine(points)).max() < 1e-9
+
+
 def test_delayed_problem_without_history_names_the_first_argument():
     # raised before any function of the problem is called
     times = []
