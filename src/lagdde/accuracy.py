@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -11,6 +13,7 @@ import numpy as np
 from .collocation import (
     DDEProblem,
     SpectralSolution,
+    _check_iteration,
     _each,
     _feedback,
     _system,
@@ -44,12 +47,20 @@ def _norms(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(l2, linf, rms) of each row of pointwise errors e, in one reduction
     along its last axis (for a C-contiguous e, the same pairwise sums as row
     by row). The RMS divisor is the sample count, so l2**2 == count * rms**2
-    and rms <= linf."""
-    if e.shape[-1] == 0:
+    and rms <= linf. A row whose sum of squares could pass the float range
+    is summed as e / linf and scaled back by linf."""
+    count = e.shape[-1]
+    if count == 0:
         raise ValueError("error sample must be non-empty")
-    squares = np.sum(e**2, axis=-1)
-    return (np.sqrt(squares), np.abs(e).max(axis=-1),
-            np.sqrt(squares / e.shape[-1]))
+    linf = np.abs(e).max(axis=-1)
+    large = linf > math.sqrt(sys.float_info.max / count)
+    if not large.any():
+        squares = np.sum(e**2, axis=-1)
+        return np.sqrt(squares), linf, np.sqrt(squares / count)
+    # an inf linf keeps the plain sum, inf
+    scale = np.where(large & (linf < math.inf), linf, 1.0)
+    squares = np.sum((e / scale[..., None]) ** 2, axis=-1)
+    return np.sqrt(squares) * scale, linf, np.sqrt(squares / count) * scale
 
 
 def sample_points(b: float) -> np.ndarray:
@@ -116,10 +127,12 @@ def convergence_study(problem: DDEProblem, n_list: Sequence[int],
     """Solve at each truncation and tabulate norms and solve time.
 
     Per-truncation failures are recorded in the row rather than aborting
-    the study. Timing covers assembly and solve only.
+    the study; a bad ``tol`` or ``max_iter`` raises ValueError before any
+    solve. Timing covers assembly and solve only.
     """
     if not n_list:
         raise ValueError("truncation list must be non-empty")
+    _check_iteration(tol, max_iter)
     rows = []
     for n_max in n_list:
         start = time.perf_counter()

@@ -154,17 +154,24 @@ class DDEProblem:
                 raise ValueError(
                     f"{name} has {len(seq)} entries for {l} equations"
                 )
-        for terms in self.delays:
-            for term in terms:
-                if not 0 <= term.target < l:
-                    raise ValueError(f"delay target {term.target} out of range")
-        for term in self.nonlinear:
-            if term is not None and not 0 <= term.target < l:
-                raise ValueError(f"nonlinear target {term.target} out of range")
+        for _, term in self.terms:
+            if not 0 <= term.target < l:
+                kind = ("nonlinear" if isinstance(term, NonlinearDelayTerm)
+                        else "delay")
+                raise ValueError(f"{kind} target {term.target} out of range")
 
     @property
     def n_equations(self) -> int:
         return len(self.gamma)
+
+    @property
+    def terms(self) -> tuple:
+        """(equation, term) for every delay and nonlinear term, in the order
+        a stage sums them: per equation its delays as given (tau = 0
+        couplings included), then its nonlinear term."""
+        return tuple((eq, term) for eq, delays in enumerate(self.delays)
+                     for term in (*delays, self.nonlinear[eq])
+                     if term is not None)
 
     @property
     def has_nonlinearity(self) -> bool:
@@ -334,16 +341,14 @@ def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
     the history at its end (phi without one).
 
     Every g is read before the history, which one ``_delayed`` call reads for
-    all delayed terms in stage-sum order (per equation its delays, then f);
-    one recurrence gives T_k at ``t``, then at the points the series serves.
+    all terms of ``DDEProblem.terms``, in its stage-sum order; one
+    recurrence gives T_k at ``t``, then at the points the series serves.
     """
     history = problem.history
     l = problem.n_equations
     m, width = t.size, n_max + 1
     forcing = [list(map(float, _each(g, t))) for g in problem.g]
-    terms = [(eq, term) for eq in range(l)
-             for term in problem.delays[eq] + (problem.nonlinear[eq],)
-             if term is not None]
+    terms = problem.terms
     arg, known, read = _delayed(history, t, [x.tau for _, x in terms],
                                 [x.target for _, x in terms])
     served = ~known
@@ -363,7 +368,7 @@ def _system(problem: DDEProblem, n_max: int, t: np.ndarray):
     for j, (eq, term) in enumerate(terms):
         rows = slice(eq * (m + 1), eq * (m + 1) + m)
         known_j, T_j = known[:, j], T[bounds[j]:bounds[j + 1]]
-        if term is problem.nonlinear[eq]:
+        if isinstance(term, NonlinearDelayTerm):
             u = np.where(known_j, read[:, j], problem.phi[term.target]
                          if history is None
                          else history.value(term.target, history.end))
@@ -444,6 +449,15 @@ class NonConvergenceError(Exception):
             + f" (last coefficient delta {last_delta:.3e})")
 
 
+def _check_iteration(tol: float, max_iter: int) -> None:
+    """ValueError unless ``tol`` > 0 and ``max_iter`` is an integer >= 1,
+    the arguments of ``solve_nonlinear``."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
 def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
                     max_iter: int = 50) -> SpectralSolution:
     """Solve a problem by collocation at truncation ``n_max``, by successive
@@ -460,14 +474,12 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
     problem. When f overflows, or gives an inf or a nan (as on an iterate
     past the float range), on an iterate after the first, the iteration has
     diverged: NonConvergenceError names that iterate and the cause, with no
-    NumPy warning. On the first iterate, which reads only phi and the
-    history, the error is raised as it is.
+    NumPy warning; when the previous iterate itself is not finite at the
+    delayed points, the cause named is that iterate, not f. On the first
+    iterate, which reads only phi and the history, the error is raised as
+    it is.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-
+    _check_iteration(tol, max_iter)
     A, G, feedback = _system(problem, n_max,
                              collocation_points(n_max, problem.b)[:-1])
     inverse, condition = _invert(A)
@@ -484,10 +496,16 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
                 update = _solve(A, _feedback(feedback, chebyshev, G),
                                 inverse).reshape(shape)
             except (OverflowError, FloatingPointError) as err:
-                # G passed the first iterate's finiteness check, so f failed
-                raise NonConvergenceError(solves, last_delta, (
-                    "f gave an inf or a nan" if isinstance(err, FloatingPointError)
-                    else f"f raised {type(err).__name__}: {err}")) from err
+                # G passed the first iterate's finiteness check, so either
+                # the previous iterate or f failed
+                if isinstance(err, OverflowError):
+                    cause = f"f raised OverflowError: {err}"
+                elif all(np.isfinite(u).all() for *_, u in feedback):
+                    cause = "f gave an inf or a nan"
+                else:
+                    cause = (f"iterate {solves - 1} is not finite at the "
+                             f"delayed points")
+                raise NonConvergenceError(solves, last_delta, cause) from err
             # relative to the coefficient scale, as the solution's magnitude
             # sets the roundoff floor of its coefficients
             scale = max(1.0, float(np.abs(update).max()))

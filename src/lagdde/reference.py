@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import basis as _basis
-from .collocation import DDEProblem, History, _delayed, _each
+from .collocation import DDEProblem, DelayTerm, History, _delayed, _each
 
 MAX_RK4_STEPS = 10**6  # about 0.4 GB: example2.cfg keeps 370 B per point
 # RK4 is stable on [-2.785, 0] of the real axis, but its error already grows
@@ -172,46 +172,33 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     is read into its rows of that table in one call of ``_read``, the formula
     ``Trajectory.__call__`` reads with, on the one equation each term
     reads, so a delayed value is what the finished trajectory returns (an
-    argument up to 1e-12 past t_p reads u(t_p)); then g and f, equation by
-    equation, a block's times in one ``each`` call where possible. Each
-    function is called in increasing time, so of its own failures the
-    earliest is raised; a failing history (the term listed first) before
-    any failing g or f, and of g and f the one a block calls first. All
-    equations of a block then step together in one loop over floats,
-    generated once per problem shape, that writes each stage of each
-    equation out as one sum Python adds left to right: -gamma * y + g, the
-    delay terms in list order (a tau = 0 coupling as beta times its
-    target's stage argument y), then f.
+    argument up to 1e-12 past t_p reads u(t_p)); then every g, then each f
+    in ``DDEProblem.terms`` order, a block's times in one ``each`` call
+    where possible. Each function is called in increasing time, so of its
+    own failures the earliest is raised; a failing history (the term
+    listed first) before any failing g or f, and within a block, as in
+    ``_system``, a failing g before any failing f. All equations of a
+    block then step together in one loop over floats, generated once per
+    problem shape, that writes each stage of each equation out as one sum
+    Python adds left to right: -gamma * y + g, then its terms in
+    ``DDEProblem.terms`` order (a tau = 0 coupling as beta times its
+    target's stage argument y).
 
-    Python floats overflow to inf without raising, so the finished u and u'
-    are checked once: a value that is not finite raises FloatingPointError
-    naming the first grid time where it appears.
+    Python floats overflow to inf without raising, so the state each block
+    ends with is checked: once it is not finite, no further block is
+    stepped, and FloatingPointError names the first grid time stored so far
+    where u or u' is not finite.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
-    # every delayed read, as (target, tau), in the order a stage adds them;
-    # the forcing's parts, as (read, beta, f): g with read None, then per
-    # delayed term one of beta and f; per equation its terms after g, None
-    # for a part or the target of a tau = 0 coupling, whose beta is in betas
-    reads, parts, shape, betas = [], [], [], []
-    for g, terms, nl in zip(problem.g, problem.delays, problem.nonlinear):
-        parts.append((None, None, g))
-        eq_shape = []
-        for term in terms:
-            if term.tau == 0:
-                eq_shape.append(term.target)
-                betas.append(term.beta)
-            else:
-                eq_shape.append(None)
-                parts.append((len(reads), term.beta, None))
-                reads.append((term.target, term.tau))
-        if nl is not None:
-            eq_shape.append(None)
-            parts.append((len(reads), None, nl.f))
-            reads.append((nl.target, nl.tau))
-        shape.append(tuple(eq_shape))
-    read_targets = np.array([target for target, _ in reads], dtype=int)
-    taus = [tau for _, tau in reads]
+    # the terms read at stored points (tau > 0), each one column of the
+    # forcing rows after every g, and the betas of the tau = 0 couplings,
+    # which read the stage's own arguments; both in stage-sum order
+    terms = problem.terms
+    delayed = [term for _, term in terms if term.tau > 0]
+    betas = [term.beta for _, term in terms if term.tau == 0]
+    read_targets = np.array([term.target for term in delayed], dtype=int)
+    taus = [term.tau for term in delayed]
     history = problem.history
     h = _aligned_step(taus, history, problem.b, step)
     if problem.b / h > MAX_RK4_STEPS:
@@ -222,8 +209,9 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     # by Gershgorin, the stage matrix's eigenvalues are within gamma_e plus
     # |beta| of e's tau = 0 couplings left of 0; delayed terms and f read
     # stored points (every delay is at least a step), not the stages
-    stiffest = max(gamma + sum(abs(x.beta) for x in terms if x.tau == 0)
-                   for gamma, terms in zip(problem.gamma, problem.delays))
+    stiffest = max(gamma + sum(abs(x.beta) for e, x in terms
+                               if e == eq and x.tau == 0)
+                   for eq, gamma in enumerate(problem.gamma))
     if h * stiffest > RK4_STABILITY:
         largest = RK4_STABILITY / stiffest
         digit = 10.0 ** (math.floor(math.log10(largest)) - 2)  # 3 digits, down
@@ -269,8 +257,8 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     arg, known, values = _delayed(history, times, taus, read_targets, right)
 
     def forcing(a, b, front):
-        # rows a..b-1 of the parts, one per time (every equation's g, delay
-        # terms with tau > 0, then f); _read reads at or before point front - 1
+        # rows a..b-1 of the forcing, one per time: every g, then per term of
+        # ``delayed`` beta * u or f(u); _read reads at or before point front - 1
         missing = ~known[a:b]
         if missing.any():
             values[a:b][missing] = _read(
@@ -278,12 +266,14 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
                 np.minimum(arg[a:b][missing], t_all[front - 1]),
                 read_targets[missing.nonzero()[1]])
         block_times = times[a:b].tolist()
-        return zip(*[(beta * values[a:b, j]).tolist() if f is None
-                     else _each(f, block_times if j is None
-                                else values[a:b, j])
-                     for j, beta, f in parts])
+        return zip(*[_each(g, block_times) for g in problem.g],
+                   *[(term.beta * values[a:b, j]).tolist()
+                     if isinstance(term, DelayTerm)
+                     else _each(term.f, values[a:b, j])
+                     for j, term in enumerate(delayed)])
 
-    step_block = _block_stepper(tuple(shape))
+    step_block = _block_stepper(problem.n_equations, tuple(
+        (eq, None if term.tau else term.target) for eq, term in terms))
     neg_gamma = [-gamma for gamma in problem.gamma]
     u_all[0] = u = du = list(problem.phi)  # du unread: step 1 finds u'(0)
     # the block from point p ends at point ends[p]: step k (k >= 1) reads
@@ -305,8 +295,13 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
             if rights:
                 slope[p + np.flatnonzero(edge[p:q])] = rights
             p = q
+            # a value past the float range stays inf or nan up to the state
+            if not all(map(math.isfinite, u + du)):
+                break
     du_all[0] = slope[0]
-    finite = np.isfinite(u_all).all(axis=1) & np.isfinite(du_all).all(axis=1)
+    stored = slice(p + 1)
+    finite = (np.isfinite(u_all[stored]).all(axis=1)
+              & np.isfinite(du_all[stored]).all(axis=1))
     if not finite.all():
         raise FloatingPointError(
             f"the RK4 solution is not finite from t={t_all[finite.argmin()]:g}")
@@ -343,25 +338,23 @@ def step_block(rows, steps, x, d, ng, beta):
 
 
 @cache
-def _block_stepper(shape: tuple):
-    """The block loop of a problem whose equations have the terms ``shape``
-    after g: per term, None for a part of the forcing rows or the target of
-    a tau = 0 coupling (see ``rk4_method_of_steps``). -gamma and the betas
-    are arguments, so one loop serves every problem of the shape."""
-    n = len(shape)
-    sums = []  # per equation its stage sum, {e} the stage argument of e
-    p = b = 0
-    for e, eq_shape in enumerate(shape):
-        terms = [f"ng{e} * ({{{e}}})", f"p{p}"]
-        p += 1
-        for target in eq_shape:
-            if target is None:
-                terms.append(f"p{p}")
-                p += 1
-            else:
-                terms.append(f"b{b} * ({{{target}}})")
-                b += 1
-        sums.append(" + ".join(terms))
+def _block_stepper(n: int, shape: tuple):
+    """The block loop of a problem of ``n`` equations whose terms, in
+    ``DDEProblem.terms`` order, are ``shape``: per term its equation and
+    the target of a tau = 0 coupling, else None for the next column of the
+    forcing rows after the n g's (see ``rk4_method_of_steps``). -gamma and
+    the betas are arguments, so one loop serves every problem of the shape."""
+    # per equation its stage sum, {e} the stage argument of e
+    sums = [[f"ng{e} * ({{{e}}})", f"p{e}"] for e in range(n)]
+    p, b = n, 0
+    for e, target in shape:
+        if target is None:
+            sums[e].append(f"p{p}")
+            p += 1
+        else:
+            sums[e].append(f"b{b} * ({{{target}}})")
+            b += 1
+    sums = [" + ".join(terms) for terms in sums]
 
     def names(template, count=n, sep=", "):
         return sep.join(template.format(i) for i in range(count))

@@ -1,6 +1,7 @@
 """Tests for the residual defect, error norms, and convergence studies."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -180,6 +181,18 @@ def test_norm_identity_and_ordering_random_vectors():
         assert linf <= l2 * (1 + 1e-15)
         assert rms <= linf * (1 + 1e-15)
         assert l2**2 == pytest.approx(e.size * rms**2, rel=1e-12)
+
+
+def test_norms_of_errors_past_the_square_range_do_not_overflow():
+    # 1e200 squared passes the float range: the sum used to warn "overflow
+    # encountered in square", and L2 and RMS read inf
+    e = np.array([[1e200, -1e200], [3.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        l2, linf, rms = _norms(e)
+    assert (l2[0], linf[0], rms[0]) == (math.sqrt(2) * 1e200, 1e200, 1e200)
+    # a row in range is summed as it is
+    assert (l2[1], linf[1], rms[1]) == (5.0, 4.0, math.sqrt(12.5))
 
 
 def test_norms_reject_empty_input():

@@ -12,6 +12,8 @@ cannot start, or another typed error. The ``compare`` exit counts and
 classes of a second seed are recorded in the same way.
 """
 
+import contextlib
+import io
 from collections import Counter
 
 import numpy as np
@@ -85,7 +87,7 @@ def _relative_error(path) -> float:
     return float(absdiff.max() / max(1.0, float(np.abs(oracle).max())))
 
 
-def _compare_census(tmp_path, capsys, seed):
+def _compare_census(tmp_path, seed):
     """The exit counts and the classes of ``compare`` on the COUNT configs of
     ``seed``. Right: |solution - oracle| at most RIGHT_UP_TO of
     max(1, max |oracle|); wrong: above WRONG_ABOVE; an oracle that cannot
@@ -96,8 +98,12 @@ def _compare_census(tmp_path, capsys, seed):
         path = tmp_path / f"census{k}.cfg"
         path.write_text(census_config(rng))
         out = tmp_path / f"out{k}"
-        code = cli.main(["compare", "--config", str(path), "--out", str(out)])
-        err = capsys.readouterr().err
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main(["compare", "--config", str(path),
+                             "--out", str(out)])
+        err = stderr.getvalue()
         assert code in (0, 3, 4), path.read_text()
         codes[code] += 1
         if code == 0:
@@ -111,9 +117,15 @@ def _compare_census(tmp_path, capsys, seed):
     return dict(codes), dict(classes)
 
 
+@pytest.fixture(scope="module")
+def seed_census(tmp_path_factory):
+    """``_compare_census`` of SEED, run once for the tests that read it."""
+    return _compare_census(tmp_path_factory.mktemp("census"), SEED)
+
+
 def test_census_compare_exits_typed_and_its_wrong_answers_are_counted(
-        tmp_path, capsys):
-    codes, classes = _compare_census(tmp_path, capsys, SEED)
+        seed_census):
+    codes, classes = seed_census
     assert codes == EXIT_CODES
     assert classes["wrong"] == WRONG_WITH_EXIT_0
 
@@ -132,10 +144,9 @@ def test_census_other_verbs_exit_typed(tmp_path, verb):
     assert dict(codes) == EXIT_CODES
 
 
-def test_census_compare_classes(tmp_path, capsys):
-    assert _compare_census(tmp_path, capsys, SEED)[1] == COMPARE_CLASSES
+def test_census_compare_classes(seed_census):
+    assert seed_census[1] == COMPARE_CLASSES
 
 
-def test_census_compare_second_seed(tmp_path, capsys):
-    assert _compare_census(tmp_path, capsys, 1) == (SEED_1_EXIT_CODES,
-                                                     SEED_1_CLASSES)
+def test_census_compare_second_seed(tmp_path):
+    assert _compare_census(tmp_path, 1) == (SEED_1_EXIT_CODES, SEED_1_CLASSES)

@@ -792,7 +792,7 @@ def test_diverging_picard_iterate_prints_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert re.match(r"solver error: no convergence: iterate \d+ diverged, "
-                    r"f gave an inf or a nan", err[0])
+                    r"iterate \d+ is not finite at the delayed points", err[0])
 
 
 def test_delayed_problem_without_history_exits_four(tmp_path, capsys):

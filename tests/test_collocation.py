@@ -525,9 +525,15 @@ def test_max_iter_must_be_an_integer(max_iter):
     message = f"max_iter must be an integer >= 1, got {max_iter!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         solve_nonlinear(_diverging_cross_feedback(), 10, max_iter=max_iter)
-    rows = convergence_study(_diverging_cross_feedback(), [6, 10],
-                             max_iter=max_iter)
-    assert [row.error for row in rows] == [message] * 2
+    with pytest.raises(ValueError, match=re.escape(message)):
+        convergence_study(_diverging_cross_feedback(), [6, 10],
+                          max_iter=max_iter)
+
+
+def test_convergence_study_refuses_a_bad_tolerance():
+    # it used to return one row per truncation holding this error
+    with pytest.raises(ValueError, match="^tolerance must be positive, got 0$"):
+        convergence_study(_diverging_cross_feedback(), [6, 10], tol=0)
 
 
 def test_max_iter_may_be_a_numpy_integer():
@@ -538,14 +544,17 @@ def test_max_iter_may_be_a_numpy_integer():
 
 def test_diverging_iterate_is_a_non_convergence_error_not_a_warning():
     # T @ c of an iterate past the float range used to warn "overflow
-    # encountered in matmul", an exception under -W error
+    # encountered in matmul", an exception under -W error. The iterate, not
+    # f = beta u, which only passes its inf on, is named as the cause
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergenceError, match=(
-                r"^no convergence: iterate \d+ diverged, f gave an inf or a "
-                r"nan")) as info:
+                r"^no convergence: iterate \d+ diverged, iterate \d+ is not "
+                r"finite at the delayed points")) as info:
             solve_nonlinear(_diverging_cross_feedback(), 10, max_iter=1000)
     assert info.value.iterations > 50
+    assert (f"diverged, iterate {info.value.iterations - 1} is not finite"
+            in str(info.value))
     assert isinstance(info.value.__cause__, FloatingPointError)
 
 

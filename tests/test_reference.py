@@ -409,8 +409,8 @@ def test_rk4_grid_ends_at_b(tau, history, b):
 
 
 def test_rk4_overflow_with_delays_raises_without_warnings():
-    # u passes the float range at t = 1.76 and the next blocks read inf
-    # from the trajectory; only the final check reports it
+    # u passes the float range at t = 1.76; the check after its block
+    # reports it
     problem = single_equation(-400.0, 1.0, 0.5, lambda t: 0.0, 1.0, 3.0,
                               History((lambda t: 1.0,), end=0.0))
     with warnings.catch_warnings():
@@ -418,6 +418,26 @@ def test_rk4_overflow_with_delays_raises_without_warnings():
         with pytest.raises(FloatingPointError,
                            match="not finite from t=1.756"):
             rk4_method_of_steps(problem, step=1e-3)
+
+
+def test_rk4_stops_at_the_first_block_that_is_not_finite():
+    # u' = u(t - 0.01)^2 from 1 passes the float range near t = 1.19; the
+    # oracle used to read g at all 20 002 stage times up to b = 10
+    read = []
+
+    def g(t):
+        read.append(t)
+        return 0.0
+
+    problem = DDEProblem(
+        gamma=[0.0], delays=[[]], g=[g], phi=[1.0], b=10.0,
+        history=History((lambda t: 1.0,), end=0.0),
+        nonlinear=[NonlinearDelayTerm(f=lambda u: u * u, target=0, tau=0.01)])
+    with pytest.raises(FloatingPointError,
+                       match=r"^the RK4 solution is not finite from t=1\.194$"):
+        rk4_method_of_steps(problem, step=1e-3)
+    # a block is at most one delay long
+    assert 1.194 < max(read) <= 1.194 + 0.01 + 1e-12
 
 
 def test_interpolation_accuracy_between_grid_points():
@@ -739,6 +759,20 @@ def _zero_delay_couplings_with_edges_problem():
         b=2.0, history=history,
         nonlinear=[NonlinearDelayTerm(f=lambda u: math.exp(-u), target=0,
                                       tau=0.5), None, None])
+
+
+def test_problem_terms_are_in_stage_sum_order():
+    # per equation its delays as given, tau = 0 couplings included, then its
+    # nonlinear term
+    problem = _zero_delay_couplings_with_edges_problem()
+    d, nl = problem.delays, problem.nonlinear
+    assert problem.terms == ((0, d[0][0]), (0, d[0][1]), (0, nl[0]),
+                             (1, d[1][0]), (1, d[1][1]),
+                             (2, d[2][0]), (2, d[2][1]), (2, d[2][2]))
+    # read from the problem as it is now, never from a stored table
+    problem.nonlinear = (None, None, nl[0])
+    assert problem.terms[2:] == ((1, d[1][0]), (1, d[1][1]), (2, d[2][0]),
+                                 (2, d[2][1]), (2, d[2][2]), (2, nl[0]))
 
 
 def _delay_and_nonlinear_problem():
