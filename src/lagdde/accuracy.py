@@ -48,18 +48,18 @@ def _norms(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     along its last axis (for a C-contiguous e, the same pairwise sums as row
     by row). The RMS divisor is the sample count, so l2**2 == count * rms**2
     and rms <= linf. A row whose sum of squares could pass the float range
-    is summed as e / linf and scaled back by linf."""
+    is summed as e / linf and scaled back by linf; one with an inf or a nan
+    reads inf or nan, with no warning."""
     count = e.shape[-1]
     if count == 0:
         raise ValueError("error sample must be non-empty")
     linf = np.abs(e).max(axis=-1)
-    large = linf > math.sqrt(sys.float_info.max / count)
-    if not large.any():
-        squares = np.sum(e**2, axis=-1)
-        return np.sqrt(squares), linf, np.sqrt(squares / count)
-    # an inf linf keeps the plain sum, inf
-    scale = np.where(large & (linf < math.inf), linf, 1.0)
-    squares = np.sum((e / scale[..., None]) ** 2, axis=-1)
+    # a row in range, or with an inf or a nan, has scale 1; the latter's
+    # squares may overflow, but its L2 and RMS are inf or nan either way
+    scale = np.where((linf > math.sqrt(sys.float_info.max / count))
+                     & (linf < math.inf), linf, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.sum((e / scale[..., None]) ** 2, axis=-1)
     return np.sqrt(squares) * scale, linf, np.sqrt(squares / count) * scale
 
 

@@ -187,7 +187,8 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     Python floats overflow to inf without raising, so the state each block
     ends with is checked: once it is not finite, no further block is
     stepped, and FloatingPointError names the first grid time stored so far
-    where u or u' is not finite.
+    where u or u' is not finite. A g or f that would fail only in a later
+    block is never called there.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")

@@ -186,13 +186,17 @@ def test_norm_identity_and_ordering_random_vectors():
 def test_norms_of_errors_past_the_square_range_do_not_overflow():
     # 1e200 squared passes the float range: the sum used to warn "overflow
     # encountered in square", and L2 and RMS read inf
-    e = np.array([[1e200, -1e200], [3.0, 4.0]])
+    e = np.array([[1e200, -1e200], [3.0, 4.0], [math.inf, 1e200],
+                  [math.nan, 1e200]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         l2, linf, rms = _norms(e)
     assert (l2[0], linf[0], rms[0]) == (math.sqrt(2) * 1e200, 1e200, 1e200)
     # a row in range is summed as it is
     assert (l2[1], linf[1], rms[1]) == (5.0, 4.0, math.sqrt(12.5))
+    # an inf or a nan beside a large error reads inf or nan, with no warning
+    assert (l2[2], linf[2], rms[2]) == (math.inf, math.inf, math.inf)
+    assert np.isnan([l2[3], linf[3], rms[3]]).all()
 
 
 def test_norms_reject_empty_input():

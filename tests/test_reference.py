@@ -422,11 +422,14 @@ def test_rk4_overflow_with_delays_raises_without_warnings():
 
 def test_rk4_stops_at_the_first_block_that_is_not_finite():
     # u' = u(t - 0.01)^2 from 1 passes the float range near t = 1.19; the
-    # oracle used to read g at all 20 002 stage times up to b = 10
+    # oracle used to read g at all 20 002 stage times up to b = 10, so a g
+    # failing at t = 5 raised its own error instead of the overflow
     read = []
 
     def g(t):
         read.append(t)
+        if t >= 5.0:
+            raise ValueError(f"g fails at t={t}")
         return 0.0
 
     problem = DDEProblem(
