@@ -18,7 +18,6 @@ from .collocation import (
     solve_nonlinear,
 )
 from .accuracy import convergence_study, error_report, residual
-from .reference import Trajectory, rk4_method_of_steps
 
 __version__ = "0.1.0"
 
@@ -42,3 +41,14 @@ __all__ = [
     "solve_linear",
     "solve_nonlinear",
 ]
+
+# the RK4 oracle only checks the solver: its module loads on first use
+_REFERENCE = ("Trajectory", "rk4_method_of_steps")
+
+
+def __getattr__(name):
+    if name not in _REFERENCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import reference
+
+    return getattr(reference, name)

@@ -14,13 +14,13 @@ from .collocation import (
     DDEProblem,
     SpectralSolution,
     _check_iteration,
+    _check_truncation,
     _each,
     _feedback,
     _system,
     evaluate,
     solve_nonlinear,
 )
-from .reference import Trajectory
 
 SAMPLES_PER_UNIT = 10  # 11 points per unit interval, integer t included
 MAX_SAMPLES = 10**4  # intervals in all: integer t is included up to b = 1000
@@ -83,12 +83,9 @@ class ErrorReport:
 
 def read_reference(reference: Callable[[float], np.ndarray],
                    points: np.ndarray) -> np.ndarray:
-    """The reference at the 1-D ``points``, shape (l, len(points)): a
-    ``Trajectory`` in one read, a reference with ``each`` (the CLI's exact
-    oracle) in one call of it, any other callable one Python float at a
-    time (see ``collocation._each``)."""
-    if isinstance(reference, Trajectory):
-        return reference(points)
+    """The reference at the 1-D ``points``, shape (l, len(points)): one call
+    of its ``each`` where it has one (an RK4 ``Trajectory``, the CLI's exact
+    oracle), else one call per Python float (see ``collocation._each``)."""
     return np.array(_each(reference, points)).T
 
 
@@ -127,11 +124,13 @@ def convergence_study(problem: DDEProblem, n_list: Sequence[int],
     """Solve at each truncation and tabulate norms and solve time.
 
     Per-truncation failures are recorded in the row rather than aborting
-    the study; a bad ``tol`` or ``max_iter`` raises ValueError before any
-    solve. Timing covers assembly and solve only.
+    the study; a bad truncation, ``tol`` or ``max_iter`` raises ValueError
+    before any solve. Timing covers assembly and solve only.
     """
     if not n_list:
         raise ValueError("truncation list must be non-empty")
+    for n_max in n_list:
+        _check_truncation(n_max)
     _check_iteration(tol, max_iter)
     rows = []
     for n_max in n_list:

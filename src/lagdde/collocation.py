@@ -155,9 +155,12 @@ class DDEProblem:
                     f"{name} has {len(seq)} entries for {l} equations"
                 )
         for _, term in self.terms:
+            kind = ("nonlinear" if isinstance(term, NonlinearDelayTerm)
+                    else "delay")
+            if not isinstance(term.target, numbers.Integral):
+                raise ValueError(f"{kind} target must be an integer, got "
+                                 f"{term.target!r}")
             if not 0 <= term.target < l:
-                kind = ("nonlinear" if isinstance(term, NonlinearDelayTerm)
-                        else "delay")
                 raise ValueError(f"{kind} target {term.target} out of range")
 
     @property
@@ -189,14 +192,22 @@ def single_equation(gamma, beta, tau, g, phi, b, history=None,
     )
 
 
-def collocation_points(n_max: int, b: float) -> np.ndarray:
-    """The equally spaced points t_i = (b/N) i, i = 0..N, of truncation
-    N = ``n_max``, which must lie in 2..MAX_TRUNCATION."""
+def _check_truncation(n_max: int) -> None:
+    """ValueError unless the truncation ``n_max`` is an integer in
+    2..MAX_TRUNCATION."""
+    if not isinstance(n_max, numbers.Integral):
+        raise ValueError(f"truncation must be an integer, got {n_max!r}")
     if n_max < 2:
         raise ValueError(f"truncation must be >= 2, got {n_max}")
     if n_max > _basis.MAX_TRUNCATION:
         raise ValueError(f"truncation {n_max} exceeds supported maximum "
                          f"{_basis.MAX_TRUNCATION}")
+
+
+def collocation_points(n_max: int, b: float) -> np.ndarray:
+    """The equally spaced points t_i = (b/N) i, i = 0..N, of truncation
+    N = ``n_max``, an integer in 2..MAX_TRUNCATION."""
+    _check_truncation(n_max)
     if not 0 < b < math.inf:
         raise ValueError(
             f"interval endpoint must be finite and positive, got {b}")
@@ -477,17 +488,24 @@ def solve_nonlinear(problem: DDEProblem, n_max: int, tol: float = 1e-8,
     NumPy warning; when the previous iterate itself is not finite at the
     delayed points, the cause named is that iterate, not f. On the first
     iterate, which reads only phi and the history, the error is raised as
-    it is.
+    it is. Past the float range the first solve ends, with no NumPy warning,
+    in SingularSystemError where the norms of A overflow (a gamma or beta
+    near it) and in FloatingPointError where its coefficients are not finite.
     """
     _check_iteration(tol, max_iter)
-    A, G, feedback = _system(problem, n_max,
-                             collocation_points(n_max, problem.b)[:-1])
-    inverse, condition = _invert(A)
-    shape = (problem.n_equations, n_max + 1)
-    chebyshev = _solve(A, _feedback(feedback, None, G), inverse).reshape(shape)
-    solves, last_delta = 1, math.inf
-    # an iterate may pass the float range; _solve's finiteness check sees it
+    # A, the first solve or an iterate may pass the float range: _invert's
+    # condition, the scan below and _solve's finiteness check see it
     with np.errstate(over="ignore", invalid="ignore"):
+        A, G, feedback = _system(problem, n_max,
+                                 collocation_points(n_max, problem.b)[:-1])
+        inverse, condition = _invert(A)
+        shape = (problem.n_equations, n_max + 1)
+        chebyshev = _solve(A, _feedback(feedback, None, G),
+                           inverse).reshape(shape)
+        if not all(map(math.isfinite, chebyshev.ravel().tolist())):
+            raise FloatingPointError("the coefficients are not finite: the "
+                                     "solution passes the float range")
+        solves, last_delta = 1, math.inf
         while feedback and not last_delta < tol:
             if solves == max_iter:
                 raise NonConvergenceError(max_iter, last_delta)

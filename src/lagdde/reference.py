@@ -42,6 +42,11 @@ class Trajectory:
                        np.tile(q.ravel(), l), np.arange(l).repeat(q.size))
         return values.reshape((l,) + q.shape)
 
+    def each(self, ts) -> np.ndarray:
+        """u at each time of ``ts``, one row per time, shape (len(ts), l):
+        the ``each`` of a config ``Expression``, read as ``__call__``."""
+        return self(ts).T
+
 
 def _read(t, u, du, slope, q, e):
     """u of equation ``e[n]`` at time ``q[n]`` (two 1-D arrays of one

@@ -756,6 +756,45 @@ def test_rk4_step_past_the_stability_bound_exits_four(tmp_path, capsys, verb):
     assert cli.main([verb, "--config", cfg, "--out", str(out)]) == 0
 
 
+FAR_PROBLEM = """\
+b = 5
+N = 8
+
+[equation 1]
+gamma = 0
+phi = 1
+forcing = cos(t)
+history = 1
+delay = 1 0.5 1
+"""
+
+
+@pytest.mark.parametrize("verb", ["solve", "converge"])
+@pytest.mark.parametrize("line", [
+    "phi = 1e308", "phi = -1e308", "gamma = 1e308", "gamma = -1e308",
+    "forcing = 1e308", "history = 1e308"])
+def test_solve_past_the_float_range_exits_three(tmp_path, capsys, verb,
+                                                line):
+    # solve used to exit 0 with nan in every solution.csv row after NumPy
+    # warnings, each of which escaped main under -W error
+    key = line.split(" = ")[0]
+    text = re.sub(f"^{key} = .*$", line, FAR_PROBLEM, flags=re.M)
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([verb, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("solver error: ")
+        # a typed error, not a warning's text (converge lists it per N)
+        assert (("the coefficients are not finite" in err)
+                != ("singular system" in err))
+        assert not out.exists()
+        # the same problem in range solves
+        assert cli.main([verb, "--config", _write(tmp_path, FAR_PROBLEM),
+                         "--out", str(out)]) == 0
+
+
 CROSS_FEEDBACK = """\
 equations = 2
 b = 3

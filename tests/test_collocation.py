@@ -542,6 +542,88 @@ def test_max_iter_may_be_a_numpy_integer():
     assert info.value.iterations == 3
 
 
+def _coupled_pair(delay=None, nonlinear=None):
+    """Two equations on [0, 2] with a history, equation 0 reading equation 1
+    through ``delay`` or ``nonlinear``."""
+    return DDEProblem(
+        gamma=[1.0, 0.5], delays=[[delay] if delay else [], []],
+        g=[math.cos, math.sin], phi=[1.0, 0.0], b=2.0,
+        history=History(functions=(math.cos, math.sin)),
+        nonlinear=[nonlinear, None])
+
+
+@pytest.mark.parametrize("target", [0.5, 1.0])
+def test_term_targets_must_be_integers(target):
+    # target 0.5 used to build a problem: solve_linear then raised a bare
+    # TypeError, and the RK4 oracle integrated it as target 0
+    with pytest.raises(ValueError, match=re.escape(
+            f"delay target must be an integer, got {target!r}")):
+        _coupled_pair(delay=DelayTerm(target, 0.5, 1.0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"nonlinear target must be an integer, got {target!r}")):
+        _coupled_pair(nonlinear=NonlinearDelayTerm(math.sin, target, 1.0))
+
+
+def test_term_targets_may_be_numpy_integers():
+    for problem in (
+            lambda k: _coupled_pair(delay=DelayTerm(k, 0.5, 1.0)),
+            lambda k: _coupled_pair(
+                nonlinear=NonlinearDelayTerm(math.sin, k, 1.0))):
+        assert np.array_equal(solve_nonlinear(problem(np.int64(1)), 8).chebyshev,
+                              solve_nonlinear(problem(1), 8).chebyshev)
+
+
+def _far_problem(gamma=0.0, phi=1.0):
+    """u' = -gamma u + 0.5 u(t - 1) + cos t on [0, 5], u(0) = phi, history
+    1; at the defaults every value is in range."""
+    return single_equation(gamma, 0.5, 1.0, math.cos, phi, 5.0,
+                           history=History(functions=(lambda t: 1.0,)))
+
+
+def test_solve_past_the_float_range_is_a_typed_error_with_no_warning():
+    # phi = 1e308 used to give nan coefficients after two RuntimeWarnings
+    # from the residual correction; gamma = 1e308 warned in _invert's row
+    # sums before its SingularSystemError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, phi in ((8, 1e308), (8, -1e308), (20, 1e306)):
+            with pytest.raises(FloatingPointError,
+                               match="^the coefficients are not finite"):
+                solve_linear(_far_problem(phi=phi), n)
+        for gamma in (1e308, -1e308):
+            with pytest.raises(SingularSystemError):
+                solve_linear(_far_problem(gamma=gamma), 8)
+        assert np.isfinite(solve_linear(_far_problem(), 8).chebyshev).all()
+
+
+@pytest.mark.parametrize("n_list, message", [
+    ([6, 25], "truncation 25 exceeds supported maximum 20"),
+    ([6, 1], "truncation must be >= 2, got 1"),
+    ([6.0], "truncation must be an integer, got 6.0"),
+    ([6, "8"], "truncation must be an integer, got '8'"),
+])
+def test_convergence_study_checks_every_truncation_before_any_solve(
+        n_list, message):
+    # each used to come back as a row holding the error, a float N as the
+    # TypeError of np.linspace
+    calls = []
+    problem = single_equation(1.0, 0.5, 1.0, lambda t: calls.append(t) or 0.0,
+                              1.0, 2.0, history=History((math.cos,)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        convergence_study(problem, n_list)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_max", [6.0, 6.5, "6", None])
+def test_truncation_must_be_an_integer(n_max):
+    message = f"truncation must be an integer, got {n_max!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        collocation_points(n_max, 1.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_nonlinear(_diverging_cross_feedback(), n_max)
+    assert len(collocation_points(np.int64(6), 1.0)) == 7
+
+
 def test_diverging_iterate_is_a_non_convergence_error_not_a_warning():
     # T @ c of an iterate past the float range used to warn "overflow
     # encountered in matmul", an exception under -W error. The iterate, not

@@ -1,7 +1,11 @@
 """Tests for the RK4 method-of-steps oracle and the matrix identity suite."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 
 from lagdde import basis as basis_mod
+from lagdde.accuracy import read_reference
 from lagdde.config import (
     Expression,
     build_problem,
@@ -181,6 +186,48 @@ def test_trajectory_reads_keep_the_shape_of_their_times():
         assert grid.shape == (l, 2, 3)
         assert (grid.reshape(l, -1) == rows).all()
         assert (trajectory(times.tolist()) == rows).all()
+
+
+def test_trajectory_each_reads_one_row_per_time():
+    # the each protocol of a config Expression, through which
+    # accuracy.read_reference reads every reference
+    problem = _coupled_problem(1.0)
+    trajectory = rk4_method_of_steps(problem, step=0.1)
+    times = [0.5, 1.0, 0.25, 0.0, 0.73, 0.1]
+    for ts in (times, np.array(times)):
+        rows = trajectory.each(ts)
+        assert rows.shape == (6, 2)
+        assert np.array_equal(rows, trajectory(ts).T)
+    assert np.array_equal(read_reference(trajectory, np.array(times)),
+                          trajectory(times))
+
+
+def test_import_lagdde_loads_the_oracle_on_first_use():
+    # the oracle only checks the solver: importing the package, or the
+    # accuracy module that reads references, leaves it unloaded
+    code = textwrap.dedent("""\
+        import sys
+        import lagdde
+        from lagdde import accuracy
+        assert "lagdde.reference" not in sys.modules
+        trajectory = lagdde.Trajectory
+        assert "lagdde.reference" in sys.modules
+        assert trajectory is lagdde.reference.Trajectory
+        assert lagdde.rk4_method_of_steps is lagdde.reference.rk4_method_of_steps
+        try:
+            lagdde.no_such_name
+        except AttributeError as err:
+            assert "no_such_name" in str(err)
+        else:
+            raise AssertionError("no AttributeError")
+        """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(CONFIG_DIR.parent / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_trajectory_query_outside_range():
