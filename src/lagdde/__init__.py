@@ -2,7 +2,6 @@
 equations, with residual-based error estimation and an RK4 method-of-steps
 reference integrator."""
 
-from .basis import basis_row
 from .collocation import (
     DDEProblem,
     DelayTerm,
@@ -11,6 +10,7 @@ from .collocation import (
     NonlinearDelayTerm,
     SingularSystemError,
     SpectralSolution,
+    basis_row,
     collocation_points,
     evaluate,
     single_equation,

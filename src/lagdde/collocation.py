@@ -28,8 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import basis as _basis
-
+MAX_TRUNCATION = 20
 HISTORY_EDGE_TOL = 1e-12
 # cond * eps above 1e-2 leaves fewer than two reliable digits
 SINGULAR_CONDITION = 1e-2 / np.finfo(float).eps
@@ -199,9 +198,9 @@ def _check_truncation(n_max: int) -> None:
         raise ValueError(f"truncation must be an integer, got {n_max!r}")
     if n_max < 2:
         raise ValueError(f"truncation must be >= 2, got {n_max}")
-    if n_max > _basis.MAX_TRUNCATION:
+    if n_max > MAX_TRUNCATION:
         raise ValueError(f"truncation {n_max} exceeds supported maximum "
-                         f"{_basis.MAX_TRUNCATION}")
+                         f"{MAX_TRUNCATION}")
 
 
 def collocation_points(n_max: int, b: float) -> np.ndarray:
@@ -212,6 +211,26 @@ def collocation_points(n_max: int, b: float) -> np.ndarray:
         raise ValueError(
             f"interval endpoint must be finite and positive, got {b}")
     return np.linspace(0.0, b, n_max + 1)
+
+
+def basis_row(n_max: int, t: float) -> np.ndarray:
+    """The Laguerre row [L_0(t), ..., L_n_max(t)] for t >= 0.
+
+    The recurrence (n+1) L_{n+1} = (2n+1-t) L_n - n L_{n-1} is stable where
+    the alternating explicit sum loses digits for n beyond ~15.
+    """
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"evaluation point must be finite, got {t}")
+    if t < 0:
+        raise ValueError(f"Laguerre basis requires t >= 0, got {t}")
+    row = np.empty(n_max + 1)
+    row[0] = 1.0
+    if n_max:
+        row[1] = 1.0 - t
+    for k in range(1, n_max):
+        row[k + 1] = ((2 * k + 1 - t) * row[k] - k * row[k - 1]) / (k + 1)
+    return row
 
 
 @dataclass
@@ -244,7 +263,7 @@ class SpectralSolution:
         interpolation matrix is singular (b tiny against N).
         """
         points = np.linspace(0.0, self.b, self.n_max + 1)
-        laguerre = np.array([_basis.basis_row(self.n_max, t) for t in points])
+        laguerre = np.array([basis_row(self.n_max, t) for t in points])
         rows = np.ascontiguousarray(_chebyshev_rows(self.n_max, self.b, points)[0].T)
         values = rows @ self.chebyshev.T
         try:
@@ -404,15 +423,20 @@ def _feedback(feedback, chebyshev: Optional[np.ndarray], G: np.ndarray):
 
 
 def _invert(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """A^-1 and ||A||_inf ||A^-1||_inf; SingularSystemError when LAPACK finds
-    A singular or the condition number exceeds SINGULAR_CONDITION."""
+    """A^-1 and ||A||_inf ||A^-1||_inf; SingularSystemError when ||A||_inf
+    overflows, LAPACK finds A singular or the condition number exceeds
+    SINGULAR_CONDITION."""
+    # the reductions np.linalg.norm(X, inf) performs, without its dispatch
+    norm = float(np.abs(A).sum(axis=1).max())
+    if not math.isfinite(norm):
+        raise SingularSystemError(math.inf, (
+            "the infinity norm of the system overflows: a gamma, a beta or "
+            "1/b is past the float range"))
     try:
         inverse = np.linalg.inv(A)
     except np.linalg.LinAlgError:
         raise SingularSystemError(math.inf) from None
-    # the reductions np.linalg.norm(X, inf) performs, without its dispatch
-    condition = float(np.abs(A).sum(axis=1).max()
-                      * np.abs(inverse).sum(axis=1).max())
+    condition = norm * float(np.abs(inverse).sum(axis=1).max())
     if not condition <= SINGULAR_CONDITION:  # nan included
         raise SingularSystemError(condition)
     return inverse, condition

@@ -19,8 +19,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .basis import MAX_TRUNCATION
 from .collocation import (
+    MAX_TRUNCATION,
     DDEProblem,
     DelayTerm,
     History,

@@ -1,5 +1,16 @@
 """Independent oracles: an RK4 method-of-steps integrator for retarded DDEs
-and a random-point check of the row-vector matrix identities."""
+and a random-point check of the paper's row-vector matrix identities.
+
+The paper's matrices act on *row* vectors of basis values, i.e. the
+identities have the shape ``row_new = row_old @ M``:
+
+* ``H``  maps the monomial row ``[1, t, ..., t^N]`` to the Laguerre row.
+* ``B``  differentiates the monomial row.
+* ``C``  differentiates the Laguerre row.
+* ``T``  shifts the monomial row by a delay: ``[1, (t-tau), ..., (t-tau)^N]``.
+
+The solver reads none of them: it assembles in Chebyshev coefficients.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import basis as _basis
-from .collocation import DDEProblem, DelayTerm, History, _delayed, _each
+from .collocation import (DDEProblem, DelayTerm, History, _delayed, _each,
+                          basis_row)
 
 MAX_RK4_STEPS = 10**6  # about 0.4 GB: example2.cfg keeps 370 B per point
 # RK4 is stable on [-2.785, 0] of the real axis, but its error already grows
@@ -385,6 +396,66 @@ def _block_stepper(n: int, shape: tuple):
     return namespace["step_block"]
 
 
+def laguerre_eval_sum(n: int, t: float) -> float:
+    """Explicit alternating-sum form of L_n(t).
+
+    Numerically inferior to the recurrence of :func:`basis_row` for large n;
+    kept as an independent cross-check.
+    """
+    if n < 0:
+        raise ValueError(f"degree must be non-negative, got {n}")
+    return float(
+        sum((-1) ** k / math.factorial(k) * math.comb(n, k) * t**k
+            for k in range(n + 1))
+    )
+
+
+def laguerre_change_matrix(n_max: int) -> np.ndarray:
+    """Monomial-to-Laguerre change of basis: laguerre_row = monomial_row @ H."""
+    H = np.zeros((n_max + 1, n_max + 1))
+    for k in range(n_max + 1):
+        fact = math.factorial(k)
+        for n in range(k, n_max + 1):
+            H[k, n] = (-1.0) ** k / fact * math.comb(n, k)
+    return H
+
+
+def monomial_diff_matrix(n_max: int) -> np.ndarray:
+    """Differentiation of the monomial row: d/dt monomial_row = monomial_row @ B."""
+    B = np.zeros((n_max + 1, n_max + 1))
+    for k in range(n_max):
+        B[k, k + 1] = k + 1
+    return B
+
+
+def laguerre_diff_matrix(n_max: int) -> np.ndarray:
+    """Differentiation of the Laguerre row: d/dt laguerre_row = laguerre_row @ C.
+
+    C is strictly upper triangular with every entry above the diagonal -1,
+    which encodes L_n'(t) = -sum_{m<n} L_m(t).
+    """
+    C = np.zeros((n_max + 1, n_max + 1))
+    for p in range(n_max + 1):
+        C[p, p + 1:] = -1.0
+    return C
+
+
+def delay_shift_matrix(n_max: int, tau: float) -> np.ndarray:
+    """Delay shift of the monomial row: [1, (t-tau), ...] = monomial_row @ T."""
+    if tau < 0:
+        raise ValueError(f"delay must be non-negative, got {tau}")
+    T = np.zeros((n_max + 1, n_max + 1))
+    for k in range(n_max + 1):
+        for n in range(k, n_max + 1):
+            T[k, n] = math.comb(n, k) * (-tau) ** (n - k)
+    return T
+
+
+def monomial_row(n_max: int, t: float) -> np.ndarray:
+    """The row [1, t, t^2, ..., t^n_max]."""
+    return np.power(float(t), np.arange(n_max + 1))
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     passed: bool
@@ -392,7 +463,7 @@ class IdentityCheck:
 
 
 def _laguerre_row_direct(n_max, t):
-    return np.array([_basis.laguerre_eval_sum(n, t) for n in range(n_max + 1)])
+    return np.array([laguerre_eval_sum(n, t) for n in range(n_max + 1)])
 
 
 def _laguerre_derivative_direct(n_max, t):
@@ -432,22 +503,22 @@ def identity_suite() -> list[tuple[str, IdentityCheck]]:
         results.append((name, IdentityCheck(worst < 1e-9, worst)))
 
     for n in range(2, 11):
-        H = _basis.laguerre_change_matrix(n)
-        B = _basis.monomial_diff_matrix(n)
-        C = _basis.laguerre_diff_matrix(n)
+        H = laguerre_change_matrix(n)
+        B = monomial_diff_matrix(n)
+        C = laguerre_diff_matrix(n)
         check(f"laguerre_from_monomials[N={n}]", lambda t: (
-            _laguerre_row_direct(n, t), _basis.monomial_row(n, t) @ H))
+            _laguerre_row_direct(n, t), monomial_row(n, t) @ H))
         # k on Python ints: t ** (k - 1) as Python's float power
         check(f"monomial_derivative[N={n}]", lambda t: (
             np.array([k * t ** (k - 1) if k else 0.0 for k in range(n + 1)]),
-            _basis.monomial_row(n, t) @ B))
+            monomial_row(n, t) @ B))
         check(f"laguerre_derivative[N={n}]", lambda t: (
-            _laguerre_derivative_direct(n, t), _basis.basis_row(n, t) @ C))
+            _laguerre_derivative_direct(n, t), basis_row(n, t) @ C))
         for tau in (0.5, 1.0, 2.0):
-            T = _basis.delay_shift_matrix(n, tau)
+            T = delay_shift_matrix(n, tau)
             check(f"delay_shift[N={n},tau={tau}]", lambda t: (
                 np.power(t - tau, np.arange(n + 1)),
-                _basis.monomial_row(n, t) @ T))
+                monomial_row(n, t) @ T))
         bh_hc = float(np.abs(B @ H - H @ C).max())
         results.append((f"diff_consistency_BH_eq_HC[N={n}]",
                         IdentityCheck(bh_hc < 1e-9, bh_hc)))
@@ -464,8 +535,8 @@ def delay_product_mismatch() -> float:
     (``collocation._system``). This helper exists so that tests and
     ``lagdde validate`` can pin down that the literal product is wrong.
     """
-    literal = (_basis.monomial_row(3, 1.0)
-               @ _basis.delay_shift_matrix(3, 1.0)
-               @ _basis.monomial_diff_matrix(3)
-               @ _basis.laguerre_change_matrix(3))
+    literal = (monomial_row(3, 1.0)
+               @ delay_shift_matrix(3, 1.0)
+               @ monomial_diff_matrix(3)
+               @ laguerre_change_matrix(3))
     return float(np.abs(literal - _laguerre_row_direct(3, 0.0)).max())

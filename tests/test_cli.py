@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagdde import accuracy, basis, cli, config, reference
+from lagdde import accuracy, cli, config, reference
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -506,7 +506,8 @@ def test_validate_with_a_wrong_matrix_prints_fail_and_exits_three(monkeypatch,
                                                                   capsys):
     # B in place of C: L(t) B is not the derivative of the Laguerre row, and
     # BH = HC fails with it
-    monkeypatch.setattr(basis, "laguerre_diff_matrix", basis.monomial_diff_matrix)
+    monkeypatch.setattr(reference, "laguerre_diff_matrix",
+                        reference.monomial_diff_matrix)
     assert cli.main(["validate"]) == 3
     lines = capsys.readouterr().out.splitlines()
     failed = [l.split()[1] for l in lines if l.startswith("FAIL")]

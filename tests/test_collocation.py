@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import Chebyshev, Laguerre
 
-from lagdde import basis as basis_mod
 from lagdde import collocation as collocation_mod
+from lagdde import reference as reference_mod
 from lagdde.accuracy import convergence_study, error_report, residual
 from lagdde.collocation import (
     DDEProblem,
@@ -91,7 +91,8 @@ def test_row_block_derivative_only():
     problem = single_equation(0.0, 0.0, 1.0, lambda t: 1.0, 0.0, 1.8)
     t = 0.6
     W, G = _laguerre_frame(problem, 3)
-    expected = basis_mod.basis_row(3, t) @ basis_mod.laguerre_diff_matrix(3)
+    expected = (collocation_mod.basis_row(3, t)
+                @ reference_mod.laguerre_diff_matrix(3))
     np.testing.assert_allclose(W[1], expected, atol=1e-14)
     assert G[1] == 1.0
 
@@ -108,18 +109,18 @@ def test_row_block_delay_collapses_at_zero_tau():
     problem = single_equation(0.0, 1.0, 0.0, lambda t: 0.0, 0.0, 1.2)
     t = 0.4
     W, _ = _laguerre_frame(problem, 3)
-    L = basis_mod.basis_row(3, t)
+    L = collocation_mod.basis_row(3, t)
     np.testing.assert_allclose(
-        W[1], L @ basis_mod.laguerre_diff_matrix(3) - L, atol=1e-12)
+        W[1], L @ reference_mod.laguerre_diff_matrix(3) - L, atol=1e-12)
 
 
 def test_assemble_system_derivative_rows():
     problem = single_equation(0.0, 0.0, 1.0, lambda t: 0.0, 0.0, 1.0)
     W, G = _laguerre_frame(problem, 2)
     assert W.shape == (3, 3)
-    C = basis_mod.laguerre_diff_matrix(2)
+    C = reference_mod.laguerre_diff_matrix(2)
     for i, t in enumerate(collocation_points(2, 1.0)[:-1]):
-        np.testing.assert_allclose(W[i], basis_mod.basis_row(2, t) @ C,
+        np.testing.assert_allclose(W[i], collocation_mod.basis_row(2, t) @ C,
                                    atol=1e-14)
     np.testing.assert_array_equal(G, np.zeros(3))
 
@@ -128,9 +129,9 @@ def test_delay_collapse_matches_ode_assembly():
     gamma, beta = 0.7, 0.3
     problem = single_equation(gamma, beta, 0.0, lambda t: math.sin(t), 0.2, 2.0)
     W, _ = _laguerre_frame(problem, 5)
-    C = basis_mod.laguerre_diff_matrix(5)
+    C = reference_mod.laguerre_diff_matrix(5)
     for i, t in enumerate(collocation_points(5, 2.0)[:-1]):
-        L = basis_mod.basis_row(5, t)
+        L = collocation_mod.basis_row(5, t)
         np.testing.assert_allclose(W[i], L @ C + (gamma - beta) * L,
                                    atol=1e-12)
 
@@ -596,6 +597,39 @@ def test_solve_past_the_float_range_is_a_typed_error_with_no_warning():
         assert np.isfinite(solve_linear(_far_problem(), 8).chebyshev).all()
 
 
+@pytest.mark.parametrize("gamma, beta, b, n_list", [
+    (1e308, 0.5, 5.0, (8, 20)),
+    (-1e308, 0.5, 5.0, (8, 20)),
+    (0.0, 1e308, 5.0, (8, 20)),
+    (0.0, 0.5, 1e-306, (20,)),
+], ids=["gamma", "negative_gamma", "beta", "tiny_b"])
+def test_system_whose_norm_overflows_says_so(gamma, beta, b, n_list):
+    # each used to read "condition number nan (bound 4.504e+13)", which
+    # gave no reason
+    problem = single_equation(gamma, beta, 1.0, math.cos, 1.0, b,
+                              history=History(functions=(lambda t: 1.0,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in n_list:
+            with pytest.raises(SingularSystemError) as info:
+                solve_linear(problem, n)
+            assert info.value.condition == math.inf
+            assert str(info.value) == (
+                "singular system: the infinity norm of the system overflows: "
+                "a gamma, a beta or 1/b is past the float range")
+
+
+def test_system_with_a_finite_norm_keeps_its_condition_number():
+    with pytest.raises(SingularSystemError, match=re.escape(
+            "singular system: condition number inf (bound 4.504e+13)")):
+        solve_linear(_far_problem(gamma=1e300), 20)
+    tiny_b = single_equation(0.0, 0.5, 1.0, math.cos, 1.0, 1e-300,
+                             history=History(functions=(lambda t: 1.0,)))
+    with pytest.raises(SingularSystemError, match=(
+            r"^singular system: condition number \d\.\d{3}e\+30\d ")):
+        solve_linear(tiny_b, 20)
+
+
 @pytest.mark.parametrize("n_list, message", [
     ([6, 25], "truncation 25 exceeds supported maximum 20"),
     ([6, 1], "truncation must be >= 2, got 1"),
@@ -920,22 +954,22 @@ def _laguerre_frame_reference(problem, n):
     as each block's last, initial-condition row."""
     l = problem.n_equations
     width = n + 1
-    C = basis_mod.laguerre_diff_matrix(n)
+    C = reference_mod.laguerre_diff_matrix(n)
     W = np.zeros((l * width, l * width))
     for eq in range(l):
         for i, t in enumerate(collocation_points(n, problem.b)[:-1]):
             r = eq * width + i
-            L = basis_mod.basis_row(n, t)
+            L = collocation_mod.basis_row(n, t)
             W[r, eq * width:(eq + 1) * width] = L @ C + problem.gamma[eq] * L
             for term in problem.delays[eq]:
                 if term.tau > 0 and problem.history.covers(t - term.tau):
                     continue
-                delayed = [basis_mod.laguerre_eval_sum(k, t - term.tau)
+                delayed = [reference_mod.laguerre_eval_sum(k, t - term.tau)
                            for k in range(width)]
                 block = slice(term.target * width, (term.target + 1) * width)
                 W[r, block] -= term.beta * np.array(delayed)
         W[(eq + 1) * width - 1, eq * width:(eq + 1) * width] = (
-            basis_mod.basis_row(n, 0.0))
+            collocation_mod.basis_row(n, 0.0))
     return W
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lagdde import config as config_mod
-from lagdde.collocation import DelayTerm
+from lagdde.collocation import DelayTerm, solve_nonlinear
 from lagdde.config import (
     _FUNCTIONS,
     _KEYS,
@@ -20,6 +20,7 @@ from lagdde.config import (
     parse_config,
     parse_config_text,
 )
+from lagdde.reference import rk4_method_of_steps
 
 EXAMPLE1 = """\
 # delayed feedback with exponential nonlinearity
@@ -448,6 +449,21 @@ def test_build_problem_from_coupled_example():
     assert problem.history is not None
     assert problem.history.value(0, -1.0) == 1.0
     assert problem.phi == (1.0, 1.0)
+
+
+def test_equation_without_a_history_reads_its_phi():
+    # another equation's history gives the problem one; equation 2, which
+    # sets none, is read as its phi on every delayed argument
+    text = ("equations = 2\nb = 5\n[equation 1]\nhistory = sin(t)\n"
+            "delay = 2 0.5 1\n[equation 2]\nphi = 0.7\n")
+    implicit = build_problem(parse_config_text(text))
+    explicit = build_problem(parse_config_text(text + "history = 0.7\n"))
+    assert implicit.history.functions[1](-0.5) == 0.7
+    a, b = (rk4_method_of_steps(p) for p in (implicit, explicit))
+    for name in ("t", "u", "du", "slope"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    np.testing.assert_array_equal(solve_nonlinear(implicit, 12).chebyshev,
+                                  solve_nonlinear(explicit, 12).chebyshev)
 
 
 def test_parse_config_from_file(tmp_path):

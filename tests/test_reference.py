@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagdde import basis as basis_mod
+from lagdde import reference as reference_mod
 from lagdde.accuracy import read_reference
 from lagdde.config import (
     Expression,
@@ -204,10 +204,13 @@ def test_trajectory_each_reads_one_row_per_time():
 
 def test_import_lagdde_loads_the_oracle_on_first_use():
     # the oracle only checks the solver: importing the package, or the
-    # accuracy module that reads references, leaves it unloaded
+    # accuracy module that reads references, leaves it unloaded, and the
+    # package loads the solver's modules and no other
     code = textwrap.dedent("""\
         import sys
         import lagdde
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "lagdde")
+        assert loaded == ["lagdde", "lagdde.accuracy", "lagdde.collocation"], loaded
         from lagdde import accuracy
         assert "lagdde.reference" not in sys.modules
         trajectory = lagdde.Trajectory
@@ -972,9 +975,9 @@ def test_delay_product_with_extra_diff_factor_differs():
 def test_identity_suite_fails_exactly_the_checks_of_a_wrong_matrix(monkeypatch):
     # H replaced by B H: X(t) B H is the derivative of the Laguerre row,
     # not the row. B B H = B H C, so BH = HC still holds for the wrong H
-    change = basis_mod.laguerre_change_matrix
+    change = reference_mod.laguerre_change_matrix
     monkeypatch.setattr(
-        basis_mod, "laguerre_change_matrix",
-        lambda n: basis_mod.monomial_diff_matrix(n) @ change(n))
+        reference_mod, "laguerre_change_matrix",
+        lambda n: reference_mod.monomial_diff_matrix(n) @ change(n))
     failed = [name for name, check in identity_suite() if not check.passed]
     assert failed == [f"laguerre_from_monomials[N={n}]" for n in range(2, 11)]
