@@ -12,6 +12,8 @@ import numpy as np
 
 from .collocation import (
     DDEProblem,
+    NonConvergenceError,
+    SingularSystemError,
     SpectralSolution,
     _check_iteration,
     _check_truncation,
@@ -70,7 +72,7 @@ def sample_points(b: float) -> np.ndarray:
     return np.linspace(0.0, b, count + 1)
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: ndarray fields have no truth value
 class ErrorReport:
     """Reference errors, or residuals, at sample points, with their norms."""
 
@@ -106,7 +108,7 @@ def error_report(problem: DDEProblem, solution: SpectralSolution,
     return ErrorReport(points=points, errors=errors, l2=l2, linf=linf, rms=rms)
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: ndarray fields have no truth value
 class ConvergenceRow:
     n_max: int
     l2: Optional[np.ndarray]
@@ -123,9 +125,12 @@ def convergence_study(problem: DDEProblem, n_list: Sequence[int],
                       tol: float = 1e-8, max_iter: int = 50) -> list[ConvergenceRow]:
     """Solve at each truncation and tabulate norms and solve time.
 
-    Per-truncation failures are recorded in the row rather than aborting
-    the study; a bad truncation, ``tol`` or ``max_iter`` raises ValueError
-    before any solve. Timing covers assembly and solve only.
+    A failed solve is recorded in its row rather than aborting the study:
+    a singular system, no convergence, or an ArithmeticError or ValueError
+    (an overflow, a config expression, a math domain error). Any other
+    exception is a bug in the problem's callables and propagates. A bad
+    truncation, ``tol`` or ``max_iter`` raises ValueError before any
+    solve. Timing covers assembly and solve only.
     """
     if not n_list:
         raise ValueError("truncation list must be non-empty")
@@ -137,7 +142,8 @@ def convergence_study(problem: DDEProblem, n_list: Sequence[int],
         start = time.perf_counter()
         try:
             solution = solve_nonlinear(problem, n_max, tol=tol, max_iter=max_iter)
-        except Exception as err:  # recorded, not raised
+        except (SingularSystemError, NonConvergenceError, ArithmeticError,
+                ValueError) as err:
             rows.append(ConvergenceRow(
                 n_max=n_max, l2=None, linf=None, rms=None,
                 cpu_time=time.perf_counter() - start,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import accuracy, reference
+from . import accuracy
 from .collocation import (
     NonConvergenceError,
     SingularSystemError,
@@ -98,6 +98,8 @@ def _make_oracle(cfg: ProblemConfig, problem):
         return None
     if cfg.oracle == "exact":
         return _Exact([eq.exact for eq in cfg.equations])
+    from . import reference  # the RK4 oracle loads only for a run that uses it
+
     try:
         return reference.rk4_method_of_steps(problem, step=cfg.rk4_step)
     except ValueError as err:  # e.g. history_end off the delay grid
@@ -197,6 +199,8 @@ def run_converge(cfg: ProblemConfig, problem, oracle, n_list, out_dir: Path,
 
 def run_validate() -> int:
     """The matrix identity suite; prints one line per check."""
+    from . import reference
+
     failures = 0
     for name, check in reference.identity_suite():
         status = "PASS" if check.passed else "FAIL"

@@ -233,7 +233,7 @@ def basis_row(n_max: int, t: float) -> np.ndarray:
     return row
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: ndarray fields have no truth value
 class SpectralSolution:
     """Degree-N polynomial per equation, u_{l,N}(t) = sum_k c_{l,k} T_k(2t/b - 1).
 

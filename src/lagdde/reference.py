@@ -32,7 +32,7 @@ MAX_RK4_STEPS = 10**6  # about 0.4 GB: example2.cfg keeps 370 B per point
 RK4_STABILITY = 2.5
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: ndarray fields have no truth value
 class Trajectory:
     """Dense output of the RK4 integrator, read by ``_read``. ``du`` holds
     the derivative as the left limit, ``slope`` the slope each interval

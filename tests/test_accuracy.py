@@ -325,6 +325,24 @@ def test_convergence_study_records_failures():
     assert all(row.linf is None for row in rows)
 
 
+
+def test_convergence_study_lets_a_bug_in_a_callable_propagate():
+    # only what a solve can legitimately raise is a failed row; a bug in
+    # the forcing read as "failed" on every truncation
+    def g(t):
+        raise TypeError("bug in g")
+
+    problem = single_equation(0.4, 0.0, 0.5, g, 1.0, 2.0)
+    with pytest.raises(TypeError, match="bug in g"):
+        convergence_study(problem, [4, 6])
+
+
+def test_convergence_study_records_a_math_domain_error():
+    problem = single_equation(0.4, 0.0, 0.5, lambda t: math.sqrt(t - 1.0),
+                              1.0, 2.0)
+    rows = convergence_study(problem, [4, 6])
+    assert [row.error for row in rows] == ["math domain error"] * 2
+
 def test_convergence_trend_smooth_problem():
     # u(t) = exp(-t) with derived forcing; the error shrinks with N
     u = math.exp

@@ -3,8 +3,11 @@
 import dataclasses
 import inspect
 
+import numpy as np
+import pytest
+
 import lagdde
-from lagdde import cli, collocation, config, reference
+from lagdde import accuracy, cli, collocation, config, reference
 
 
 def test_every_exported_name_resolves():
@@ -45,3 +48,19 @@ def test_names_the_benchmark_workloads_read_exist():
     assert inspect.isfunction(config.parse_config)
     fields = {f.name for f in dataclasses.fields(config.ProblemConfig)}
     assert {"n_list", "n_max", "oracle"} <= fields
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lagdde.SpectralSolution(np.ones((1, 3)), 1.0),
+    lambda: accuracy.ErrorReport(*(np.ones(3) for _ in range(5))),
+    lambda: accuracy.ConvergenceRow(4, np.ones(1), np.ones(1), np.ones(1),
+                                    0.0, 1.0),
+    lambda: reference.Trajectory(*(np.ones((3, 1)) for _ in range(4))),
+], ids=["SpectralSolution", "ErrorReport", "ConvergenceRow", "Trajectory"])
+def test_results_with_array_fields_compare_by_identity(make):
+    # a generated __eq__ compares the array fields as a tuple, which
+    # raises "truth value of an array is ambiguous"
+    first, second = make(), make()
+    assert first == first
+    assert not first == second
+    assert first != second

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -855,6 +856,53 @@ def test_division_by_zero_in_the_exact_solution_exits_four(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "oracle error: exact solution failed at t=1.0: ZeroDivisionError")
     assert not (tmp_path / "out").exists()
+
+
+EXP_DECAY_EXACT = """\
+b = 2
+N = 8
+oracle = exact
+
+[equation 1]
+gamma = 1
+phi = 1
+exact = exp(-t)
+"""
+
+
+@pytest.mark.parametrize("loading", [
+    ["compare", "--config", str(CONFIG_DIR / "example2.cfg"), "--N", "6"],
+    ["validate"],
+], ids=["rk4-compare", "validate"])
+def test_cli_loads_the_oracle_only_for_a_run_that_uses_it(tmp_path, loading):
+    # importing the CLI loads the solver, accuracy and config modules; an
+    # exact-oracle run never loads the RK4 oracle, an RK4 run or the
+    # identity suite loads it
+    cfg = _write(tmp_path, EXP_DECAY_EXACT)
+    exact_runs = [[verb, "--config", cfg, "--out", str(tmp_path / verb)]
+                  for verb in ("solve", "compare")]
+    if loading[0] != "validate":
+        loading = loading + ["--out", str(tmp_path / "rk4")]
+    code = textwrap.dedent(f"""\
+        import sys
+        import lagdde.cli
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "lagdde")
+        assert loaded() == ["lagdde", "lagdde.accuracy", "lagdde.cli",
+                            "lagdde.collocation", "lagdde.config"], loaded()
+        for argv in {exact_runs!r}:
+            assert lagdde.cli.main(argv) == 0, argv
+        assert "lagdde.reference" not in sys.modules, loaded()
+        assert lagdde.cli.main({loading!r}) == 0
+        assert "lagdde.reference" in sys.modules, loaded()
+        """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "Linf=4.4" in result.stdout  # u = exp(-t) at N = 8
 
 
 def test_main_builds_no_argument_parser(tmp_path, monkeypatch):
