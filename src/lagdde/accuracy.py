@@ -35,8 +35,13 @@ def residual(problem: DDEProblem, solution: SpectralSolution, t) -> np.ndarray:
 
     It is |A(t) @ c - G(t) - f(u(t - tau))| over the collocation rows of
     ``_system`` at t, so delayed values come from the history or the series
-    exactly as the solvers assemble them.
+    exactly as the solvers assemble them. A solution of another interval
+    or equation count than ``problem`` is a ValueError.
     """
+    if (solution.b, solution.n_equations) != (problem.b, problem.n_equations):
+        raise ValueError(
+            f"the solution (b={solution.b}, equations={solution.n_equations}) "
+            f"is not of the problem (b={problem.b}, equations={problem.n_equations})")
     q = np.asarray(t, dtype=float)
     A, G, feedback = _system(problem, solution.n_max, q.ravel())
     c = solution.chebyshev

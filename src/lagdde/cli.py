@@ -25,9 +25,9 @@ from .config import (
     ConfigError,
     ProblemConfig,
     build_problem,
-    check_truncations,
     parse_config,
     set_key,
+    validate,
 )
 
 EXIT_OK = 0
@@ -218,18 +218,6 @@ def run_validate() -> int:
 RUNS = {"solve": run_solve, "compare": run_compare, "converge": run_converge}
 
 
-def _parse_n_list(args, cfg):
-    if args.N_list:
-        return check_truncations(args.N_list, "N_list")
-    if args.N is not None:
-        return check_truncations([args.N], "N")
-    if cfg.n_list:
-        return list(cfg.n_list)
-    if cfg.n_max is not None:
-        return [cfg.n_max]
-    raise ConfigError("no truncation given; use --N/--N-list or set N in the config")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagdde",
@@ -240,10 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="problem config file")
-        truncation = p.add_mutually_exclusive_group()
-        truncation.add_argument("--N", type=int, help="truncation degree")
-        truncation.add_argument("--N-list", dest="N_list", type=int, nargs="+",
-                                help="truncation degrees")
+        p.add_argument("--N", type=int, help="truncation degree")
+        p.add_argument("--N-list", dest="N_list", type=int, nargs="+",
+                       help="truncation degrees")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--tol", type=float, help="nonlinear iteration tolerance")
         p.add_argument("--max-iter", type=int, help="nonlinear iteration cap")
@@ -265,14 +252,18 @@ def main(argv=None) -> int:
         return run_validate()
     try:
         cfg = parse_config(args.config)
-        if args.oracle_step is not None and cfg.oracle == "exact":
-            raise ConfigError("--oracle-step sets the RK4 oracle's step, but "
-                              "the config's oracle is exact", field="rk4_step")
+        if args.N is not None or args.N_list:  # a flag replaces the config's
+            cfg.n_max, cfg.n_list = None, ()
         for key, value in (("tol", args.tol), ("max_iter", args.max_iter),
-                           ("rk4_step", args.oracle_step)):
-            if value is not None:
+                           ("rk4_step", args.oracle_step), ("N", args.N),
+                           ("N_list", " ".join(map(str, args.N_list or ())))):
+            if value not in (None, ""):  # "": no --N-list
                 set_key(cfg, key, value)
-        n_list = _parse_n_list(args, cfg)
+        validate(cfg)  # the rules joining two keys, once the flags are set
+        n_list = list(cfg.n_list) or [cfg.n_max]
+        if n_list == [None]:
+            raise ConfigError("no truncation given; use --N/--N-list or set N "
+                              "in the config")
         problem = build_problem(cfg)
         RUNS[args.command](cfg, problem, _make_oracle(cfg, problem), n_list,
                            Path(args.out), args.config)

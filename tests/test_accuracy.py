@@ -151,6 +151,24 @@ def test_residual_uses_history_for_early_points():
     assert residual(problem, solution, 0.5)[0] == pytest.approx(5.0)
 
 
+def test_residual_refuses_a_solution_of_another_problem():
+    # the defect reads the solution's coefficients through the problem's
+    # map 2t/b - 1: a [0, 3] solution read as one on [0, 5] gave a residual
+    # near 1 where its own is 4e-8, and another equation count a matmul error
+    def problem(b, l=1):
+        return DDEProblem(gamma=[1.0] * l, delays=[[]] * l, g=[math.cos] * l,
+                          phi=[1.0] * l, b=b)
+
+    solution = solve_linear(problem(3.0), 12)
+    assert residual(problem(3.0), solution, 1.5)[0] < 1e-7
+    for other, message in ((problem(5.0), r"b=3\.0.*b=5\.0"),
+                           (problem(3.0, 2), r"equations=1\).*equations=2\)")):
+        with pytest.raises(ValueError, match=message):
+            residual(other, solution, 1.5)
+        with pytest.raises(ValueError, match=message):
+            error_report(other, solution)
+
+
 # ---------------------------------------------------------------------------
 # norms
 

@@ -308,13 +308,15 @@ def test_singular_laguerre_coefficients_name_the_matrix(tmp_path, capsys):
 
 
 def test_truncation_and_truncation_list_together_exit_two(tmp_path, capsys):
-    # --N 6 --N-list 4 used to solve N = 4 alone
-    with pytest.raises(SystemExit) as info:
-        cli.main(["solve", "--config", str(CONFIG_DIR / "example2.cfg"),
-                  "--N", "6", "--N-list", "4", "--out", str(tmp_path / "out")])
-    assert info.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # the flags set N and N_list, and validate refuses the pair as it
+    # refuses a config that sets both
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(CONFIG_DIR / "example2.cfg"),
+                     "--N", "6", "--N-list", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: N and N_list exclude each other; set one of them "
+        "(field 'N')\n")
+    assert not out.exists()
 
 
 def test_config_with_n_and_n_list_exits_two(tmp_path, capsys):
@@ -334,10 +336,60 @@ def test_oracle_step_with_exact_oracle_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["compare", "--config", cfg, "--N-list", "3",
                      "--oracle-step", "0.01", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: --oracle-step")
-    assert "field 'rk4_step'" in err
+    assert capsys.readouterr().err.startswith(
+        "config error: rk4_step sets the RK4 oracle's step, but the oracle "
+        "is exact (field 'rk4_step')")
     assert not out.exists()
+
+
+# the equation of the flag-and-key runs; Picard takes 42 iterations at N = 3
+# with tol 1e-8, so --max-iter 40 and --tol 1e-9 each change the outputs
+FEEDBACK = """\
+
+[equation 1]
+gamma = 1
+phi = 1
+history = 1
+forcing = cos(t)
+nonlinear = 5*sin(u)
+nonlinear_tau = 0.5
+"""
+RK4 = "\nrk4_step = 0.25"  # coarse enough that --oracle-step 0.01 shows in solve
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "converge"])
+@pytest.mark.parametrize("base, flags, key", [
+    ("N = 3" + RK4, ["--N", "6"], "N = 6" + RK4),
+    ("N = 3" + RK4, ["--N-list", "3", "4"], "N_list = 3 4" + RK4),
+    ("N = 3" + RK4, ["--tol", "1e-9"], "N = 3\ntol = 1e-9" + RK4),
+    ("N = 3" + RK4, ["--max-iter", "40"], "N = 3\nmax_iter = 40" + RK4),
+    ("N = 3" + RK4, ["--oracle-step", "0.01"], "N = 3\nrk4_step = 0.01"),
+    ("N = 3", ["--oracle-step", "0.01"], "N = 3\nrk4_step = 0.01"),
+    ("N_list = 3 4" + RK4, ["--N", "6"], "N = 6" + RK4),
+])
+def test_a_flag_gives_the_outputs_of_its_key(tmp_path, capsys, command, base,
+                                             flags, key):
+    # each flag sets its config key, so a run with the flag and a run whose
+    # config writes the key give the same exit code, stdout, stderr and CSV
+    # bodies, which differ from those of a run with neither
+    def run(name, settings, extra):
+        cfg = _write(tmp_path, f"b = 3\n{settings}\n{FEEDBACK}", f"{name}.cfg")
+        out = tmp_path / name
+        code = cli.main([command, "--config", cfg, "--out", str(out)] + extra)
+        captured = capsys.readouterr()
+        stdout = re.sub(r"cpu_time=[0-9.]+s", "", captured.out)
+        bodies = {}
+        for path in sorted(out.rglob("*.csv")):
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            if path.name == "convergence.csv":
+                column = rows[0].index("cpu_time")
+                rows = [row[:column] + row[column + 1:] for row in rows]
+            bodies[str(path.relative_to(out))] = rows
+        return code, stdout, captured.err, bodies
+
+    flagged = run("flag", base, flags)
+    assert flagged == run("key", key, [])
+    assert flagged != run("neither", base, [])
 
 
 def test_singular_laguerre_coefficients_exit_three(tmp_path, capsys):
