@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -15,6 +14,7 @@ from .collocation import (
     NonConvergenceError,
     SingularSystemError,
     SpectralSolution,
+    _Record,
     _check_iteration,
     _check_truncation,
     _each,
@@ -28,6 +28,15 @@ SAMPLES_PER_UNIT = 10  # 11 points per unit interval, integer t included
 MAX_SAMPLES = 10**4  # intervals in all: integer t is included up to b = 1000
 
 
+def _check_solution_of(problem: DDEProblem, solution: SpectralSolution) -> None:
+    """ValueError unless ``solution`` has the interval and equation count of
+    ``problem``: the series reads t through the map 2t/b - 1 of its own b."""
+    if (solution.b, solution.n_equations) != (problem.b, problem.n_equations):
+        raise ValueError(
+            f"the solution (b={solution.b}, equations={solution.n_equations}) "
+            f"is not of the problem (b={problem.b}, equations={problem.n_equations})")
+
+
 def residual(problem: DDEProblem, solution: SpectralSolution, t) -> np.ndarray:
     """Pointwise defect |u_N' + gamma u_N - sum beta u_N(t-tau) - f(...) - g|
     per equation at t, a number or any array-like of points, shape
@@ -38,10 +47,7 @@ def residual(problem: DDEProblem, solution: SpectralSolution, t) -> np.ndarray:
     exactly as the solvers assemble them. A solution of another interval
     or equation count than ``problem`` is a ValueError.
     """
-    if (solution.b, solution.n_equations) != (problem.b, problem.n_equations):
-        raise ValueError(
-            f"the solution (b={solution.b}, equations={solution.n_equations}) "
-            f"is not of the problem (b={problem.b}, equations={problem.n_equations})")
+    _check_solution_of(problem, solution)
     q = np.asarray(t, dtype=float)
     A, G, feedback = _system(problem, solution.n_max, q.ravel())
     c = solution.chebyshev
@@ -77,15 +83,18 @@ def sample_points(b: float) -> np.ndarray:
     return np.linspace(0.0, b, count + 1)
 
 
-@dataclass(eq=False)  # == is identity: ndarray fields have no truth value
-class ErrorReport:
+class ErrorReport(_Record):
     """Reference errors, or residuals, at sample points, with their norms."""
 
-    points: np.ndarray
-    errors: np.ndarray  # shape (l, len(points))
-    l2: np.ndarray
-    linf: np.ndarray
-    rms: np.ndarray
+    _FIELDS = ("points", "errors", "l2", "linf", "rms")
+
+    def __init__(self, points: np.ndarray, errors: np.ndarray, l2: np.ndarray,
+                 linf: np.ndarray, rms: np.ndarray):
+        self.points = points
+        self.errors = errors  # shape (l, len(points))
+        self.l2 = l2
+        self.linf = linf
+        self.rms = rms
 
 
 def read_reference(reference: Callable[[float], np.ndarray],
@@ -101,7 +110,10 @@ def error_report(problem: DDEProblem, solution: SpectralSolution,
                  points: Optional[np.ndarray] = None) -> ErrorReport:
     """Errors against a reference callable (an exact solution or an RK4
     ``Trajectory``), or residuals when none is given, at ``points`` (the sample
-    grid by default, any shape flattened to one row), in one series read."""
+    grid by default, any shape flattened to one row), in one series read.
+    A solution of another interval or equation count than ``problem`` is a
+    ValueError on either path."""
+    _check_solution_of(problem, solution)
     points = (sample_points(problem.b) if points is None
               else np.asarray(points, dtype=float).ravel())
     if reference is None:
@@ -113,16 +125,22 @@ def error_report(problem: DDEProblem, solution: SpectralSolution,
     return ErrorReport(points=points, errors=errors, l2=l2, linf=linf, rms=rms)
 
 
-@dataclass(eq=False)  # == is identity: ndarray fields have no truth value
-class ConvergenceRow:
-    n_max: int
-    l2: Optional[np.ndarray]
-    linf: Optional[np.ndarray]
-    rms: Optional[np.ndarray]
-    cpu_time: float
-    condition: float
-    iterations: int = 0
-    error: Optional[str] = None
+class ConvergenceRow(_Record):
+    _FIELDS = ("n_max", "l2", "linf", "rms", "cpu_time", "condition",
+               "iterations", "error")
+
+    def __init__(self, n_max: int, l2: Optional[np.ndarray],
+                 linf: Optional[np.ndarray], rms: Optional[np.ndarray],
+                 cpu_time: float, condition: float, iterations: int = 0,
+                 error: Optional[str] = None):
+        self.n_max = n_max
+        self.l2 = l2
+        self.linf = linf
+        self.rms = rms
+        self.cpu_time = cpu_time
+        self.condition = condition
+        self.iterations = iterations
+        self.error = error
 
 
 def convergence_study(problem: DDEProblem, n_list: Sequence[int],

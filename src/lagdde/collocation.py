@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -47,40 +46,79 @@ class SingularSystemError(Exception):
                      f"(bound {SINGULAR_CONDITION:.3e})"))
 
 
-@dataclass(frozen=True)
-class DelayTerm:
+class _Record:
+    """A record whose ``__init__`` sets its fields, with the repr
+    Name(field=value, ...) over the fields ``_FIELDS`` names. == is
+    identity, as a record with array fields needs: an array has no truth
+    value."""
+
+    _FIELDS: tuple = ()
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}"
+                            for name in self._FIELDS) + ")")
+
+
+class _ValueRecord(_Record):
+    """A record equal to one of its own class whose fields are equal, in
+    order; unhashable, as its fields may change."""
+
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class _FrozenRecord(_ValueRecord):
+    """A value record that no assignment or deletion changes once its
+    ``__init__`` has set its fields through ``__dict__``; it hashes by
+    them."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DelayTerm(_FrozenRecord):
     """A linear delayed term beta * u_target(t - tau) on some equation's RHS.
 
     ``target`` is the 0-based index of the equation being sampled, which
     allows coupled systems where one equation feeds another.
     """
 
-    target: int
-    beta: float
-    tau: float
+    _FIELDS = ("target", "beta", "tau")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and 0 <= self.tau < math.inf):
+    def __init__(self, target: int, beta: float, tau: float):
+        if not (math.isfinite(beta) and 0 <= tau < math.inf):
             raise ValueError(f"delay needs a finite beta and tau >= 0, got "
-                             f"beta={self.beta}, tau={self.tau}")
+                             f"beta={beta}, tau={tau}")
+        self.__dict__.update(target=target, beta=beta, tau=tau)
 
 
-@dataclass(frozen=True)
-class NonlinearDelayTerm:
+class NonlinearDelayTerm(_FrozenRecord):
     """A nonlinear delayed term f(u_target(t - tau)) on some equation's RHS."""
 
-    f: Callable[[float], float]
-    target: int
-    tau: float
+    _FIELDS = ("f", "target", "tau")
 
-    def __post_init__(self):
-        if not 0 < self.tau < math.inf:
+    def __init__(self, f: Callable[[float], float], target: int, tau: float):
+        if not 0 < tau < math.inf:
             raise ValueError(
-                f"nonlinear delay must be finite and positive, got {self.tau}")
+                f"nonlinear delay must be finite and positive, got {tau}")
+        self.__dict__.update(f=f, target=target, tau=tau)
 
 
-@dataclass(frozen=True)
-class History:
+class History(_FrozenRecord):
     """Prescribed solution values for delayed arguments at or below ``end``.
 
     ``functions`` holds one callable per equation, queried at each delayed
@@ -97,12 +135,12 @@ class History:
     phi = u(end), with history s -> u(s + end) and end = 0.
     """
 
-    functions: tuple
-    end: float = 0.0
+    _FIELDS = ("functions", "end")
 
-    def __post_init__(self):
-        if not 0 <= self.end < math.inf:
-            raise ValueError(f"history end must be finite and >= 0, got {self.end}")
+    def __init__(self, functions: tuple, end: float = 0.0):
+        if not 0 <= end < math.inf:
+            raise ValueError(f"history end must be finite and >= 0, got {end}")
+        self.__dict__.update(functions=functions, end=end)
 
     def covers(self, t):
         """Whether the history serves t; elementwise for an array of t."""
@@ -116,38 +154,34 @@ class History:
         return float(self.functions[eq](t))
 
 
-@dataclass
-class DDEProblem:
+class DDEProblem(_ValueRecord):
     """A retarded DDE system of 1-3 equations on [0, b]."""
 
-    gamma: Sequence[float]
-    delays: Sequence[Sequence[DelayTerm]]
-    g: Sequence[Callable[[float], float]]
-    phi: Sequence[float]
-    b: float
-    history: Optional[History] = None
-    nonlinear: Sequence[Optional[NonlinearDelayTerm]] = None
+    _FIELDS = ("gamma", "delays", "g", "phi", "b", "history", "nonlinear")
 
-    def __post_init__(self):
-        self.gamma = tuple(float(x) for x in self.gamma)
+    def __init__(self, gamma: Sequence[float],
+                 delays: Sequence[Sequence[DelayTerm]],
+                 g: Sequence[Callable[[float], float]], phi: Sequence[float],
+                 b: float, history: Optional[History] = None,
+                 nonlinear: Sequence[Optional[NonlinearDelayTerm]] = None):
+        self.gamma = tuple(float(x) for x in gamma)
         l = len(self.gamma)
         if not 1 <= l <= 3:
             raise ValueError(f"equation count must be 1-3, got {l}")
-        self.delays = tuple(tuple(terms) for terms in self.delays)
-        self.g = tuple(self.g)
-        self.phi = tuple(float(x) for x in self.phi)
-        if not (0 < self.b < math.inf
+        self.delays = tuple(tuple(terms) for terms in delays)
+        self.g = tuple(g)
+        self.phi = tuple(float(x) for x in phi)
+        self.b, self.history = b, history
+        if not (0 < b < math.inf
                 and all(map(math.isfinite, self.gamma + self.phi))):
             raise ValueError(f"b must be finite and positive, gamma and phi "
-                             f"finite: got b={self.b}, gamma={self.gamma}, "
+                             f"finite: got b={b}, gamma={self.gamma}, "
                              f"phi={self.phi}")
-        if self.nonlinear is None:
-            self.nonlinear = (None,) * l
-        self.nonlinear = tuple(self.nonlinear)
+        self.nonlinear = (None,) * l if nonlinear is None else tuple(nonlinear)
         counts = (("delays", self.delays), ("g", self.g),
                   ("phi", self.phi), ("nonlinear", self.nonlinear))
-        if self.history is not None:
-            counts += (("history", self.history.functions),)
+        if history is not None:
+            counts += (("history", history.functions),)
         for name, seq in counts:
             if len(seq) != l:
                 raise ValueError(
@@ -233,17 +267,20 @@ def basis_row(n_max: int, t: float) -> np.ndarray:
     return row
 
 
-@dataclass(eq=False)  # == is identity: ndarray fields have no truth value
-class SpectralSolution:
+class SpectralSolution(_Record):
     """Degree-N polynomial per equation, u_{l,N}(t) = sum_k c_{l,k} T_k(2t/b - 1).
 
     The system is solved in, and evaluation reads, the coefficients c.
     """
 
-    chebyshev: np.ndarray  # shape (l, N+1)
-    b: float
-    iterations: int = 0
-    condition: float = math.nan
+    _FIELDS = ("chebyshev", "b", "iterations", "condition")
+
+    def __init__(self, chebyshev: np.ndarray, b: float, iterations: int = 0,
+                 condition: float = math.nan):
+        self.chebyshev = chebyshev  # shape (l, N+1)
+        self.b = b
+        self.iterations = iterations
+        self.condition = condition
 
     @property
     def n_max(self) -> int:

@@ -15,7 +15,6 @@ The solver reads none of them: it assembles in Chebyshev coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence
@@ -23,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .collocation import (DDEProblem, DelayTerm, History, _delayed, _each,
-                          basis_row)
+                          _FrozenRecord, _Record, basis_row)
 
 MAX_RK4_STEPS = 10**6  # about 0.4 GB: example2.cfg keeps 370 B per point
 # RK4 is stable on [-2.785, 0] of the real axis, but its error already grows
@@ -32,17 +31,20 @@ MAX_RK4_STEPS = 10**6  # about 0.4 GB: example2.cfg keeps 370 B per point
 RK4_STABILITY = 2.5
 
 
-@dataclass(eq=False)  # == is identity: ndarray fields have no truth value
-class Trajectory:
+class Trajectory(_Record):
     """Dense output of the RK4 integrator, read by ``_read``. ``du`` holds
     the derivative as the left limit, ``slope`` the slope each interval
     starts from: ``du``, but at a grid point where a delayed argument
     leaves the history, and u' may jump, the right limit."""
 
-    t: np.ndarray          # strictly increasing grid
-    u: np.ndarray          # shape (len(t), l)
-    du: np.ndarray         # shape (len(t), l)
-    slope: np.ndarray = field(repr=False)  # shape (len(t), l)
+    _FIELDS = ("t", "u", "du")  # the repr leaves out the slope
+
+    def __init__(self, t: np.ndarray, u: np.ndarray, du: np.ndarray,
+                 slope: np.ndarray):
+        self.t = t          # strictly increasing grid
+        self.u = u          # shape (len(t), l)
+        self.du = du        # shape (len(t), l)
+        self.slope = slope  # shape (len(t), l)
 
     def __call__(self, t) -> np.ndarray:
         """u per equation at t, a number or any array-like of times, shape
@@ -456,10 +458,11 @@ def monomial_row(n_max: int, t: float) -> np.ndarray:
     return np.power(float(t), np.arange(n_max + 1))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    passed: bool
-    max_deviation: float
+class IdentityCheck(_FrozenRecord):
+    _FIELDS = ("passed", "max_deviation")
+
+    def __init__(self, passed: bool, max_deviation: float):
+        self.__dict__.update(passed=passed, max_deviation=max_deviation)
 
 
 def _laguerre_row_direct(n_max, t):

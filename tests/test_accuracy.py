@@ -159,14 +159,22 @@ def test_residual_refuses_a_solution_of_another_problem():
         return DDEProblem(gamma=[1.0] * l, delays=[[]] * l, g=[math.cos] * l,
                           phi=[1.0] * l, b=b)
 
+    def reference(t):
+        return np.array([(math.sin(t) + math.cos(t) + math.exp(-t)) / 2])
+
     solution = solve_linear(problem(3.0), 12)
     assert residual(problem(3.0), solution, 1.5)[0] < 1e-7
+    assert error_report(problem(3.0), solution, reference).linf[0] < 1e-7
     for other, message in ((problem(5.0), r"b=3\.0.*b=5\.0"),
                            (problem(3.0, 2), r"equations=1\).*equations=2\)")):
         with pytest.raises(ValueError, match=message):
             residual(other, solution, 1.5)
         with pytest.raises(ValueError, match=message):
             error_report(other, solution)
+        # the reference path read a [0, 3] solution on the [0, 5] grid,
+        # extrapolating past its own interval, and raised nothing
+        with pytest.raises(ValueError, match=message):
+            error_report(other, solution, reference)
 
 
 # ---------------------------------------------------------------------------

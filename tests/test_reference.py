@@ -205,16 +205,19 @@ def test_trajectory_each_reads_one_row_per_time():
 def test_import_lagdde_loads_the_oracle_on_first_use():
     # the oracle only checks the solver: importing the package, or the
     # accuracy module that reads references, leaves it unloaded, and the
-    # package loads the solver's modules and no other
+    # package loads the solver's modules and no other. The records are
+    # plain classes, so neither import loads dataclasses (NumPy does not)
     code = textwrap.dedent("""\
         import sys
         import lagdde
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "lagdde")
         assert loaded == ["lagdde", "lagdde.accuracy", "lagdde.collocation"], loaded
+        assert "dataclasses" not in sys.modules
         from lagdde import accuracy
         assert "lagdde.reference" not in sys.modules
         trajectory = lagdde.Trajectory
         assert "lagdde.reference" in sys.modules
+        assert "dataclasses" not in sys.modules
         assert trajectory is lagdde.reference.Trajectory
         assert lagdde.rk4_method_of_steps is lagdde.reference.rk4_method_of_steps
         try:
