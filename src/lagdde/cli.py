@@ -44,18 +44,28 @@ class SolverError(Exception):
     """The run produced no solution at any requested truncation."""
 
 
+def _open_text(path: Path):
+    """``path`` opened for writing UTF-8 text in any locale; a path's bytes
+    that are not UTF-8 (surrogate escapes in ``sys.argv``) go out as read."""
+    return open(path, "w", encoding="utf-8", errors="surrogateescape")
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write one CSV, making its directory: a run that fails before its
-    first file leaves no directory behind."""
+    first file leaves no directory behind. Each cell is its value as a
+    float in %.17g: an integer reads 1, and inf, nan and -0 read as Python
+    prints them."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:  # savetxt given a path opens the file twice
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",",
-                   header=",".join(header), comments="")
+    table = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with _open_text(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row) for row in table.tolist())
 
 
 def _write_manifest(out_dir: Path, command: str, config_path, settings: dict,
                     outputs: list[Path]) -> None:
-    with open(out_dir / "manifest.txt", "w") as fh:
+    with _open_text(out_dir / "manifest.txt") as fh:
         fh.write(f"# generated {time.strftime('%Y-%m-%d %H:%M:%S')}\n")
         fh.write(f"command = {command}\n")
         fh.write(f"config = {config_path}\n")

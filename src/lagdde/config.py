@@ -13,6 +13,7 @@ a ConfigError.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import re
 import warnings
@@ -81,10 +82,14 @@ _NAMESPACE = {"__builtins__": {}, "float": float, "map": map, "real": _real,
               **_FUNCTIONS}
 
 
+# each distinct text compiles once per process over its variable, in a
+# bounded cache; a text that fails is refused again on each parse, since
+# lru_cache stores no exception
+@functools.lru_cache(maxsize=512)
 def _compile(text, variable):
     """Function listing ``text``, an expression over ``variable``, at each
     point of a sequence; a ConfigError, with a column where one exists, if
-    it is not.
+    it is not. The function is pure, so expressions of one text share it.
 
     ``ast`` parses the text, with ``^`` read as ``**``, as the body of
     ``lambda x: ...``, and the body is walked once under a whitelist: + - *
@@ -316,7 +321,7 @@ def set_key(target, key, value) -> None:
 def parse_config(path) -> ProblemConfig:
     """Parse the configuration file at ``path``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file: {err}") from err

@@ -274,11 +274,12 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     # the delayed argument of every read at every time (times, reads) and the
     # history's values; a block fills in the rest from the trajectory
     arg, known, values = _delayed(history, times, taus, read_targets, right)
+    unknown = ~known  # the reads a block takes from the trajectory
 
     def forcing(a, b, front):
         # rows a..b-1 of the forcing, one per time: every g, then per term of
         # ``delayed`` beta * u or f(u); _read reads at or before point front - 1
-        missing = ~known[a:b]
+        missing = unknown[a:b]
         if missing.any():
             values[a:b][missing] = _read(
                 t_all, u_all, du_all, slope,

@@ -113,6 +113,41 @@ def test_solve_deterministic_csv_bodies(tmp_path):
     assert bodies[0] == bodies[1]
 
 
+RK4_HISTORY = """\
+b = 2
+N_list = 4 6
+rk4_step = 0.001
+
+[equation 1]
+gamma = 0.5
+phi = 1
+delay = 1 0.3 0.5
+history = exp(-t)
+forcing = cos(t) - 0.3*exp(-(t-0.5))
+"""
+
+
+@pytest.mark.parametrize("verb", ["solve", "compare", "converge"])
+def test_a_warm_run_writes_the_csv_bodies_of_a_cold_one(tmp_path, verb):
+    # the second run reads every expression from the compile cache
+    cfg = _write(tmp_path, RK4_HISTORY)
+    config._compile.cache_clear()
+    bodies = []
+    for name in ("cold", "warm"):
+        out = tmp_path / name
+        assert cli.main([verb, "--config", cfg, "--out", str(out)]) == 0
+        tables = {}
+        for path in sorted(out.rglob("*.csv")):
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            if "cpu_time" in rows[0]:  # measured, so it differs run to run
+                column = rows[0].index("cpu_time")
+                rows = [row[:column] + row[column + 1:] for row in rows]
+            tables[str(path.relative_to(out))] = rows
+        bodies.append(tables)
+    assert config._compile.cache_info().hits > 0
+    assert bodies[0] and bodies[0] == bodies[1]
+
+
 def _joined_csv(header, rows) -> bytes:
     """A CSV as the header and each cell's f"{float(x):.17g}", comma-joined."""
     lines = [header] + [[f"{float(x):.17g}" for x in row] for row in rows]
@@ -526,9 +561,10 @@ def test_solve_keeps_the_truncations_that_finished(tmp_path, capsys):
     assert not (out / "N19").exists()
 
 
-def _run_module(*args):
-    """``python -m`` in a subprocess, with ``src/`` importable."""
-    env = dict(os.environ)
+def _run_module(*args, **environ):
+    """``python -m`` in a subprocess, with ``src/`` importable and the
+    variables ``environ`` set."""
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, "-m", *args], cwd=ROOT, env=env,
@@ -574,6 +610,38 @@ def test_package_runs_as_a_module():
     result = _run_module("lagdde", "--help")
     assert result.returncode == 0, result.stderr
     assert "validate" in result.stdout
+
+
+# the C locale with neither PEP 538's coercion nor PEP 540's UTF-8 mode:
+# Python's default encoding is then ASCII
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_a_utf8_config_reads_in_the_c_locale(tmp_path):
+    path = tmp_path / "problem.cfg"
+    path.write_bytes(("# u(t) = e^{-t}, τ = 1\n" + SMOOTH_EXACT).encode())
+    out = tmp_path / "out"
+    result = _run_module("lagdde", "solve", "--config", str(path), "--N", "6",
+                         "--out", str(out), **C_LOCALE)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert cli.main(["solve", "--config", _write(tmp_path, SMOOTH_EXACT),
+                     "--N", "6", "--out", str(tmp_path / "ref")]) == 0
+    for name in ("solution.csv", "coefficients.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+def test_the_manifest_keeps_a_non_ascii_path_in_the_c_locale(tmp_path):
+    folder = tmp_path / "café"
+    folder.mkdir()
+    path = folder / "problem.cfg"
+    path.write_bytes(CONSTANT_PROBLEM.encode())
+    out = folder / "out"
+    result = _run_module("lagdde", "solve", "--config", str(path),
+                         "--out", str(out), **C_LOCALE)
+    assert (result.returncode, result.stderr) == (0, "")
+    manifest = (out / "manifest.txt").read_bytes().splitlines()
+    assert f"config = {path}".encode() in manifest
+    assert f"output = {out / 'solution.csv'}".encode() in manifest
 
 
 def test_oracle_step_override_enables_rk4(tmp_path):

@@ -414,6 +414,76 @@ def test_each_expression_key_compiles_once(monkeypatch):
     assert [eq.forcing(1.5) for eq in cfg.equations] == [0.0, 0.0]
 
 
+@pytest.fixture
+def compiled():
+    """The number of texts ``_compile`` has compiled, from an empty cache."""
+    config_mod._compile.cache_clear()
+    return lambda: config_mod._compile.cache_info().misses
+
+
+def _expressions(cfg):
+    return [e for eq in cfg.equations
+            for e in (eq.forcing, eq.history, eq.nonlinear, eq.exact) if e]
+
+
+def test_a_config_parsed_twice_compiles_each_text_once(compiled):
+    text = ("equations = 2\nrk4_step = 0.01\n[equation 1]\nforcing = 2*t\n"
+            "history = sin(t)\nnonlinear = exp(-u)\nnonlinear_tau = 1\n"
+            "[equation 2]\nforcing = 2*t\nhistory = cos(t)\n")
+    first = _expressions(parse_config_text(text))
+    distinct = {(e.source, e.variable) for e in first}
+    assert compiled() == len(distinct) == 4
+    second = _expressions(parse_config_text(text))
+    assert compiled() == 4
+    assert [e._fn for e in second] == [e._fn for e in first]
+    assert [(e.source, e.variable) for e in second] == [
+        (e.source, e.variable) for e in first]
+
+
+def test_history_and_exact_of_one_text_compile_once(compiled):
+    cfg = parse_config_text("oracle = exact\n[equation 1]\n"
+                            "history = exp(-t)\nexact = exp(-t)\n")
+    eq, = cfg.equations
+    assert compiled() == 1
+    assert eq.history._fn is eq.exact._fn
+    assert eq.history.source == eq.exact.source == "exp(-t)"
+
+
+def test_one_text_over_t_and_over_u_compiles_twice(compiled):
+    over_t, over_u = Expression("2^3", "t"), Expression("2^3", "u")
+    assert compiled() == 2
+    assert over_t._fn is not over_u._fn
+    assert (over_t.variable, over_u.variable) == ("t", "u")
+    # a text valid over t is still an unknown name over u
+    Expression("t", "t")
+    with pytest.raises(ConfigError, match="unknown name 't'"):
+        Expression("t", "u")
+
+
+def test_a_failing_expression_fails_alike_on_each_parse(compiled):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text("[equation 1]\nforcing = 2*t + q\n")
+        errors.append(info.value)
+    assert [(str(e), e.line, e.column, e.field) for e in errors] == [
+        ("unknown name 'q' (line 2, column 7, field 'forcing')", 2, 7,
+         "forcing")] * 2
+    assert config_mod._compile.cache_info().currsize == 0
+    assert compiled() == 2
+
+
+def test_the_compile_cache_stays_within_its_bound(compiled):
+    maxsize = config_mod._compile.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(maxsize + 10):
+        assert Expression(f"{k}*t")(2.0) == 2.0 * k
+    assert config_mod._compile.cache_info().currsize <= maxsize
+    # an evicted text compiles again, to the same function of t
+    assert Expression("0*t").each([1.0, 3.0]) == [0.0, 0.0]
+    assert compiled() == maxsize + 11
+
+
 def test_long_expression_compiles():
     assert Expression("+".join(["t"] * 500))(1.0) == 500.0
 
