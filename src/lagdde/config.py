@@ -82,10 +82,11 @@ _NAMESPACE = {"__builtins__": {}, "float": float, "map": map, "real": _real,
               **_FUNCTIONS}
 
 
-# each distinct text compiles once per process over its variable, in a
-# bounded cache; a text that fails is refused again on each parse, since
-# lru_cache stores no exception
-@functools.lru_cache(maxsize=512)
+# each distinct text compiles once per process over its variable; a text
+# that fails is refused again on each parse, since lru_cache stores no
+# exception. A config holds at most 12 texts (3 equations, 4 keys), so 128
+# keeps about ten configs' worth, for a process that parses config after config
+@functools.lru_cache(maxsize=128)
 def _compile(text, variable):
     """Function listing ``text``, an expression over ``variable``, at each
     point of a sequence; a ConfigError, with a column where one exists, if
