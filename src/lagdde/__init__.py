@@ -2,6 +2,8 @@
 equations, with residual-based error estimation and an RK4 method-of-steps
 reference integrator."""
 
+import importlib
+
 from .collocation import (
     DDEProblem,
     DelayTerm,
@@ -17,7 +19,6 @@ from .collocation import (
     solve_linear,
     solve_nonlinear,
 )
-from .accuracy import convergence_study, error_report, residual
 
 __version__ = "0.1.0"
 
@@ -42,13 +43,16 @@ __all__ = [
     "solve_nonlinear",
 ]
 
-# the RK4 oracle only checks the solver: its module loads on first use
-_REFERENCE = ("Trajectory", "rk4_method_of_steps")
+# the accuracy checks and the RK4 oracle only check the solver: their
+# modules load on first use, and the first read binds the name here
+_LAZY = {"convergence_study": "accuracy", "error_report": "accuracy",
+         "residual": "accuracy", "Trajectory": "reference",
+         "rk4_method_of_steps": "reference"}
 
 
 def __getattr__(name):
-    if name not in _REFERENCE:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import reference
-
-    return getattr(reference, name)
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value

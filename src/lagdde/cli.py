@@ -63,6 +63,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         fh.writelines(line % tuple(row) for row in table.tolist())
 
 
+def _check_path(flag: str, path: str) -> None:
+    """ConfigError when ``path`` holds a control character (C0, DEL or C1)
+    or a Unicode line or paragraph separator: the manifest keeps one
+    setting per line, and a line break in a path would add a line."""
+    if any(c < " " or "\x7f" <= c <= "\x9f" or c in "\u2028\u2029"
+           for c in path):
+        raise ConfigError(f"the {flag} path {path!r} holds a line break or "
+                          f"other control character")
+
+
 def _write_manifest(out_dir: Path, command: str, config_path, settings: dict,
                     outputs: list[Path]) -> None:
     with _open_text(out_dir / "manifest.txt") as fh:
@@ -261,6 +271,8 @@ def main(argv=None) -> int:
     if args.command == "validate":
         return run_validate()
     try:
+        _check_path("--config", args.config)
+        _check_path("--out", args.out)
         cfg = parse_config(args.config)
         if args.N is not None or args.N_list:  # a flag replaces the config's
             cfg.n_max, cfg.n_list = None, ()

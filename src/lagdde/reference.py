@@ -24,7 +24,7 @@ import numpy as np
 from .collocation import (DDEProblem, DelayTerm, History, _delayed, _each,
                           _FrozenRecord, _Record, basis_row)
 
-MAX_RK4_STEPS = 10**6  # about 0.4 GB: example2.cfg keeps 370 B per point
+MAX_RK4_STEPS = 10**6  # about 0.34 GB: example2.cfg peaks at 340 B per point
 # RK4 is stable on [-2.785, 0] of the real axis, but its error already grows
 # near the edge: u' = -gamma u + ... at step 1e-3 is off by 2.5e-6 at
 # gamma = 2700 and by 0.45 at 2780
@@ -72,14 +72,17 @@ def _read(t, u, du, slope, q, e):
         raise ValueError(f"query t={q[inside.argmin()]} outside computed "
                          f"range [{t[0]}, {t[-1]}]")
     i = t.searchsorted(q)
-    out = u[i, e]
-    miss = t[i] != q
+    # u, du and slope are read by flat index: (i, e) is i * l + e
+    l = u.shape[1]
+    at = i * l + e
+    out = u.take(at)
+    miss = t.take(i) != q
     k1 = i[miss]  # the interval from k to k1 = k + 1 holds the time
     if len(k1):
-        k = k1 - 1
-        e = e[miss]
-        t0 = t[k]
-        h = t[k1] - t0
+        at1 = at[miss]
+        at0 = at1 - l
+        t0 = t.take(k1 - 1)
+        h = t.take(k1) - t0
         s = (q[miss] - t0) / h
         # float_power squares with the C pow, as Python's float ** does; the
         # ** operator on arrays squares by a product, which can round
@@ -90,8 +93,8 @@ def _read(t, u, du, slope, q, e):
         h10 = s * r2
         h01 = s2 * (3 - two_s)
         h11 = s2 * (s - 1)
-        out[miss] = (h00 * u[k, e] + h * h10 * slope[k, e]
-                     + h01 * u[k1, e] + h * h11 * du[k1, e])
+        out[miss] = (h00 * u.take(at0) + h * h10 * slope.take(at0)
+                     + h01 * u.take(at1) + h * h11 * du.take(at1))
     return out
 
 
@@ -178,7 +181,10 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     stored u') and, at t = 0 and an edge, once at the step start.
     Each function must therefore depend on its argument alone. The step
     lengths, halves, sixths, stage times and delayed arguments of all steps
-    are computed once, by array operations on the grid.
+    are computed once, as 1-D arrays by array operations on the grid: step
+    k + 1 owns the stage rows from 2k plus the number of edges before it,
+    so no mask picks them. A block's loop reads only its own steps, as
+    lists no longer than the block.
 
     Before the first step, the history (which never depends on u) is read
     at every delayed argument it serves, by ``collocation._delayed`` as in
@@ -260,17 +266,22 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
     edge[0] = True
     if history is not None:
         edge |= history.at_end(np.subtract.outer(t_all[:-1], taus)).any(axis=1)
-    # per step its length, half, sixth and edge flag (1.0 or 0.0), and its
-    # stage times: the start at an edge (the right limit; at t = 0, u'(0)),
-    # the midpoint and the end. Step k + 1 starts at row first[k]
+    # per step its length, half and sixth, and its stage times: the start at
+    # an edge (the right limit; at t = 0, u'(0)), the midpoint and the end.
+    # Step k + 1 takes the rows first[k] to first[k + 1] - 1
     hk = t_all[1:] - t_all[:-1]
     half = hk / 2
-    steps = np.column_stack([hk, half, hk / 6, edge])
-    taken = np.column_stack([edge, np.ones((len(hk), 2), dtype=bool)])
-    stage = np.column_stack([t_all[:-1], t_all[:-1] + half, t_all[1:]])
-    times = stage[taken]
-    right = (taken & [True, False, False])[taken]
-    first = np.concatenate([[0], np.cumsum(taken.sum(axis=1))])
+    sixth = hk / 6
+    first = np.zeros(len(t_all), dtype=int)
+    np.cumsum(edge + 2, out=first[1:])
+    mid = first[:-1] + edge
+    starts = first[:-1][edge]
+    times = np.empty(first[-1])
+    times[starts] = t_all[:-1][edge]
+    times[mid] = t_all[:-1] + half
+    times[mid + 1] = t_all[1:]
+    right = np.zeros(len(times), dtype=bool)
+    right[starts] = True
     # the delayed argument of every read at every time (times, reads) and the
     # history's values; a block fills in the rest from the trajectory
     arg, known, values = _delayed(history, times, taus, read_targets, right)
@@ -307,8 +318,10 @@ def rk4_method_of_steps(problem: DDEProblem, step: float = 1e-3) -> Trajectory:
             q = int(ends[p])
             block = slice(p + 1, q + 1)
             u, du, xs, ds, rights = step_block(
-                forcing(first[p], first[q], p + 1), steps[p:q].tolist(), u, du,
-                neg_gamma, betas)
+                forcing(first[p], first[q], p + 1),
+                zip(hk[p:q].tolist(), half[p:q].tolist(),
+                    sixth[p:q].tolist(), edge[p:q].tolist()),
+                u, du, neg_gamma, betas)
             u_all[block].T[:] = xs
             du_all[block].T[:] = ds
             slope[block] = du_all[block]

@@ -644,6 +644,22 @@ def test_the_manifest_keeps_a_non_ascii_path_in_the_c_locale(tmp_path):
     assert f"output = {out / 'solution.csv'}".encode() in manifest
 
 
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+@pytest.mark.parametrize("char", ["\n", "\r", "\x1b", "\x85", "\u2028"])
+def test_a_path_with_a_control_character_is_refused(tmp_path, capsys, flag,
+                                                      char):
+    # the manifest keeps one setting per line: a path holding a line break
+    # used to add the line "output = forged.cfg" to it
+    paths = {"--config": tmp_path / "problem.cfg", "--out": tmp_path / "out"}
+    paths[flag] = tmp_path / f"a{char}output = forged.cfg"
+    paths["--config"].write_text(CONSTANT_PROBLEM)
+    argv = ["solve", "--config", str(paths["--config"]), "--out",
+            str(paths["--out"])]
+    assert cli.main(argv) == 2
+    assert "control character" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [paths["--config"]]
+
+
 def test_oracle_step_override_enables_rk4(tmp_path):
     cfg = _write(tmp_path, CONSTANT_PROBLEM)
     out = tmp_path / "out"

@@ -203,16 +203,21 @@ def test_trajectory_each_reads_one_row_per_time():
 
 
 def test_import_lagdde_loads_the_oracle_on_first_use():
-    # the oracle only checks the solver: importing the package, or the
-    # accuracy module that reads references, leaves it unloaded, and the
-    # package loads the solver's modules and no other. The records are
-    # plain classes, so neither import loads dataclasses (NumPy does not)
+    # the oracle and the accuracy checks only check the solver: importing
+    # the package loads the solver's module and no other, the first read of
+    # an accuracy name loads accuracy and binds the name in the package, and
+    # accuracy, which reads references, leaves the oracle unloaded. The
+    # records are plain classes, so no import loads dataclasses (NumPy does
+    # not)
     code = textwrap.dedent("""\
         import sys
         import lagdde
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "lagdde")
-        assert loaded == ["lagdde", "lagdde.accuracy", "lagdde.collocation"], loaded
+        assert loaded == ["lagdde", "lagdde.collocation"], loaded
         assert "dataclasses" not in sys.modules
+        assert "error_report" not in vars(lagdde)
+        assert lagdde.error_report is lagdde.accuracy.error_report
+        assert "error_report" in vars(lagdde)
         from lagdde import accuracy
         assert "lagdde.reference" not in sys.modules
         trajectory = lagdde.Trajectory
@@ -682,6 +687,12 @@ def _bit_identity_cases():
     cases.append(pytest.param(
         single_equation(0.5, -0.4, 2e-3, math.cos, 1.0, 0.5, sine),
         id="tau_equals_step"))
+    # one-step blocks again, with the history ending on the grid: step 4
+    # starts from a right limit in the middle of the run
+    cases.append(pytest.param(
+        single_equation(0.5, -0.4, 2e-3, math.cos, 1.0, 0.5,
+                        History((math.sin,), end=4e-3)),
+        id="edge_in_one_step_blocks"))
     cases.append(pytest.param(
         single_equation(0.5, -0.4, 0.25, math.cos, 1.0, 1.0007, sine),
         id="short_last_step"))
